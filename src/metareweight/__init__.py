@@ -10,20 +10,20 @@ meta loss (mean absolute error) the weighting network can be driven by
 
 __version__ = "0.1.0"
 
-from .numkit import Rng, matvec, dot
-from .losses import LossKind, ce_loss, mae_loss, symmetry_sum, loss_grad_logits
+from .numkit import Rng
+from .losses import LossKind, symmetry_sum
 from .noise import NoiseKind, NoiseSpec, TransitionMatrix, build_transition, corrupt
 from .nets import ClassifierNet, WeightNet
 from .bilevel import TrainConfig, Variant, BilevelState, train
 from .data import BlobSpec, SplitBundle, make_blobs, standardize
-from .metrics import accuracy, auc_noisy_detection, weight_summary
+from .metrics import accuracy, auc_noisy_detection
 
 __all__ = [
-    "Rng", "matvec", "dot",
-    "LossKind", "ce_loss", "mae_loss", "symmetry_sum", "loss_grad_logits",
+    "Rng",
+    "LossKind", "symmetry_sum",
     "NoiseKind", "NoiseSpec", "TransitionMatrix", "build_transition", "corrupt",
     "ClassifierNet", "WeightNet",
     "TrainConfig", "Variant", "BilevelState", "train",
     "BlobSpec", "SplitBundle", "make_blobs", "standardize",
-    "accuracy", "auc_noisy_detection", "weight_summary",
+    "accuracy", "auc_noisy_detection",
 ]

@@ -103,14 +103,10 @@ class Batch:
 class BilevelState:
     classifier: ClassifierNet
     weightnet: WeightNet
-    momentum_buffer: np.ndarray
-    step: int = 0
-    alpha: float = 0.0
+    momentum_buffer: np.ndarray = field(init=False)
 
-    @staticmethod
-    def fresh(classifier: ClassifierNet, weightnet: WeightNet, alpha: float) -> "BilevelState":
-        return BilevelState(classifier, weightnet,
-                            np.zeros(classifier.num_params), 0, alpha)
+    def __post_init__(self):
+        self.momentum_buffer = np.zeros(self.classifier.num_params)
 
 
 def _require_nonempty(batch: Batch, what: str) -> None:
@@ -118,40 +114,37 @@ def _require_nonempty(batch: Batch, what: str) -> None:
         raise ValueError(f"{what} batch is empty")
 
 
-def virtual_step(state: BilevelState, train_batch: Batch, alpha: float) -> np.ndarray:
+def train_losses_and_grads(state: BilevelState, train_batch: Batch):
+    """Per-sample CE losses and flat gradients of the train batch at the
+    current classifier: the one forward/backward pass a step makes on it.
+    The pieces below take this pair instead of recomputing it."""
+    _require_nonempty(train_batch, "train")
+    return state.classifier.losses_and_grads_batch(
+        state.classifier.get_flat(), train_batch.features, train_batch.labels,
+        LossKind.CE)
+
+
+def virtual_step(state: BilevelState, weights: np.ndarray, grads: np.ndarray,
+                 alpha: float) -> np.ndarray:
     """One-step-lookahead classifier parameters as plain weighted SGD.
 
-    w_hat = w - (alpha/n) * sum_i weight(loss_i) * grad_i, with losses,
-    gradients, and weights all evaluated at the current parameters.
+    w_hat = w - (alpha/n) * sum_i weight_i * grad_i, with the per-sample
+    gradients taken at the current parameters w.
     """
-    _require_nonempty(train_batch, "train")
-    losses, grads = state.classifier.losses_and_grads_batch(
-        train_batch.features, train_batch.labels, LossKind.CE)
-    weights = state.weightnet.forward_batch(losses)
-    return state.classifier.get_flat() - (alpha / len(train_batch)) * (weights @ grads)
+    return state.classifier.get_flat() - (alpha / weights.size) * (weights @ grads)
 
 
 def meta_gradient_at(classifier: ClassifierNet, params: np.ndarray,
                      meta_batch: Batch, kind: LossKind) -> np.ndarray:
     """Average meta-loss gradient w.r.t. classifier params, at ``params``."""
     _require_nonempty(meta_batch, "meta")
-    saved = classifier.get_flat()
-    try:
-        classifier.set_flat(params)
-        _, grads = classifier.losses_and_grads_batch(
-            meta_batch.features, meta_batch.labels, kind)
-    finally:
-        classifier.set_flat(saved)
+    _, grads = classifier.losses_and_grads_batch(
+        params, meta_batch.features, meta_batch.labels, kind)
     return grads.mean(axis=0)
 
 
-def meta_gradient(state: BilevelState, w_hat: np.ndarray,
-                  meta_batch: Batch, kind: LossKind) -> np.ndarray:
-    return meta_gradient_at(state.classifier, w_hat, meta_batch, kind)
-
-
-def theta_gradient(state: BilevelState, train_batch: Batch, meta_batch: Batch,
-                   alpha: float, kind: LossKind) -> np.ndarray:
+def theta_gradient(state: BilevelState, losses: np.ndarray, grads: np.ndarray,
+                   meta_batch: Batch, alpha: float, kind: LossKind) -> np.ndarray:
     """Exact gradient of the mean meta loss after one virtual step,
     with respect to the weighting-network parameters.
 
@@ -162,16 +155,11 @@ def theta_gradient(state: BilevelState, train_batch: Batch, meta_batch: Batch,
     is a constant here; samples whose training gradient aligns with the
     average meta-gradient get their weights pushed up.
     """
-    _require_nonempty(train_batch, "train")
-    _require_nonempty(meta_batch, "meta")
-    losses, grads = state.classifier.losses_and_grads_batch(
-        train_batch.features, train_batch.labels, LossKind.CE)
-    weights, theta_grads = state.weightnet.forward_and_grads_batch(losses)
-    n = len(train_batch)
-    w_hat = state.classifier.get_flat() - (alpha / n) * (weights @ grads)
+    weights, theta_grads = state.weightnet.forward_and_grads_batch(
+        state.weightnet.get_flat(), losses)
+    w_hat = virtual_step(state, weights, grads, alpha)
     g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, kind)
-    align = grads @ g_meta
-    return -(alpha / n) * (align @ theta_grads)
+    return -(alpha / losses.size) * ((grads @ g_meta) @ theta_grads)
 
 
 def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
@@ -183,46 +171,30 @@ def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
     state.weightnet.set_flat(theta - beta * (theta_grad + weight_decay * theta))
 
 
-def classifier_update(state: BilevelState, train_batch: Batch, alpha: float,
-                      momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-    """Real classifier step with the *updated* weighting parameters.
+def classifier_update(state: BilevelState, losses: np.ndarray, grads: np.ndarray,
+                      alpha: float, momentum: float = 0.0,
+                      weight_decay: float = 0.0) -> None:
+    """Real classifier step with the current (updated) weighting parameters.
 
     v <- momentum*v + (mean_i weight_i*grad_i + weight_decay*w);
     w <- w - alpha*v.
     """
-    _require_nonempty(train_batch, "train")
-    losses, grads = state.classifier.losses_and_grads_batch(
-        train_batch.features, train_batch.labels, LossKind.CE)
-    weights = state.weightnet.forward_batch(losses)
-    mean_grad = (weights @ grads) / len(train_batch)
+    weights = state.weightnet.forward_batch(state.weightnet.get_flat(), losses)
     w = state.classifier.get_flat()
-    state.momentum_buffer = momentum * state.momentum_buffer + (mean_grad + weight_decay * w)
+    state.momentum_buffer = (momentum * state.momentum_buffer
+                             + ((weights @ grads) / losses.size + weight_decay * w))
     state.classifier.set_flat(w - alpha * state.momentum_buffer)
-    state.step += 1
 
 
 def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,
                  cfg: TrainConfig, alpha: float) -> None:
-    """One fused alternation step; equivalent to composing
-    theta_gradient -> theta_update -> classifier_update but reusing the
-    training-batch forward/backward pass across all three."""
-    n = len(train_batch)
-    losses, grads = state.classifier.losses_and_grads_batch(
-        train_batch.features, train_batch.labels, LossKind.CE)
-    weights, theta_grads = state.weightnet.forward_and_grads_batch(losses)
-    w = state.classifier.get_flat()
-    w_hat = w - (alpha / n) * (weights @ grads)
-    g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, cfg.meta_loss)
-    align = grads @ g_meta
-    t_grad = -(alpha / n) * (align @ theta_grads)
+    """One alternation step: weighting gradient through the virtual step,
+    weighting update, then the real classifier update, all from a single
+    forward/backward pass over the train batch."""
+    losses, grads = train_losses_and_grads(state, train_batch)
+    t_grad = theta_gradient(state, losses, grads, meta_batch, alpha, cfg.meta_loss)
     theta_update(state, t_grad, cfg.meta_lr, cfg.weight_decay)
-
-    new_weights = state.weightnet.forward_batch(losses)
-    mean_grad = (new_weights @ grads) / n
-    state.momentum_buffer = (cfg.momentum * state.momentum_buffer
-                             + (mean_grad + cfg.weight_decay * w))
-    state.classifier.set_flat(w - alpha * state.momentum_buffer)
-    state.step += 1
+    classifier_update(state, losses, grads, alpha, cfg.momentum, cfg.weight_decay)
 
 
 # -- full training loop ------------------------------------------------------
@@ -280,10 +252,11 @@ def _scheduled_lr(cfg: TrainConfig, epoch: int) -> float:
 
 def _epoch_metrics(state: BilevelState, epoch: int, train: CorruptedDataset,
                    test: LabeledDataset) -> tuple[EpochMetrics, np.ndarray]:
-    test_acc = accuracy(state.classifier.predict_batch(test.features), test.labels)
+    params = state.classifier.get_flat()
+    test_acc = accuracy(state.classifier.predict_batch(params, test.features), test.labels)
     losses = state.classifier.losses_batch(
-        train.features, train.observed_labels, LossKind.CE)
-    weights = state.weightnet.forward_batch(losses)
+        params, train.features, train.observed_labels, LossKind.CE)
+    weights = state.weightnet.forward_batch(state.weightnet.get_flat(), losses)
     corrupted = train.is_corrupted
     if corrupted.any() and not corrupted.all():
         auc = auc_noisy_detection(weights, corrupted)
@@ -320,7 +293,7 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
         root.spawn(_INIT_CLASSIFIER_STREAM))
     weightnet = WeightNet(root.spawn(_INIT_WEIGHTNET_STREAM))
     loop_rng = root.spawn(_LOOP_STREAM)
-    state = BilevelState.fresh(classifier, weightnet, cfg.classifier_lr)
+    state = BilevelState(classifier, weightnet)
 
     x_train, y_train = train_data.features, train_data.observed_labels
     x_meta, y_meta = meta_data.features, meta_data.labels
@@ -328,7 +301,7 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
 
     report = RunReport(variant=variant, seed=cfg.seed)
     for epoch in range(cfg.epochs):
-        state.alpha = _scheduled_lr(cfg, epoch)
+        alpha = _scheduled_lr(cfg, epoch)
         order = loop_rng.permutation(n_train)
         for start in range(0, n_train, cfg.train_batch):
             idx = order[start:start + cfg.train_batch]
@@ -337,7 +310,7 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
                 state,
                 Batch(x_train[idx], y_train[idx]),
                 Batch(x_meta[meta_idx], y_meta[meta_idx]),
-                cfg, state.alpha)
+                cfg, alpha)
         metrics, weights = _epoch_metrics(state, epoch, train_data, test_data)
         report.epochs.append(metrics)
     counts, edges = np.histogram(weights, bins=HISTOGRAM_BINS, range=(0.0, 1.0))

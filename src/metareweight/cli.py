@@ -27,7 +27,8 @@ import numpy as np
 
 from . import verify
 from .bilevel import RunReport, Variant, train
-from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
+from .config import (ConfigError, ExperimentConfig, parse_config, rate_label,
+                     serialize_config)
 from .data import BlobSpec, as_corrupted, make_blobs, save_dataset, standardize
 from .noise import NoiseKind, NoiseSpec, build_transition, corrupt, majority_feasibility
 from .numkit import Rng
@@ -157,7 +158,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
         for kind, rate in cells:
             reports = [finished[(variant, kind, rate, si)] for si in range(cfg.num_seeds)]
             for si, rep in enumerate(reports):
-                rep.save_csv(runs_dir / f"{variant.value}_{kind.value}_{rate:g}_{si}.csv")
+                name = f"{variant.value}_{kind.value}_{rate_label(rate)}_{si}.csv"
+                rep.save_csv(runs_dir / name)
             accs = np.array([r.final_accuracy for r in reports])
             best = np.array([r.best_auc for r in reports])
             final = np.array([r.final_auc for r in reports])
@@ -213,14 +215,10 @@ def _cmd_noise_matrix(args) -> int:
         print("warning: some corrupted class outweighs the true class at this rate",
               file=sys.stderr)
     if args.out:
-        matrix.save_csv(args.out)
+        with open(args.out, "w", newline="") as fh:
+            fh.write(matrix.to_csv())
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([matrix.num_classes])
-        for row in matrix.probs:
-            writer.writerow([repr(float(x)) for x in row])
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(matrix.to_csv())
     return 0
 
 

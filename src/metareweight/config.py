@@ -3,7 +3,8 @@
 Format: ``key = value`` lines grouped under ``[blob]``, ``[noise]``,
 ``[train]`` and ``[experiment]`` section headers; ``#`` starts a comment.
 Unknown sections or keys are rejected with the offending line number, as
-are out-of-range values.  An empty file yields the documented defaults.
+are out-of-range values and repeated grid entries.  An empty file yields
+the documented defaults.
 """
 
 from __future__ import annotations
@@ -14,6 +15,40 @@ from pathlib import Path
 from .bilevel import TrainConfig, Variant
 from .data import BlobSpec
 from .noise import NoiseKind
+
+
+def rate_label(rate: float) -> str:
+    """A noise rate as it appears in run file names."""
+    return f"{rate:g}"
+
+
+def _distinct(values: tuple, what: str) -> tuple:
+    """``values`` unchanged; ValueError on a repeated entry."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"duplicate {what} {getattr(v, 'value', v)!r}")
+    return values
+
+
+def _distinct_rates(rates: tuple) -> tuple:
+    """Rates unchanged; ValueError on a repeat or on two rates whose run
+    files would share a name (and so overwrite each other)."""
+    _distinct(rates, "noise rate")
+    named = {}
+    for rate in rates:
+        other = named.setdefault(rate_label(rate), rate)
+        if other != rate:
+            raise ValueError(f"noise rates {other!r} and {rate!r} would both write "
+                             f"run files named *_{rate_label(rate)}_*.csv")
+    return rates
+
+
+def _check_output_dir(path: str) -> None:
+    # The serialized config writes the value bare on one line, so it must
+    # survive comment stripping, line splitting and whitespace stripping.
+    if "#" in path or len(path.splitlines()) > 1 or path != path.strip():
+        raise ValueError(f"output_dir {path!r} must not contain '#' or a line "
+                         "break, nor start or end with whitespace")
 
 
 @dataclass(frozen=True)
@@ -38,6 +73,10 @@ class ExperimentConfig:
         for rate in self.noise_rates:
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"noise rate must lie in [0, 1), got {rate}")
+        _distinct(self.noise_kinds, "noise kind")
+        _distinct_rates(self.noise_rates)
+        _distinct(self.variants, "variant")
+        _check_output_dir(self.output_dir)
 
 
 class ConfigError(ValueError):
@@ -60,8 +99,9 @@ _SCHEMA = {
         "cluster_std": ("cluster_std", float),
     },
     "noise": {
-        "kinds": ("noise_kinds", lambda s: _parse_list(s, lambda x: NoiseKind(x.lower()))),
-        "rates": ("noise_rates", lambda s: _parse_list(s, float)),
+        "kinds": ("noise_kinds", lambda s: _distinct(
+            _parse_list(s, lambda x: NoiseKind(x.lower())), "noise kind")),
+        "rates": ("noise_rates", lambda s: _distinct_rates(_parse_list(s, float))),
     },
     "train": {
         "train_batch": ("train_batch", int),
@@ -74,7 +114,8 @@ _SCHEMA = {
         "lr_milestones": ("lr_milestones", lambda s: _parse_list(s, int)),
     },
     "experiment": {
-        "variants": ("variants", lambda s: _parse_list(s, lambda x: Variant(x.lower()))),
+        "variants": ("variants", lambda s: _distinct(
+            _parse_list(s, lambda x: Variant(x.lower())), "variant")),
         "num_seeds": ("num_seeds", int),
         "seed": ("seed", int),
         "output_dir": ("output_dir", str),

@@ -160,7 +160,7 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
     )
 
 
-# -- CSV import/export ------------------------------------------------------
+# -- CSV export -------------------------------------------------------------
 
 
 def save_dataset(ds, path) -> None:
@@ -181,18 +181,3 @@ def save_dataset(ds, path) -> None:
             else:
                 row.append(int(ds.labels[i]))
             writer.writerow(row)
-
-
-def load_dataset(path):
-    """Inverse of ``save_dataset``; column count selects the container."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    k, d = int(rows[0][0]), int(rows[0][1])
-    body = rows[1:]
-    features = np.array([[float(x) for x in row[:d]] for row in body])
-    if body and len(body[0]) == d + 3:
-        true = np.array([int(row[d]) for row in body])
-        observed = np.array([int(row[d + 1]) for row in body])
-        return CorruptedDataset(features, observed, true, observed != true, k)
-    labels = np.array([int(row[d]) for row in body], dtype=np.int64)
-    return LabeledDataset(features, labels, k)

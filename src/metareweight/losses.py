@@ -27,13 +27,6 @@ class LossKind(Enum):
     MAE = "mae"
 
 
-def softmax(z) -> np.ndarray:
-    """Numerically stable softmax of a logit vector."""
-    zz = as_vec(z, "logits")
-    e = np.exp(zz - zz.max())
-    return e / e.sum()
-
-
 def as_prob_vec(u, name: str = "probs") -> np.ndarray:
     v = as_vec(u, name)
     if v.size == 0:
@@ -45,65 +38,22 @@ def as_prob_vec(u, name: str = "probs") -> np.ndarray:
     return v
 
 
-def _check_label(label: int, k: int) -> int:
-    label = int(label)
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} out of range for {k} classes")
-    return label
-
-
-def ce_loss(label: int, u) -> float:
-    """Cross-entropy -log(u[label]), with u[label] floored at 1e-12."""
-    v = as_prob_vec(u)
-    label = _check_label(label, v.size)
-    return float(-np.log(max(v[label], PROB_FLOOR)))
-
-
-def mae_loss(label: int, u) -> float:
-    """Mean absolute error sum_k |u_k - onehot_k|, equal to 2(1 - u[label])."""
-    v = as_prob_vec(u)
-    label = _check_label(label, v.size)
-    onehot = np.zeros(v.size)
-    onehot[label] = 1.0
-    return float(np.abs(v - onehot).sum())
-
-
-def loss_value(kind: LossKind, label: int, u) -> float:
-    if kind is LossKind.CE:
-        return ce_loss(label, u)
-    return mae_loss(label, u)
-
-
 def symmetry_sum(kind: LossKind, u) -> float:
     """Sum of the loss over every possible class label at fixed prediction."""
     v = as_prob_vec(u)
-    return float(sum(loss_value(kind, c, v) for c in range(v.size)))
+    k = v.size
+    return float(loss_values_batch(kind, np.arange(k), np.tile(v, (k, 1))).sum())
 
 
-def loss_grad_logits(kind: LossKind, label: int, z) -> np.ndarray:
-    """Gradient of loss(label, softmax(z)) with respect to the logits z.
-
-    CE:  u - e_label.
-    MAE: 2*u[label]*(u - e_label), the chain rule of 2(1 - u[label])
-         through softmax.
-    Both live in the tangent of the simplex (entries sum to 0).
-    """
-    zz = as_vec(z, "logits")
-    label = _check_label(label, zz.size)
-    u = softmax(zz)
-    g = u.copy()
-    g[label] -= 1.0
-    if kind is LossKind.MAE:
-        g *= 2.0 * u[label]
-    return g
-
-
-# -- batched forms used by the network code --------------------------------
-
-
-def loss_values_batch(kind: LossKind, labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Per-sample losses from a (n, K) probability matrix."""
-    picked = probs[np.arange(probs.shape[0]), labels]
+def loss_values_batch(kind: LossKind, labels, probs: np.ndarray) -> np.ndarray:
+    """Per-sample losses from a (n, K) probability matrix and n class indices."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n, k = probs.shape
+    if labels.shape != (n,):
+        raise ValueError("labels must be one class index per sample")
+    if n and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"label out of range for {k} classes")
+    picked = probs[np.arange(n), labels]
     if kind is LossKind.CE:
         return -np.log(np.maximum(picked, PROB_FLOOR))
     return 2.0 * (1.0 - picked)

@@ -1,5 +1,4 @@
-"""Evaluation metrics: clean-test accuracy, corrupted-sample detection AUC,
-and weight-distribution summaries.
+"""Evaluation metrics: clean-test accuracy and corrupted-sample detection AUC.
 
 The AUC treats *clean* samples as positives scored by their importance
 weights: it is the probability that a uniformly random clean sample
@@ -9,11 +8,7 @@ outscores a uniformly random corrupted one, ties counting one half
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-QUANTILE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def accuracy(predictions, labels) -> float:
@@ -29,15 +24,13 @@ def accuracy(predictions, labels) -> float:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Runs of equal values in sorted order; NaN equals nothing, so each NaN
+    # is a run of its own.
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(starts + 0.5 * (counts - 1) + 1.0, counts)
     return ranks
 
 
@@ -54,30 +47,3 @@ def auc_noisy_detection(scores, is_corrupted) -> float:
     u = ranks[~flags].sum() - n_clean * (n_clean + 1) / 2.0
     return float(u / (n_clean * n_corrupt))
 
-
-@dataclass
-class WeightSummary:
-    mean_clean: float
-    std_clean: float
-    quantiles_clean: np.ndarray
-    mean_corrupt: float
-    std_corrupt: float
-    quantiles_corrupt: np.ndarray
-    gap: float  # mean_clean - mean_corrupt
-
-
-def _subset_stats(w: np.ndarray):
-    if w.size == 0:
-        nanq = np.full(len(QUANTILE_LEVELS), np.nan)
-        return float("nan"), float("nan"), nanq
-    return float(w.mean()), float(w.std()), np.quantile(w, QUANTILE_LEVELS)
-
-
-def weight_summary(weights, is_corrupted) -> WeightSummary:
-    w = np.asarray(weights, dtype=np.float64)
-    flags = np.asarray(is_corrupted, dtype=bool)
-    if w.shape != flags.shape or w.size == 0:
-        raise ValueError("weights and flags must be parallel nonempty arrays")
-    mc, sc, qc = _subset_stats(w[~flags])
-    mx, sx, qx = _subset_stats(w[flags])
-    return WeightSummary(mc, sc, qc, mx, sx, qx, mc - mx)

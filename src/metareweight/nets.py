@@ -1,4 +1,4 @@
-"""Feedforward networks with manual backpropagation and flat parameter views.
+"""Feedforward networks with manual backpropagation over flat parameter vectors.
 
 Two networks drive the whole package:
 
@@ -11,14 +11,18 @@ Two networks drive the whole package:
   one hidden rectifier layer, logistic output in (0, 1).  Its output is the
   sample's importance weight and doubles as a "probably clean" score.
 
+Each net stores its parameters as one flat float64 vector, read and written
+only through ``get_flat``/``set_flat``.  Every forward and backward method
+takes the parameter vector to evaluate at as its first argument, so a net
+can be evaluated anywhere without touching its stored parameters.
+
 Flat parameter layout (both networks): layers in input-to-output order,
 each layer contributing W.ravel() (row-major, shape out x in) followed by
-its bias (out,).  Rectifier derivative at exactly 0 is defined as 0.
+its bias (out,).  ``_Mlp._layers`` is the only code that knows this layout.
+Rectifier derivative at exactly 0 is defined as 0.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -37,94 +41,45 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 class _Mlp:
-    """Shared plumbing: parameter storage, flat views, serialization."""
+    """Shared plumbing: the flat parameter vector and its per-layer views."""
 
     def __init__(self, layer_sizes, rng: Rng):
         self.layer_sizes = [int(s) for s in layer_sizes]
         if len(self.layer_sizes) < 2 or any(s < 1 for s in self.layer_sizes):
             raise ValueError(f"bad layer sizes {layer_sizes}")
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            self.weights.append(_he_normal(rng, fan_out, fan_in))
-            self.biases.append(np.zeros(fan_out))
-
-    @property
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        self.num_params = sum(fan_out * (fan_in + 1) for fan_in, fan_out
+                              in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self._params = np.zeros(self.num_params)
+        for w, _ in self._layers(self._params):
+            w[:] = _he_normal(rng, *w.shape)
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        """A copy of the stored parameter vector."""
+        return self._params.copy()
 
     def set_flat(self, flat) -> None:
         v = as_vec(flat, "params")
         if v.size != self.num_params:
             raise ValueError(f"expected {self.num_params} params, got {v.size}")
+        self._params = v.copy()
+
+    def _layers(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(W (out, in), b (out,))`` views into ``params``."""
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != (self.num_params,):
+            raise ValueError(f"expected {self.num_params} params, got shape {params.shape}")
+        views = []
         off = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = v[off:off + w.size].reshape(w.shape).copy()
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            w = params[off:off + fan_out * fan_in].reshape(fan_out, fan_in)
             off += w.size
-            self.biases[i] = v[off:off + b.size].copy()
-            off += b.size
-
-    def save_params(self, path) -> None:
-        """Snapshot: first line the layer sizes, then one param per line."""
-        flat = self.get_flat()
-        with open(path, "w") as fh:
-            fh.write(",".join(str(s) for s in self.layer_sizes) + "\n")
-            for x in flat:
-                fh.write(repr(float(x)) + "\n")
-
-    def load_params(self, path) -> None:
-        lines = Path(path).read_text().splitlines()
-        sizes = [int(s) for s in lines[0].split(",")]
-        if sizes != self.layer_sizes:
-            raise ValueError(f"snapshot sizes {sizes} do not match {self.layer_sizes}")
-        self.set_flat(np.array([float(x) for x in lines[1:]]))
-
-    def _forward_cached(self, x: np.ndarray):
-        """Returns (activations per layer incl. input, pre-activations)."""
-        acts = [x]
-        zs = []
-        a = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            zs.append(z)
-            a = z if i == last else np.maximum(z, 0.0)
-            acts.append(a)
-        return acts, zs
-
-    def _per_sample_flat_grads(self, acts, deltas) -> np.ndarray:
-        """Assemble per-sample flat gradients from layer deltas."""
-        n = acts[0].shape[0]
-        out = np.empty((n, self.num_params))
-        off = 0
-        for a_prev, d in zip(acts[:-1], deltas):
-            wsz = d.shape[1] * a_prev.shape[1]
-            out[:, off:off + wsz] = np.einsum("no,ni->noi", d, a_prev).reshape(n, wsz)
-            off += wsz
-            out[:, off:off + d.shape[1]] = d
-            off += d.shape[1]
-        return out
-
-    def _backprop_deltas(self, zs, delta_out) -> list[np.ndarray]:
-        deltas = [delta_out]
-        for i in range(len(self.weights) - 1, 0, -1):
-            d = (deltas[0] @ self.weights[i]) * (zs[i - 1] > 0.0)
-            deltas.insert(0, d)
-        return deltas
+            views.append((w, params[off:off + fan_out]))
+            off += fan_out
+        return views
 
 
 class ClassifierNet(_Mlp):
     """Rectifier MLP classifier; softmax over the final logits."""
-
-    def __init__(self, layer_sizes, rng: Rng):
-        super().__init__(layer_sizes, rng)
 
     @property
     def input_dim(self) -> int:
@@ -134,7 +89,7 @@ class ClassifierNet(_Mlp):
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
 
-    def _check_batch(self, x: np.ndarray) -> np.ndarray:
+    def _check_batch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(
@@ -142,59 +97,59 @@ class ClassifierNet(_Mlp):
             )
         return x
 
-    def forward(self, x) -> np.ndarray:
-        v = as_vec(x, "features")
-        return self.forward_batch(v[None, :])[0]
+    def _forward_cached(self, layers, x: np.ndarray):
+        """Returns (activations per layer incl. input, pre-activations)."""
+        acts = [x]
+        zs = []
+        a = x
+        last = len(layers) - 1
+        for i, (w, b) in enumerate(layers):
+            z = a @ w.T + b
+            zs.append(z)
+            a = z if i == last else np.maximum(z, 0.0)
+            acts.append(a)
+        return acts, zs
 
-    def forward_batch(self, x) -> np.ndarray:
-        acts, zs = self._forward_cached(self._check_batch(x))
+    def forward_batch(self, params, x) -> np.ndarray:
+        """Softmax probabilities at ``params``, one row per sample."""
+        _, zs = self._forward_cached(self._layers(params), self._check_batch(x))
         return _softmax_rows(zs[-1])
 
-    def predict_batch(self, x) -> np.ndarray:
-        return np.argmax(self.forward_batch(x), axis=1)
+    def predict_batch(self, params, x) -> np.ndarray:
+        return np.argmax(self.forward_batch(params, x), axis=1)
 
-    def losses_batch(self, x, labels, kind: LossKind) -> np.ndarray:
-        probs = self.forward_batch(x)
-        return loss_values_batch(kind, np.asarray(labels, dtype=np.int64), probs)
+    def losses_batch(self, params, x, labels, kind: LossKind) -> np.ndarray:
+        return loss_values_batch(kind, labels, self.forward_batch(params, x))
 
-    def losses_and_grads_batch(self, x, labels, kind: LossKind):
-        """Per-sample losses and per-sample flat parameter gradients.
+    def losses_and_grads_batch(self, params, x, labels, kind: LossKind):
+        """Per-sample losses and per-sample flat parameter gradients at ``params``.
 
-        Returns ``(losses (n,), grads (n, num_params))``.  Row i of the
-        gradient matrix is exactly ``per_sample_grad`` of sample i; the
-        batched path exists because the training loop needs every row of
-        it each step.
+        Returns ``(losses (n,), grads (n, num_params))``; row i of the
+        gradient matrix is the gradient of sample i's loss alone.
         """
+        layers = self._layers(params)
         x = self._check_batch(x)
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (x.shape[0],):
-            raise ValueError("labels must be one class index per sample")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError("label out of range")
-        acts, zs = self._forward_cached(x)
+        acts, zs = self._forward_cached(layers, x)
         probs = _softmax_rows(zs[-1])
-        losses = loss_values_batch(kind, labels, probs)
-        delta_out = grad_logits_batch(kind, labels, probs)
-        deltas = self._backprop_deltas(zs, delta_out)
-        return losses, self._per_sample_flat_grads(acts, deltas)
+        losses = loss_values_batch(kind, labels, probs)  # checks the labels
+        deltas = [grad_logits_batch(kind, labels, probs)]
+        for i in range(len(layers) - 1, 0, -1):
+            deltas.insert(0, (deltas[0] @ layers[i][0]) * (zs[i - 1] > 0.0))
+        n = x.shape[0]
+        grads = np.empty((n, self.num_params))
+        off = 0
+        for a_prev, d in zip(acts[:-1], deltas):
+            wsz = d.shape[1] * a_prev.shape[1]
+            grads[:, off:off + wsz] = np.einsum("no,ni->noi", d, a_prev).reshape(n, wsz)
+            off += wsz
+            grads[:, off:off + d.shape[1]] = d
+            off += d.shape[1]
+        return losses, grads
 
-    def per_sample_grad(self, x, label: int, kind: LossKind):
-        """Loss and flat gradient of loss(label, forward(x)) w.r.t. params."""
-        v = as_vec(x, "features")
-        losses, grads = self.losses_and_grads_batch(v[None, :], [label], kind)
-        return float(losses[0]), grads[0]
-
-    def weighted_mean_grad(self, x, labels, kind: LossKind, sample_weights) -> np.ndarray:
-        """(1/n) * sum_i weight_i * grad_i as a single flat vector."""
-        losses, grads = self.losses_and_grads_batch(x, labels, kind)
-        w = np.asarray(sample_weights, dtype=np.float64)
-        if w.shape != losses.shape:
-            raise ValueError("one weight per sample required")
-        return (w @ grads) / losses.size
-
-    def hidden_preactivations(self, x) -> np.ndarray:
+    def hidden_preactivations(self, params, x) -> np.ndarray:
         """All rectifier pre-activations for a batch, flattened (kink check)."""
-        _, zs = self._forward_cached(self._check_batch(x))
+        _, zs = self._forward_cached(self._layers(params), self._check_batch(x))
         if len(zs) == 1:
             return np.empty(0)
         return np.concatenate([z.ravel() for z in zs[:-1]])
@@ -208,59 +163,47 @@ class WeightNet(_Mlp):
     so they serve directly as clean-vs-corrupt scores.
     """
 
+    # Keeps saturated logits from rounding to exactly 0 or 1 in float64.
+    _OUTPUT_CLIP = 1e-12
+
     def __init__(self, rng: Rng, hidden: int = 100):
         super().__init__([1, hidden, 1], rng)
         # Neutral start: a zero output layer makes every weight exactly
         # logistic(0) = 0.5, so training begins as uniformly weighted SGD.
         # A random output layer can start deep in logistic saturation and
         # wreck the classifier before the weighting net can recover.
-        self.weights[1][:] = 0.0
+        _, (w2, _) = self._layers(self._params)
+        w2[:] = 0.0
 
-    def forward(self, loss_value: float) -> float:
-        return float(self.forward_batch(np.array([loss_value]))[0])
-
-    # Keeps saturated logits from rounding to exactly 0 or 1 in float64.
-    _OUTPUT_CLIP = 1e-12
-
-    def forward_batch(self, loss_values) -> np.ndarray:
+    def _forward(self, theta, loss_values):
+        """Inputs, hidden pre-activations and activations, the output
+        layer, and the unclipped logistic output at ``theta``."""
         v = as_vec(loss_values, "loss values")
-        h = np.maximum(np.outer(v, self.weights[0][:, 0]) + self.biases[0], 0.0)
-        z = h @ self.weights[1][0] + self.biases[1][0]
-        out = 1.0 / (1.0 + np.exp(-z))
+        (w1, b1), (w2, b2) = self._layers(theta)
+        zh = np.outer(v, w1[:, 0]) + b1     # (n, H)
+        h = np.maximum(zh, 0.0)
+        out = 1.0 / (1.0 + np.exp(-(h @ w2[0] + b2[0])))
+        return v, zh, h, w2[0], out
+
+    def forward_batch(self, theta, loss_values) -> np.ndarray:
+        out = self._forward(theta, loss_values)[-1]
         return np.clip(out, self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
 
-    def grad_theta(self, loss_value: float) -> np.ndarray:
-        _, grads = self.forward_and_grads_batch(np.array([loss_value]))
-        return grads[0]
-
-    def hidden_preactivations(self, loss_values) -> np.ndarray:
+    def hidden_preactivations(self, theta, loss_values) -> np.ndarray:
         """Rectifier pre-activations for each input, flattened (kink check)."""
-        v = as_vec(loss_values, "loss values")
-        return (np.outer(v, self.weights[0][:, 0]) + self.biases[0]).ravel()
+        return self._forward(theta, loss_values)[1].ravel()
 
-    def forward_and_grads_batch(self, loss_values):
-        """Weights and per-input flat gradients d weight / d params.
+    def forward_and_grads_batch(self, theta, loss_values):
+        """Weights and per-input flat gradients d weight / d theta.
 
         Returns ``(weights (n,), grads (n, num_params))``.  The input is
         treated as a constant: these are gradients with respect to the
         weighting network's own parameters only.
         """
-        v = as_vec(loss_values, "loss values")
-        n = v.size
-        w1 = self.weights[0][:, 0]          # (H,)
-        b1 = self.biases[0]                 # (H,)
-        w2 = self.weights[1][0]             # (H,)
-        b2 = self.biases[1][0]
-        zh = np.outer(v, w1) + b1           # (n, H)
-        h = np.maximum(zh, 0.0)
-        z = h @ w2 + b2                     # (n,)
-        out = 1.0 / (1.0 + np.exp(-z))
+        v, zh, h, w2, out = self._forward(theta, loss_values)
         dout = out * (1.0 - out)            # logistic derivative
         out = np.clip(out, self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
-        d_w2 = dout[:, None] * h            # (n, H)
-        d_b2 = dout
         dh = dout[:, None] * w2 * (zh > 0.0)  # (n, H)
-        d_w1 = dh * v[:, None]
-        d_b1 = dh
-        grads = np.concatenate([d_w1, d_b1, d_w2, d_b2[:, None]], axis=1)
+        grads = np.concatenate([dh * v[:, None], dh, dout[:, None] * h, dout[:, None]],
+                               axis=1)
         return out, grads

@@ -18,6 +18,7 @@ corrupted with the same spec share the same target map.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,21 +83,14 @@ class TransitionMatrix:
         cum[:, -1] = 1.0  # guard cumsum roundoff so sampling never overflows
         self._cum = cum
 
-    def save_csv(self, path) -> None:
+    def to_csv(self) -> str:
         """First row the class count, then the K x K probabilities."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([self.num_classes])
-            for row in self.probs:
-                writer.writerow([repr(float(x)) for x in row])
-
-    @staticmethod
-    def load_csv(path) -> "TransitionMatrix":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        k = int(rows[0][0])
-        probs = np.array([[float(x) for x in row] for row in rows[1:1 + k]])
-        return TransitionMatrix(k, probs)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow([self.num_classes])
+        for row in self.probs:
+            writer.writerow([repr(float(x)) for x in row])
+        return buf.getvalue()
 
 
 def _draw_targets(spec: NoiseSpec) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Dense linear-algebra helpers and a portable counter-based PRNG.
+"""Vector validation and a portable counter-based PRNG.
 
-Vectors are 1-D float64 numpy arrays, matrices 2-D row-major float64
-arrays.  The helpers validate shapes/finiteness once at the boundary so
-the numerical code can assume well-formed arrays.
+Vectors are 1-D float64 numpy arrays.  ``as_vec`` validates shape and
+finiteness once at the boundary so the numerical code can assume
+well-formed arrays.
 
 Randomness comes from an in-repo SplitMix64 generator rather than the
 platform default: the stream is a pure function of a 64-bit seed and a
@@ -145,7 +145,7 @@ class Rng:
         return np.argsort(self.uniforms(n), kind="stable")
 
 
-# -- array validation and small dense ops ---------------------------------
+# -- array validation ---------------------------------------------------------
 
 
 def as_vec(x, name: str = "vector") -> np.ndarray:
@@ -155,29 +155,3 @@ def as_vec(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
-
-
-def as_mat(x, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def dot(a, b) -> float:
-    va, vb = as_vec(a, "a"), as_vec(b, "b")
-    if va.shape != vb.shape:
-        raise ValueError(f"dot shape mismatch: {va.shape} vs {vb.shape}")
-    return float(np.dot(va, vb))
-
-
-def matvec(m, v) -> np.ndarray:
-    mm, vv = as_mat(m, "m"), as_vec(v, "v")
-    if mm.shape[1] != vv.shape[0]:
-        raise ValueError(
-            f"matvec dimension mismatch: matrix is {mm.shape[0]}x{mm.shape[1]}, "
-            f"vector has length {vv.shape[0]}"
-        )
-    return mm @ vv

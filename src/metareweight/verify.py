@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilevel import Batch, BilevelState, theta_gradient, virtual_step
-from .losses import LossKind
+from .bilevel import (Batch, BilevelState, theta_gradient, train_losses_and_grads,
+                      virtual_step)
+from .losses import LossKind, symmetry_sum
 from .nets import ClassifierNet, WeightNet
 from .noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from .numkit import Rng
@@ -43,30 +44,19 @@ KINK_MARGIN = 10 * FD_STEP
 def per_label_gradients(classifier: ClassifierNet, params: np.ndarray,
                         features: np.ndarray, kind: LossKind) -> np.ndarray:
     """Gradients for every (sample, label) pair at ``params``: (n, K, P)."""
-    saved = classifier.get_flat()
     n = features.shape[0]
     k = classifier.num_classes
-    try:
-        classifier.set_flat(params)
-        out = np.empty((n, k, classifier.num_params))
-        for c in range(k):
-            _, grads = classifier.losses_and_grads_batch(
-                features, np.full(n, c, dtype=np.int64), kind)
-            out[:, c, :] = grads
-    finally:
-        classifier.set_flat(saved)
+    out = np.empty((n, k, classifier.num_params))
+    for c in range(k):
+        _, out[:, c, :] = classifier.losses_and_grads_batch(
+            params, features, np.full(n, c, dtype=np.int64), kind)
     return out
 
 
 def clean_mean_gradient(classifier: ClassifierNet, params: np.ndarray,
                         features: np.ndarray, labels: np.ndarray,
                         kind: LossKind) -> np.ndarray:
-    saved = classifier.get_flat()
-    try:
-        classifier.set_flat(params)
-        _, grads = classifier.losses_and_grads_batch(features, labels, kind)
-    finally:
-        classifier.set_flat(saved)
+    _, grads = classifier.losses_and_grads_batch(params, features, labels, kind)
     return grads.mean(axis=0)
 
 
@@ -214,31 +204,26 @@ def finite_diff_theta_grad(classifier: ClassifierNet, weightnet: WeightNet,
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    losses, grads = classifier.losses_and_grads_batch(
-        train_batch.features, train_batch.labels, LossKind.CE)
     w0 = classifier.get_flat()
     theta0 = weightnet.get_flat()
+    losses, grads = classifier.losses_and_grads_batch(
+        w0, train_batch.features, train_batch.labels, LossKind.CE)
     n = len(train_batch)
 
     def objective(theta: np.ndarray) -> float:
-        weightnet.set_flat(theta)
-        weights = weightnet.forward_batch(losses)
-        classifier.set_flat(w0 - (alpha / n) * (weights @ grads))
-        vals = classifier.losses_batch(meta_batch.features, meta_batch.labels, kind)
-        return float(vals.mean())
+        weights = weightnet.forward_batch(theta, losses)
+        w_hat = w0 - (alpha / n) * (weights @ grads)
+        return float(classifier.losses_batch(
+            w_hat, meta_batch.features, meta_batch.labels, kind).mean())
 
-    try:
-        out = np.empty(theta0.size)
-        for i in range(theta0.size):
-            theta = theta0.copy()
-            theta[i] = theta0[i] + step
-            f_plus = objective(theta)
-            theta[i] = theta0[i] - step
-            f_minus = objective(theta)
-            out[i] = (f_plus - f_minus) / (2.0 * step)
-    finally:
-        weightnet.set_flat(theta0)
-        classifier.set_flat(w0)
+    out = np.empty(theta0.size)
+    for i in range(theta0.size):
+        theta = theta0.copy()
+        theta[i] = theta0[i] + step
+        f_plus = objective(theta)
+        theta[i] = theta0[i] - step
+        f_minus = objective(theta)
+        out[i] = (f_plus - f_minus) / (2.0 * step)
     return out
 
 
@@ -246,15 +231,11 @@ def composed_meta_objective(state: BilevelState, train_batch: Batch,
                             meta_batch: Batch, alpha: float,
                             kind: LossKind) -> float:
     """Mean meta loss at the virtually updated classifier."""
-    w_hat = virtual_step(state, train_batch, alpha)
-    saved = state.classifier.get_flat()
-    try:
-        state.classifier.set_flat(w_hat)
-        vals = state.classifier.losses_batch(
-            meta_batch.features, meta_batch.labels, kind)
-    finally:
-        state.classifier.set_flat(saved)
-    return float(vals.mean())
+    losses, grads = train_losses_and_grads(state, train_batch)
+    weights = state.weightnet.forward_batch(state.weightnet.get_flat(), losses)
+    w_hat = virtual_step(state, weights, grads, alpha)
+    return float(state.classifier.losses_batch(
+        w_hat, meta_batch.features, meta_batch.labels, kind).mean())
 
 
 # -- random instance builders -------------------------------------------------
@@ -289,20 +270,17 @@ def random_hypergrad_instance(rng: Rng, dim: int = 3, num_classes: int = 3,
                             rng.randints(n_train, num_classes))
         meta_batch = Batch(rng.gaussians(n_meta * dim).reshape(n_meta, dim),
                            rng.randints(n_meta, num_classes))
-        state = BilevelState.fresh(classifier, weightnet, alpha)
+        state = BilevelState(classifier, weightnet)
 
-        losses = classifier.losses_batch(train_batch.features, train_batch.labels,
-                                         LossKind.CE)
-        wn_pre = weightnet.hidden_preactivations(losses)
-        w_hat = virtual_step(state, train_batch, alpha)
-        saved = classifier.get_flat()
-        classifier.set_flat(w_hat)
-        cl_pre = classifier.hidden_preactivations(meta_batch.features)
-        classifier.set_flat(saved)
+        losses, grads = train_losses_and_grads(state, train_batch)
+        theta = weightnet.get_flat()
+        wn_pre = weightnet.hidden_preactivations(theta, losses)
+        w_hat = virtual_step(state, weightnet.forward_batch(theta, losses), grads, alpha)
+        cl_pre = classifier.hidden_preactivations(w_hat, meta_batch.features)
 
         margin = min(np.abs(wn_pre).min(initial=np.inf),
                      np.abs(cl_pre).min(initial=np.inf))
-        analytic = theta_gradient(state, train_batch, meta_batch, alpha, kind)
+        analytic = theta_gradient(state, losses, grads, meta_batch, alpha, kind)
         if margin > kink_margin and np.linalg.norm(analytic) >= 1e-6:
             return state, train_batch, meta_batch, analytic
 
@@ -378,8 +356,6 @@ def _prop_uniform_expectation(seed: int) -> list[PropertyResult]:
 
 
 def _prop_symmetry(seed: int) -> list[PropertyResult]:
-    from .losses import symmetry_sum
-
     rng = Rng(seed).spawn(102)
     worst = 0.0
     for k in (2, 3, 5, 10):
@@ -491,10 +467,8 @@ def _prop_hypergradient(seed: int) -> list[PropertyResult]:
         kind = LossKind.MAE if i % 2 == 0 else LossKind.CE
         state, tb, mb, analytic = random_hypergrad_instance(rng, kind=kind)
         before = composed_meta_objective(state, tb, mb, 0.1, kind)
-        theta = state.weightnet.get_flat()
-        state.weightnet.set_flat(theta - 1e-6 * analytic)
+        state.weightnet.set_flat(state.weightnet.get_flat() - 1e-6 * analytic)
         after = composed_meta_objective(state, tb, mb, 0.1, kind)
-        state.weightnet.set_flat(theta)
         descent_ok &= after <= before + 1e-12 * max(1.0, abs(before))
         detail_drop = min(detail_drop, before - after)
     return [

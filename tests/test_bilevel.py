@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from metareweight.bilevel import (Batch, BilevelState, TrainConfig, Variant,
-                                  bilevel_step, classifier_update, meta_gradient,
-                                  theta_gradient, theta_update, train, virtual_step)
+                                  bilevel_step, classifier_update, meta_gradient_at,
+                                  theta_gradient, theta_update, train,
+                                  train_losses_and_grads, virtual_step)
 from metareweight.data import BlobSpec, make_blobs, standardize
 from metareweight.losses import LossKind
 from metareweight.nets import ClassifierNet, WeightNet
@@ -18,42 +19,63 @@ def tiny_state(seed=0, dim=3, k=3, hidden=(5,), wn_hidden=8, randomize_wn=True):
     weightnet = WeightNet(rng, hidden=wn_hidden)
     if randomize_wn:
         weightnet.set_flat(rng.gaussians(weightnet.num_params, 0.0, 0.4))
-    return BilevelState.fresh(classifier, weightnet, 0.1), rng
+    return BilevelState(classifier, weightnet), rng
 
 
 def tiny_batch(rng, n, dim, k):
     return Batch(rng.gaussians(n * dim).reshape(n, dim), rng.randints(n, k))
 
 
+def weights_of(state, losses):
+    return state.weightnet.forward_batch(state.weightnet.get_flat(), losses)
+
+
+def lookahead(state, batch, alpha):
+    """Virtual step of ``batch`` at the state's current weighting params."""
+    losses, grads = train_losses_and_grads(state, batch)
+    return virtual_step(state, weights_of(state, losses), grads, alpha)
+
+
+def sample_grad(state, params, batch, i, kind):
+    """Loss and gradient of sample ``i`` of ``batch`` alone, at ``params``."""
+    losses, grads = state.classifier.losses_and_grads_batch(
+        params, batch.features[i:i + 1], batch.labels[i:i + 1], kind)
+    return losses[0], grads[0]
+
+
+def doubled(batch):
+    return Batch(np.concatenate([batch.features] * 2), np.concatenate([batch.labels] * 2))
+
+
 class TestVirtualStep:
     def test_zero_lr_is_identity(self):
         state, rng = tiny_state()
-        batch = tiny_batch(rng, 4, 3, 3)
-        w_hat = virtual_step(state, batch, 0.0)
+        w_hat = lookahead(state, tiny_batch(rng, 4, 3, 3), 0.0)
         assert np.array_equal(w_hat, state.classifier.get_flat())
 
     def test_single_sample_hand_formula(self):
         state, rng = tiny_state(1)
         batch = tiny_batch(rng, 1, 3, 3)
-        loss, g = state.classifier.per_sample_grad(batch.features[0],
-                                                   batch.labels[0], LossKind.CE)
-        weight = state.weightnet.forward(loss)
-        expect = state.classifier.get_flat() - 0.1 * weight * g
-        assert np.allclose(virtual_step(state, batch, 0.1), expect, atol=1e-15)
+        w = state.classifier.get_flat()
+        loss, g = sample_grad(state, w, batch, 0, LossKind.CE)
+        weight = weights_of(state, [loss])[0]
+        expect = w - 0.1 * weight * g
+        assert np.allclose(lookahead(state, batch, 0.1), expect, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         state, _ = tiny_state()
         empty = Batch(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-        with pytest.raises(ValueError, match="empty"):
-            virtual_step(state, empty, 0.1)
+        with pytest.raises(ValueError, match="train batch is empty"):
+            train_losses_and_grads(state, empty)
+        with pytest.raises(ValueError, match="meta batch is empty"):
+            meta_gradient_at(state.classifier, state.classifier.get_flat(), empty,
+                             LossKind.MAE)
 
     def test_duplicating_batch_is_invariant(self):
         state, rng = tiny_state(2)
         batch = tiny_batch(rng, 4, 3, 3)
-        doubled = Batch(np.concatenate([batch.features] * 2),
-                        np.concatenate([batch.labels] * 2))
-        a = virtual_step(state, batch, 0.1)
-        b = virtual_step(state, doubled, 0.1)
+        a = lookahead(state, batch, 0.1)
+        b = lookahead(state, doubled(batch), 0.1)
         assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(a))
 
 
@@ -62,51 +84,43 @@ class TestMetaGradient:
         state, rng = tiny_state(3)
         batch = tiny_batch(rng, 1, 3, 3)
         w_hat = state.classifier.get_flat() + 0.01
-        g = meta_gradient(state, w_hat, batch, LossKind.MAE)
-        saved = state.classifier.get_flat()
-        state.classifier.set_flat(w_hat)
-        _, expect = state.classifier.per_sample_grad(batch.features[0],
-                                                     batch.labels[0], LossKind.MAE)
-        state.classifier.set_flat(saved)
+        g = meta_gradient_at(state.classifier, w_hat, batch, LossKind.MAE)
+        _, expect = sample_grad(state, w_hat, batch, 0, LossKind.MAE)
         assert np.array_equal(g, expect)
 
     def test_duplicated_batch_same_average(self):
         state, rng = tiny_state(4)
         batch = tiny_batch(rng, 3, 3, 3)
-        doubled = Batch(np.concatenate([batch.features] * 2),
-                        np.concatenate([batch.labels] * 2))
         w_hat = state.classifier.get_flat()
-        a = meta_gradient(state, w_hat, batch, LossKind.CE)
-        b = meta_gradient(state, w_hat, doubled, LossKind.CE)
+        a = meta_gradient_at(state.classifier, w_hat, batch, LossKind.CE)
+        b = meta_gradient_at(state.classifier, w_hat, doubled(batch), LossKind.CE)
         assert np.allclose(a, b, atol=1e-14)
 
     def test_equals_mean_of_per_sample_grads(self):
         state, rng = tiny_state(5)
         batch = tiny_batch(rng, 6, 3, 3)
         w_hat = state.classifier.get_flat() - 0.02
-        g = meta_gradient(state, w_hat, batch, LossKind.MAE)
-        saved = state.classifier.get_flat()
-        state.classifier.set_flat(w_hat)
-        rows = [state.classifier.per_sample_grad(batch.features[i], batch.labels[i],
-                                                 LossKind.MAE)[1]
+        g = meta_gradient_at(state.classifier, w_hat, batch, LossKind.MAE)
+        rows = [sample_grad(state, w_hat, batch, i, LossKind.MAE)[1]
                 for i in range(len(batch))]
-        state.classifier.set_flat(saved)
         assert np.linalg.norm(g - np.mean(rows, axis=0)) <= 1e-12
 
     def test_restores_classifier_params(self):
+        # evaluating at another point leaves the stored parameters untouched
         state, rng = tiny_state(6)
         before = state.classifier.get_flat()
-        meta_gradient(state, before + 1.0, tiny_batch(rng, 2, 3, 3), LossKind.CE)
+        meta_gradient_at(state.classifier, before + 1.0, tiny_batch(rng, 2, 3, 3),
+                         LossKind.CE)
         assert np.array_equal(state.classifier.get_flat(), before)
 
 
 class TestThetaGradient:
     def test_matches_finite_differences(self):
+        from metareweight.verify import finite_diff_theta_grad
         rng = Rng(7)
         for i in range(6):
             kind = LossKind.MAE if i % 2 == 0 else LossKind.CE
             state, tb, mb, analytic = random_hypergrad_instance(rng, kind=kind)
-            from metareweight.verify import finite_diff_theta_grad
             fd = finite_diff_theta_grad(state.classifier, state.weightnet,
                                         tb, mb, 0.1, kind)
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
@@ -120,10 +134,11 @@ class TestThetaGradient:
         batch = tiny_batch(rng, 4, 3, 3)
         x = rng.gaussians(3)
         meta = Batch(np.tile(x, (3, 1)), np.arange(3, dtype=np.int64))
-        g_meta = meta_gradient(state, virtual_step(state, batch, 0.1), meta,
-                               LossKind.MAE)
+        g_meta = meta_gradient_at(state.classifier, lookahead(state, batch, 0.1), meta,
+                                  LossKind.MAE)
         assert np.linalg.norm(g_meta) <= 1e-14
-        g = theta_gradient(state, batch, meta, 0.1, LossKind.MAE)
+        losses, grads = train_losses_and_grads(state, batch)
+        g = theta_gradient(state, losses, grads, meta, 0.1, LossKind.MAE)
         assert np.linalg.norm(g) <= 1e-14
 
     def test_sign_property_single_sample(self):
@@ -134,17 +149,16 @@ class TestThetaGradient:
             state, rng2 = tiny_state(rng.randint(10_000), hidden=(6,))
             batch = tiny_batch(rng2, 1, 3, 3)
             meta = Batch(batch.features.copy(), batch.labels.copy())  # aligned
-            loss, g1 = state.classifier.per_sample_grad(batch.features[0],
-                                                        batch.labels[0], LossKind.CE)
-            w_hat = virtual_step(state, batch, 0.1)
-            g_meta = meta_gradient(state, w_hat, meta, LossKind.CE)
-            align = float(g1 @ g_meta)
+            losses, grads = train_losses_and_grads(state, batch)
+            w_hat = lookahead(state, batch, 0.1)
+            g_meta = meta_gradient_at(state.classifier, w_hat, meta, LossKind.CE)
+            align = float(grads[0] @ g_meta)
             if abs(align) < 1e-8:
                 continue
-            t_grad = theta_gradient(state, batch, meta, 0.1, LossKind.CE)
-            before = state.weightnet.forward(loss)
+            t_grad = theta_gradient(state, losses, grads, meta, 0.1, LossKind.CE)
+            before = weights_of(state, losses)[0]
             theta_update(state, t_grad, 1e-3)
-            after = state.weightnet.forward(loss)
+            after = weights_of(state, losses)[0]
             if align > 0:
                 assert after >= before
             else:
@@ -154,10 +168,10 @@ class TestThetaGradient:
         state, rng = tiny_state(10)
         batch = tiny_batch(rng, 4, 3, 3)
         meta = tiny_batch(rng, 4, 3, 3)
-        doubled = Batch(np.concatenate([batch.features] * 2),
-                        np.concatenate([batch.labels] * 2))
-        a = theta_gradient(state, batch, meta, 0.1, LossKind.MAE)
-        b = theta_gradient(state, doubled, meta, 0.1, LossKind.MAE)
+        a = theta_gradient(state, *train_losses_and_grads(state, batch), meta, 0.1,
+                           LossKind.MAE)
+        b = theta_gradient(state, *train_losses_and_grads(state, doubled(batch)), meta,
+                           0.1, LossKind.MAE)
         assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(a))
 
     def test_descent_does_not_increase_objective(self):
@@ -199,67 +213,64 @@ class TestThetaUpdate:
 class TestClassifierUpdate:
     def test_plain_step_at_zero_momentum_decay(self):
         state, rng = tiny_state(16)
-        batch = tiny_batch(rng, 4, 3, 3)
-        losses, grads = state.classifier.losses_and_grads_batch(
-            batch.features, batch.labels, LossKind.CE)
-        weights = state.weightnet.forward_batch(losses)
-        expect = state.classifier.get_flat() - 0.1 * (weights @ grads) / 4
-        classifier_update(state, batch, 0.1, momentum=0.0, weight_decay=0.0)
+        losses, grads = train_losses_and_grads(state, tiny_batch(rng, 4, 3, 3))
+        expect = state.classifier.get_flat() - 0.1 * (weights_of(state, losses) @ grads) / 4
+        classifier_update(state, losses, grads, 0.1, momentum=0.0, weight_decay=0.0)
         assert np.allclose(state.classifier.get_flat(), expect, atol=1e-15)
 
     def test_fresh_weightnet_is_half_unweighted_step(self):
         state, rng = tiny_state(17, randomize_wn=False)  # fresh net: weight 0.5
-        batch = tiny_batch(rng, 4, 3, 3)
-        _, grads = state.classifier.losses_and_grads_batch(
-            batch.features, batch.labels, LossKind.CE)
-        unweighted = grads.mean(axis=0)
+        losses, grads = train_losses_and_grads(state, tiny_batch(rng, 4, 3, 3))
         before = state.classifier.get_flat()
-        classifier_update(state, batch, 0.1, momentum=0.0, weight_decay=0.0)
+        classifier_update(state, losses, grads, 0.1, momentum=0.0, weight_decay=0.0)
         step = before - state.classifier.get_flat()
-        assert np.allclose(step, 0.5 * 0.1 * unweighted, atol=1e-15)
+        assert np.allclose(step, 0.5 * 0.1 * grads.mean(axis=0), atol=1e-15)
 
     def test_momentum_recurrence_with_zero_gradient(self):
-        # saturate nothing: fake zero gradients by zero batch via alpha=0 on
-        # the update and tracking the buffer arithmetic directly
+        # alpha = 0 freezes the classifier, so the same (losses, grads) feed
+        # two updates and the buffer arithmetic can be tracked directly
         state, rng = tiny_state(18)
-        batch = tiny_batch(rng, 3, 3, 3)
+        losses, grads = train_losses_and_grads(state, tiny_batch(rng, 3, 3, 3))
         state.momentum_buffer = np.ones(state.classifier.num_params)
         w0 = state.classifier.get_flat()
-        classifier_update(state, batch, 0.0, momentum=0.9, weight_decay=0.0)
+        classifier_update(state, losses, grads, 0.0, momentum=0.9, weight_decay=0.0)
         assert np.array_equal(state.classifier.get_flat(), w0)  # alpha 0: frozen
-        losses, grads = state.classifier.losses_and_grads_batch(
-            batch.features, batch.labels, LossKind.CE)
-        weights = state.weightnet.forward_batch(losses)
-        expect_v = 0.9 * np.ones_like(w0) + (weights @ grads) / 3
-        expect_v = 0.9 * expect_v + (weights @ grads) / 3  # second step, same grads
-        classifier_update(state, batch, 0.0, momentum=0.9, weight_decay=0.0)
+        mean = (weights_of(state, losses) @ grads) / 3
+        expect_v = 0.9 * (0.9 * np.ones_like(w0) + mean) + mean
+        classifier_update(state, losses, grads, 0.0, momentum=0.9, weight_decay=0.0)
         assert np.allclose(state.momentum_buffer, expect_v, atol=1e-14)
 
 
 class TestFusedStep:
     def test_equals_composed_ops(self):
+        # The step is the composition of the pieces; here it is checked,
+        # bit for bit, against the same update written out in one place.
         cfg = TrainConfig(train_batch=4, meta_batch=4, classifier_lr=0.1,
                           meta_lr=1e-3, momentum=0.9, weight_decay=5e-4,
                           epochs=1, lr_milestones=(), meta_loss=LossKind.MAE,
                           meta_is_noisy=True, seed=0)
-        state_a, rng = tiny_state(19)
-        state_b = BilevelState.fresh(
-            ClassifierNet([3, 5, 3], Rng(19)), WeightNet(Rng(19), hidden=8), 0.1)
-        state_b.classifier.set_flat(state_a.classifier.get_flat())
-        state_b.weightnet.set_flat(state_a.weightnet.get_flat())
+        state, rng = tiny_state(19)
+        state.momentum_buffer = rng.gaussians(state.classifier.num_params)
         batch = tiny_batch(rng, 4, 3, 3)
         meta = tiny_batch(rng, 4, 3, 3)
+        clf, wn = state.classifier, state.weightnet
+        w, theta, v, alpha = clf.get_flat(), wn.get_flat(), state.momentum_buffer, 0.1
 
-        bilevel_step(state_a, batch, meta, cfg, 0.1)
+        losses, grads = clf.losses_and_grads_batch(w, batch.features, batch.labels,
+                                                   LossKind.CE)
+        weights, theta_grads = wn.forward_and_grads_batch(theta, losses)
+        w_hat = w - (alpha / 4) * (weights @ grads)
+        _, meta_grads = clf.losses_and_grads_batch(w_hat, meta.features, meta.labels,
+                                                   LossKind.MAE)
+        t_grad = -(alpha / 4) * ((grads @ meta_grads.mean(axis=0)) @ theta_grads)
+        theta_new = theta - cfg.meta_lr * (t_grad + cfg.weight_decay * theta)
+        v_new = cfg.momentum * v + ((wn.forward_batch(theta_new, losses) @ grads) / 4
+                                    + cfg.weight_decay * w)
 
-        t_grad = theta_gradient(state_b, batch, meta, 0.1, cfg.meta_loss)
-        theta_update(state_b, t_grad, cfg.meta_lr, cfg.weight_decay)
-        classifier_update(state_b, batch, 0.1, cfg.momentum, cfg.weight_decay)
-
-        assert np.allclose(state_a.classifier.get_flat(),
-                           state_b.classifier.get_flat(), atol=1e-14)
-        assert np.allclose(state_a.weightnet.get_flat(),
-                           state_b.weightnet.get_flat(), atol=1e-14)
+        bilevel_step(state, batch, meta, cfg, alpha)
+        assert np.array_equal(wn.get_flat(), theta_new)
+        assert np.array_equal(state.momentum_buffer, v_new)
+        assert np.array_equal(clf.get_flat(), w - alpha * v_new)
 
 
 def quick_splits(rate=0.0, seed=0, spec=None):

@@ -140,6 +140,15 @@ class TestCliCommands:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rates", ["0.4, 0.4", "0.1234561, 0.1234562"])
+    def test_run_colliding_rates_exit_one(self, tmp_path, capsys, rates):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(f"[noise]\nrates = {rates}\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {cfg_path}:2: bad value for 'rates'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["no-such-command"]) == 1
 
@@ -160,6 +169,13 @@ class TestCliCommands:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_noise_matrix_file_equals_stdout(self, tmp_path, capsys):
+        args = ["noise-matrix", "--kind", "flip", "--rate", "0.3", "--classes", "4"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--out", str(tmp_path / "m.csv")]) == 0
+        assert (tmp_path / "m.csv").read_bytes() == printed.encode()
+
     def test_gen_data_writes_splits(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert main(["gen-data", "--out", str(out), "--classes", "3",
@@ -168,9 +184,9 @@ class TestCliCommands:
         for name in ("train.csv", "meta.csv", "test.csv",
                      "train_corrupted.csv", "meta_corrupted.csv"):
             assert (out / name).is_file()
-        from metareweight.data import load_dataset
-        ds = load_dataset(out / "train_corrupted.csv")
-        assert len(ds) == 30
+        rows = (out / "train_corrupted.csv").read_text().splitlines()
+        assert rows[0] == "3,20" and len(rows) == 1 + 30
+        assert all(len(r.split(",")) == 20 + 3 for r in rows[1:])
 
     def test_verify_failure_exit_two(self, monkeypatch, capsys):
         import metareweight.cli as cli_mod

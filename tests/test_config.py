@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from metareweight.bilevel import Variant
+from metareweight.bilevel import TrainConfig, Variant
 from metareweight.config import (ConfigError, ExperimentConfig, parse_config,
                                  parse_config_text, serialize_config)
+from metareweight.data import BlobSpec
 from metareweight.noise import NoiseKind
 
 
@@ -96,3 +99,107 @@ workers = 2
     def test_bad_variant_value(self):
         with pytest.raises(ConfigError, match="variants"):
             parse_config_text("[experiment]\nvariants = fancy-net\n")
+
+
+class TestGridEntries:
+    def test_duplicate_rates_rejected(self):
+        with pytest.raises(ConfigError, match=r"<config>:3: bad value for 'rates': "
+                                              r"duplicate noise rate 0\.4"):
+            parse_config_text("[noise]\nkinds = uniform\nrates = 0.4, 0.4\n")
+
+    def test_rates_with_colliding_file_names_rejected(self):
+        # both would write runs/<variant>_<kind>_0.123456_<seed>.csv
+        with pytest.raises(ConfigError, match=r":2: bad value for 'rates': .*0\.123456"):
+            parse_config_text("[noise]\nrates = 0.1234561, 0.1234562\n")
+
+    def test_equal_rates_of_different_sign_rejected(self):
+        with pytest.raises(ConfigError, match=r":2: .*duplicate noise rate"):
+            parse_config_text("[noise]\nrates = -0.0, 0.0\n")
+
+    def test_duplicate_kinds_rejected(self):
+        with pytest.raises(ConfigError, match=r":2: bad value for 'kinds': "
+                                              r"duplicate noise kind 'flip'"):
+            parse_config_text("[noise]\nkinds = flip, uniform, FLIP\n")
+
+    def test_duplicate_variants_rejected(self):
+        with pytest.raises(ConfigError, match=r":3: bad value for 'variants': "
+                                              r"duplicate variant 'noisy-mae'"):
+            parse_config_text("[experiment]\nnum_seeds = 1\n"
+                              "variants = noisy-mae, clean-ce, noisy-mae\n")
+
+    def test_programmatic_duplicates_rejected(self):
+        with pytest.raises(ValueError, match="duplicate noise rate"):
+            ExperimentConfig(noise_rates=(0.2, 0.2))
+        with pytest.raises(ValueError, match="duplicate variant"):
+            ExperimentConfig(variants=(Variant.NOISY_CE, Variant.NOISY_CE))
+        with pytest.raises(ValueError, match="would both write"):
+            ExperimentConfig(noise_rates=(0.30000001, 0.3000001))
+
+
+class TestOutputDir:
+    @pytest.mark.parametrize("path", ["out#1", " out", "out ", "a\nb", "a\rb",
+                                      "a\u2028b", "\tout"])
+    def test_values_that_cannot_round_trip_rejected(self, path):
+        with pytest.raises(ValueError, match="output_dir"):
+            ExperimentConfig(output_dir=path)
+
+    def test_inner_spaces_and_equals_round_trip(self):
+        cfg = ExperimentConfig(output_dir="my runs/a=b [x]")
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Configurations that set every key of the file format.
+
+    TrainConfig's meta_loss, meta_is_noisy and seed are set per run from
+    the variant and the experiment seed, so the file format has no keys for
+    them and they keep their defaults here.
+    """
+    blob = BlobSpec(
+        num_classes=draw(st.integers(2, 50)),
+        dim=draw(st.integers(1, 100)),
+        n_train=draw(st.integers(1, 10**6)),
+        n_meta=draw(st.integers(1, 10**6)),
+        n_test=draw(st.integers(1, 10**6)),
+        separation=draw(st.floats(min_value=1e-300, **_finite)),
+        cluster_std=draw(st.floats(min_value=1e-300, **_finite)),
+    )
+    train = TrainConfig(
+        train_batch=draw(st.integers(1, 10**4)),
+        meta_batch=draw(st.integers(1, 10**4)),
+        classifier_lr=draw(st.floats(min_value=1e-300, **_finite)),
+        meta_lr=draw(st.floats(min_value=1e-300, **_finite)),
+        momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        weight_decay=draw(st.floats(min_value=0.0, **_finite)),
+        epochs=draw(st.integers(1, 1000)),
+        lr_milestones=tuple(draw(st.lists(st.integers(0, 1000), unique=True).map(sorted))),
+    )
+    fields = dict(
+        blob=blob, train=train,
+        noise_kinds=tuple(draw(st.lists(st.sampled_from(NoiseKind), min_size=1,
+                                        unique=True))),
+        noise_rates=tuple(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                        min_size=1, max_size=6))),
+        variants=tuple(draw(st.lists(st.sampled_from(Variant), min_size=1, unique=True))),
+        num_seeds=draw(st.integers(1, 100)),
+        seed=draw(st.integers(-2**63, 2**64)),
+        output_dir=draw(st.text()),
+        workers=draw(st.integers(1, 64)),
+    )
+    # Invalid draws (repeated rates, output_dir values the format cannot
+    # carry) are left to ExperimentConfig to reject.
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError:
+        assume(False)
+
+
+class TestRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(experiment_configs())
+    def test_parse_of_serialize_is_identity(self, cfg):
+        assert parse_config_text(serialize_config(cfg)) == cfg

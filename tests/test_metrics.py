@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metareweight.metrics import accuracy, auc_noisy_detection, weight_summary
+from metareweight.metrics import _average_ranks, accuracy, auc_noisy_detection
 from metareweight.numkit import Rng
 
 
@@ -83,25 +85,33 @@ class TestAuc:
         assert a + b == pytest.approx(1.0, abs=1e-12)
 
 
-class TestWeightSummary:
-    def test_constant_weights(self):
-        s = weight_summary([0.5] * 4, [False, True, False, True])
-        assert s.gap == 0.0
-        assert s.std_clean == 0.0 and s.std_corrupt == 0.0
+def loop_average_ranks(x):
+    """Reference ranks: walk the sorted values, one run of ties at a time."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    sorted_x = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
-    def test_separated_weights(self):
-        s = weight_summary([0.9, 0.9, 0.1, 0.1], [False, False, True, True])
-        assert s.gap == pytest.approx(0.8)
 
-    def test_quantiles_match_sorted_order(self):
-        w = np.arange(1, 11) / 10.0
-        s = weight_summary(w, np.zeros(10, dtype=bool))
-        assert s.quantiles_clean[0] == 0.1
-        assert s.quantiles_clean[-1] == 1.0
-        assert s.quantiles_clean[2] == pytest.approx(np.quantile(w, 0.5))
-        assert np.all(np.diff(s.quantiles_clean) >= 0)
+class TestAverageRanks:
+    def test_hand_example(self):
+        x = np.array([0.3, 0.1, 0.3, 0.2, 0.3])
+        assert np.array_equal(_average_ranks(x), [4.0, 1.0, 4.0, 2.0, 4.0])
 
-    def test_empty_subset_gives_nan(self):
-        s = weight_summary([0.2, 0.4], [False, False])
-        assert np.isnan(s.mean_corrupt)
-        assert np.isnan(s.gap)
+    def test_empty(self):
+        assert _average_ranks(np.empty(0)).size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -3.0, np.inf, np.nan])
+                    | st.floats(), max_size=60))
+    def test_equals_loop_on_tie_heavy_inputs(self, values):
+        # half-integer ranks are exact in float64, so equality is exact
+        x = np.array(values, dtype=np.float64)
+        assert np.array_equal(_average_ranks(x), loop_average_ranks(x))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metareweight.losses import LossKind, loss_value
+from metareweight.losses import LossKind
 from metareweight.nets import ClassifierNet, WeightNet
 from metareweight.numkit import Rng
 
@@ -18,24 +18,42 @@ def fd_grad(fn, params, step=1e-6):
     return out
 
 
+def probs_one(net, params, x):
+    return net.forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def loss_and_grad_one(net, params, x, label, kind):
+    losses, grads = net.losses_and_grads_batch(
+        params, np.asarray(x, dtype=np.float64)[None, :], [label], kind)
+    return losses[0], grads[0]
+
+
+def weight_one(net, theta, loss_value):
+    return float(net.forward_batch(theta, [loss_value])[0])
+
+
+def weight_grad_one(net, theta, loss_value):
+    return net.forward_and_grads_batch(theta, [loss_value])[1][0]
+
+
 class TestClassifierForward:
     def test_zero_params_give_uniform(self):
         net = ClassifierNet([3, 4, 5], Rng(1))
-        net.set_flat(np.zeros(net.num_params))
-        assert np.allclose(net.forward([1.0, -2.0, 0.5]), 0.2, atol=1e-15)
+        u = probs_one(net, np.zeros(net.num_params), [1.0, -2.0, 0.5])
+        assert np.allclose(u, 0.2, atol=1e-15)
 
     def test_probabilities_normalized(self):
         rng = Rng(2)
         for _ in range(100):
             net = ClassifierNet([4, 6, 3], rng)
-            u = net.forward(rng.gaussians(4))
+            u = probs_one(net, net.get_flat(), rng.gaussians(4))
             assert abs(u.sum() - 1.0) <= 1e-9
             assert np.all(u >= 0.0)
 
     def test_hand_softmax_single_layer(self):
         net = ClassifierNet([2, 2], Rng(0))
-        net.set_flat(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))  # W=I, b=0
-        u = net.forward([3.0, 0.0])
+        u = probs_one(net, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]),  # W=I, b=0
+                      [3.0, 0.0])
         expect = np.exp([3.0, 0.0]) / np.exp([3.0, 0.0]).sum()
         assert np.allclose(u, expect, atol=1e-12)
         assert u[0] == pytest.approx(0.95257, abs=1e-5)
@@ -43,7 +61,18 @@ class TestClassifierForward:
     def test_dimension_mismatch(self):
         net = ClassifierNet([3, 2], Rng(1))
         with pytest.raises(ValueError):
-            net.forward([1.0, 2.0])
+            probs_one(net, net.get_flat(), [1.0, 2.0])
+        with pytest.raises(ValueError, match="params"):
+            probs_one(net, np.zeros(net.num_params - 1), [1.0, 2.0, 3.0])
+
+    def test_evaluation_leaves_stored_params_untouched(self):
+        net = ClassifierNet([3, 4, 2], Rng(4))
+        stored = net.get_flat()
+        x = Rng(5).gaussians(6).reshape(2, 3)
+        for params in (stored + 1.0, np.zeros(net.num_params)):
+            net.losses_and_grads_batch(params, x, [0, 1], LossKind.CE)
+            net.predict_batch(params, x)
+        assert np.array_equal(net.get_flat(), stored)
 
 
 class TestClassifierGradients:
@@ -54,31 +83,28 @@ class TestClassifierGradients:
             net = ClassifierNet([3, 5, 4], rng)
             x = rng.gaussians(3)
             label = rng.randint(4)
-            loss, g = net.per_sample_grad(x, label, kind)
+            params = net.get_flat()
+            loss, g = loss_and_grad_one(net, params, x, label, kind)
 
             def objective(p, net=net, x=x, label=label):
-                saved = net.get_flat()
-                net.set_flat(p)
-                val = loss_value(kind, label, net.forward(x))
-                net.set_flat(saved)
-                return val
+                return float(net.losses_batch(p, x[None, :], [label], kind)[0])
 
-            fd = fd_grad(objective, net.get_flat())
+            fd = fd_grad(objective, params)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
-            assert loss == pytest.approx(objective(net.get_flat()), abs=1e-12)
+            assert loss == pytest.approx(objective(params), abs=1e-12)
 
     def test_deterministic_repeat(self):
         net = ClassifierNet([3, 4, 2], Rng(9))
         x = Rng(10).gaussians(3)
-        l1, g1 = net.per_sample_grad(x, 1, LossKind.CE)
-        l2, g2 = net.per_sample_grad(x, 1, LossKind.CE)
+        l1, g1 = loss_and_grad_one(net, net.get_flat(), x, 1, LossKind.CE)
+        l2, g2 = loss_and_grad_one(net, net.get_flat(), x, 1, LossKind.CE)
         assert l1 == l2
         assert np.array_equal(g1, g2)
 
     def test_zero_logit_output_bias_grad(self):
         net = ClassifierNet([3, 4, 5], Rng(1))
-        net.set_flat(np.zeros(net.num_params))
-        _, g = net.per_sample_grad([0.3, -0.1, 2.0], 2, LossKind.CE)
+        _, g = loss_and_grad_one(net, np.zeros(net.num_params), [0.3, -0.1, 2.0], 2,
+                                 LossKind.CE)
         bias_grad = g[-5:]  # final layer bias is the tail of the flat layout
         expect = np.full(5, 0.2)
         expect[2] -= 1.0
@@ -89,22 +115,12 @@ class TestClassifierGradients:
         net = ClassifierNet([4, 6, 3], rng)
         x = rng.gaussians(5 * 4).reshape(5, 4)
         labels = rng.randints(5, 3)
-        losses, grads = net.losses_and_grads_batch(x, labels, LossKind.MAE)
+        params = net.get_flat()
+        losses, grads = net.losses_and_grads_batch(params, x, labels, LossKind.MAE)
         for i in range(5):
-            li, gi = net.per_sample_grad(x[i], labels[i], LossKind.MAE)
+            li, gi = loss_and_grad_one(net, params, x[i], labels[i], LossKind.MAE)
             assert losses[i] == pytest.approx(li, abs=1e-15)
             assert np.allclose(grads[i], gi, atol=1e-15)
-
-    def test_weighted_mean_grad(self):
-        rng = Rng(13)
-        net = ClassifierNet([3, 4, 2], rng)
-        x = rng.gaussians(4 * 3).reshape(4, 3)
-        labels = rng.randints(4, 2)
-        w = rng.uniforms(4)
-        _, grads = net.losses_and_grads_batch(x, labels, LossKind.CE)
-        expect = (w @ grads) / 4
-        got = net.weighted_mean_grad(x, labels, LossKind.CE, w)
-        assert np.allclose(got, expect, atol=1e-15)
 
 
 class TestFlatParams:
@@ -118,41 +134,63 @@ class TestFlatParams:
         net = ClassifierNet([2, 2], Rng(3))
         with pytest.raises(ValueError):
             net.set_flat(np.zeros(net.num_params + 1))
+        with pytest.raises(ValueError, match="non-finite"):
+            net.set_flat(np.full(net.num_params, np.nan))
 
-    def test_save_load_round_trip(self, tmp_path):
-        net = ClassifierNet([3, 4, 2], Rng(8))
-        path = tmp_path / "params.csv"
-        net.save_params(path)
-        other = ClassifierNet([3, 4, 2], Rng(99))
-        other.load_params(path)
-        assert np.array_equal(other.get_flat(), net.get_flat())
+    def test_get_flat_is_a_snapshot(self):
+        net = ClassifierNet([2, 3, 2], Rng(3))
+        flat = net.get_flat()
+        flat += 1.0
+        assert not np.array_equal(net.get_flat(), flat)
+        source = np.zeros(net.num_params)
+        net.set_flat(source)
+        source += 1.0
+        assert np.array_equal(net.get_flat(), np.zeros(net.num_params))
 
-    def test_load_rejects_mismatched_sizes(self, tmp_path):
-        net = ClassifierNet([3, 4, 2], Rng(8))
-        path = tmp_path / "params.csv"
-        net.save_params(path)
-        with pytest.raises(ValueError, match="sizes"):
-            ClassifierNet([3, 5, 2], Rng(0)).load_params(path)
+    def test_layout_is_weights_then_bias_per_layer(self):
+        # [2, 3, 1]: W1 (3x2) row-major, b1 (3,), W2 (1x3), b2 (1,)
+        net = ClassifierNet([2, 3, 1], Rng(0))
+        params = np.zeros(net.num_params)
+        params[6:9] = 1.0     # b1: every hidden unit outputs 1 at x = 0
+        params[9:12] = 2.0    # W2
+        params[12] = 0.5      # b2
+        acts = net.hidden_preactivations(params, np.zeros((1, 2)))
+        assert np.array_equal(acts, np.ones(3))
+        params[0:2] = [1.0, -1.0]  # first row of W1 reads x0 - x1
+        acts = net.hidden_preactivations(params, np.array([[3.0, 1.0]]))
+        assert np.array_equal(acts, [3.0, 1.0, 1.0])
+
+    def test_same_draws_as_per_layer_init(self):
+        # He-normal draws layer by layer in input-to-output order, zero biases
+        rng = Rng(21)
+        expect = []
+        for fan_in, fan_out in ((4, 6), (6, 3)):
+            expect.append(rng.gaussians(fan_out * fan_in, 0.0, np.sqrt(2.0 / fan_in)))
+            expect.append(np.zeros(fan_out))
+        net = ClassifierNet([4, 6, 3], Rng(21))
+        assert np.array_equal(net.get_flat(), np.concatenate(expect))
 
 
 class TestWeightNet:
     def test_zero_params_give_half(self):
         net = WeightNet(Rng(1), hidden=10)
-        net.set_flat(np.zeros(net.num_params))
+        theta = np.zeros(net.num_params)
         for v in (0.0, 0.5, 3.0, 100.0):
-            assert net.forward(v) == 0.5
+            assert weight_one(net, theta, v) == 0.5
 
     def test_fresh_net_outputs_half(self):
         # zeroed output layer: neutral start regardless of the hidden init
         net = WeightNet(Rng(123))
-        assert net.forward(1.7) == 0.5
+        assert weight_one(net, net.get_flat(), 1.7) == 0.5
+        assert np.all(net.get_flat()[-101:-1] == 0.0)  # output weights
+        assert np.all(net.get_flat()[:100] != 0.0)     # hidden weights drawn
 
     def test_output_in_open_unit_interval(self):
         rng = Rng(2)
         for _ in range(100):
             net = WeightNet(rng, hidden=10)
-            net.set_flat(rng.gaussians(net.num_params))
-            out = net.forward_batch(rng.uniforms(10, 0.0, 8.0))
+            out = net.forward_batch(rng.gaussians(net.num_params),
+                                    rng.uniforms(10, 0.0, 8.0))
             assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_hand_composed_single_unit(self):
@@ -163,33 +201,25 @@ class TestWeightNet:
         theta[3] = b          # first hidden bias
         theta[6] = v          # output weight for that unit
         theta[9] = c          # output bias
-        net.set_flat(theta)
         val = 1.2
         expect = 1.0 / (1.0 + np.exp(-(v * max(0.0, a * val + b) + c)))
-        assert net.forward(val) == pytest.approx(expect, abs=1e-15)
+        assert weight_one(net, theta, val) == pytest.approx(expect, abs=1e-15)
+        weights, _ = net.forward_and_grads_batch(theta, [val])
+        assert weights[0] == weight_one(net, theta, val)
 
     def test_grad_matches_finite_differences(self):
         rng = Rng(6)
         for _ in range(50):
             net = WeightNet(rng, hidden=8)
-            net.set_flat(rng.gaussians(net.num_params, 0.0, 0.5))
+            theta = rng.gaussians(net.num_params, 0.0, 0.5)
             val = rng.uniform(0.0, 5.0)
-            g = net.grad_theta(val)
-
-            def objective(p, net=net, val=val):
-                saved = net.get_flat()
-                net.set_flat(p)
-                out = net.forward(val)
-                net.set_flat(saved)
-                return out
-
-            fd = fd_grad(objective, net.get_flat())
+            g = weight_grad_one(net, theta, val)
+            fd = fd_grad(lambda p, net=net, val=val: weight_one(net, p, val), theta)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
     def test_zero_params_output_bias_grad_is_quarter(self):
         net = WeightNet(Rng(1), hidden=10)
-        net.set_flat(np.zeros(net.num_params))
-        g = net.grad_theta(2.0)
+        g = weight_grad_one(net, np.zeros(net.num_params), 2.0)
         assert g[-1] == pytest.approx(0.25, abs=1e-15)  # logistic'(0)
 
     def test_dead_unit_has_zero_incoming_grads(self):
@@ -199,14 +229,13 @@ class TestWeightNet:
         theta[1] = 1.0
         theta[4] = 0.7    # output weights nonzero so gradients could flow
         theta[5] = 0.7
-        net.set_flat(theta)
-        g = net.grad_theta(2.0)
+        g = weight_grad_one(net, theta, 2.0)
         assert g[0] == 0.0 and g[2] == 0.0  # W1 and b1 entries of the dead unit
         assert g[1] != 0.0 and g[3] != 0.0
 
     def test_nonfinite_input_rejected(self):
         net = WeightNet(Rng(1), hidden=4)
         with pytest.raises(ValueError):
-            net.forward(float("nan"))
+            weight_one(net, net.get_flat(), float("nan"))
         with pytest.raises(ValueError):
-            net.forward(float("inf"))
+            weight_one(net, net.get_flat(), float("inf"))

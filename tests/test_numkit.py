@@ -1,50 +1,20 @@
 import numpy as np
 import pytest
 
-from metareweight.numkit import Rng, as_mat, as_vec, dot, matvec, mix64
+from metareweight.numkit import Rng, as_vec, mix64
 
 
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_zero_matrix(self):
-        assert np.array_equal(matvec(np.zeros((3, 2)), [5.0, -1.0]), np.zeros(3))
-
-    def test_hand_value(self):
-        assert np.array_equal(matvec([[1, 2], [3, 4]], [1, 1]), [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matvec(np.eye(3), [1.0, 2.0])
-
-    def test_linearity(self):
-        rng = Rng(11)
-        m = rng.gaussians(12).reshape(3, 4)
-        v = rng.gaussians(4)
-        for a in (0.5, -3.0, 1e6):
-            lhs = matvec(m, a * v)
-            rhs = a * matvec(m, v)
-            assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
-
+class TestAsVec:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
             as_vec([1.0, np.nan])
         with pytest.raises(ValueError, match="non-finite"):
-            as_mat([[np.inf, 0.0]])
+            as_vec([np.inf, 0.0])
 
-
-class TestDot:
-    def test_symmetry_exact(self):
-        rng = Rng(3)
-        for _ in range(50):
-            a = rng.gaussians(17)
-            b = rng.gaussians(17)
-            assert dot(a, b) == dot(b, a)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dot([1.0], [1.0, 2.0])
+    def test_rejects_non_vectors(self):
+        with pytest.raises(ValueError, match="1-D"):
+            as_vec([[1.0, 2.0]])
+        assert np.array_equal(as_vec([1, 2]), [1.0, 2.0])
 
 
 class TestRng:

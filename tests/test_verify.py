@@ -166,12 +166,24 @@ class TestFiniteDifferenceOracle:
         assert errs[1] <= errs[0] / 2.5
         assert errs[2] <= errs[1] / 2.5
 
+    def test_oracles_leave_net_params_untouched(self):
+        rng = Rng(17)
+        state, tb, mb, _ = verify.random_hypergrad_instance(rng)
+        w, theta = state.classifier.get_flat(), state.weightnet.get_flat()
+        verify.finite_diff_theta_grad(state.classifier, state.weightnet, tb, mb, 0.1,
+                                      LossKind.MAE)
+        verify.composed_meta_objective(state, tb, mb, 0.1, LossKind.MAE)
+        verify.per_label_gradients(state.classifier, w + 0.5, tb.features, LossKind.CE)
+        assert np.array_equal(state.classifier.get_flat(), w)
+        assert np.array_equal(state.weightnet.get_flat(), theta)
+
     def test_instance_sampler_respects_kink_margin(self):
         rng = Rng(14)
         for _ in range(5):
             state, tb, mb, _ = verify.random_hypergrad_instance(rng)
-            losses = state.classifier.losses_batch(tb.features, tb.labels, LossKind.CE)
-            pre = state.weightnet.hidden_preactivations(losses)
+            losses = state.classifier.losses_batch(state.classifier.get_flat(),
+                                                   tb.features, tb.labels, LossKind.CE)
+            pre = state.weightnet.hidden_preactivations(state.weightnet.get_flat(), losses)
             assert np.abs(pre).min() > verify.KINK_MARGIN
 
 
