@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -43,8 +44,7 @@ _INIT_CLASSIFIER_STREAM = 11
 _INIT_WEIGHTNET_STREAM = 12
 _LOOP_STREAM = 13
 
-DEFAULT_HIDDEN_SIZES = (32, 32)
-HISTOGRAM_BINS = 20
+HIDDEN_SIZES = (32, 32)  # the classifier's hidden layer widths
 
 
 class Variant(Enum):
@@ -65,6 +65,9 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The ``[train]`` keys of the config file; the meta loss comes from
+    the ``Variant`` and the seed is an argument of ``train``."""
+
     train_batch: int = 100
     meta_batch: int = 100
     classifier_lr: float = 0.05
@@ -73,15 +76,14 @@ class TrainConfig:
     weight_decay: float = 5e-4
     epochs: int = 60
     lr_milestones: tuple[int, ...] = (36, 48)
-    meta_loss: LossKind = LossKind.CE
-    meta_is_noisy: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.train_batch < 1 or self.meta_batch < 1:
             raise ValueError("batch sizes must be >= 1")
-        if self.classifier_lr <= 0 or self.meta_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.classifier_lr < math.inf and 0 < self.meta_lr < math.inf):
+            raise ValueError("learning rates must be finite and positive")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs < 1:
@@ -187,12 +189,12 @@ def classifier_update(state: BilevelState, losses: np.ndarray, grads: np.ndarray
 
 
 def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,
-                 cfg: TrainConfig, alpha: float) -> None:
+                 cfg: TrainConfig, alpha: float, meta_loss: LossKind) -> None:
     """One alternation step: weighting gradient through the virtual step,
     weighting update, then the real classifier update, all from a single
     forward/backward pass over the train batch."""
     losses, grads = train_losses_and_grads(state, train_batch)
-    t_grad = theta_gradient(state, losses, grads, meta_batch, alpha, cfg.meta_loss)
+    t_grad = theta_gradient(state, losses, grads, meta_batch, alpha, meta_loss)
     theta_update(state, t_grad, cfg.meta_lr, cfg.weight_decay)
     classifier_update(state, losses, grads, alpha, cfg.momentum, cfg.weight_decay)
 
@@ -211,11 +213,7 @@ class EpochMetrics:
 
 @dataclass
 class RunReport:
-    variant: Variant
-    seed: int
     epochs: list[EpochMetrics] = field(default_factory=list)
-    weight_hist_edges: np.ndarray = field(default_factory=lambda: np.empty(0))
-    weight_hist_counts: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def final_accuracy(self) -> float:
@@ -251,7 +249,7 @@ def _scheduled_lr(cfg: TrainConfig, epoch: int) -> float:
 
 
 def _epoch_metrics(state: BilevelState, epoch: int, train: CorruptedDataset,
-                   test: LabeledDataset) -> tuple[EpochMetrics, np.ndarray]:
+                   test: LabeledDataset) -> EpochMetrics:
     params = state.classifier.get_flat()
     test_acc = accuracy(state.classifier.predict_batch(params, test.features), test.labels)
     losses = state.classifier.losses_batch(
@@ -264,32 +262,28 @@ def _epoch_metrics(state: BilevelState, epoch: int, train: CorruptedDataset,
         auc = float("nan")
     mean_clean = float(weights[~corrupted].mean()) if (~corrupted).any() else float("nan")
     mean_corrupt = float(weights[corrupted].mean()) if corrupted.any() else float("nan")
-    return EpochMetrics(epoch, test_acc, auc, mean_clean, mean_corrupt), weights
+    return EpochMetrics(epoch, test_acc, auc, mean_clean, mean_corrupt)
 
 
 def train(variant: Variant, train_data: CorruptedDataset, meta_data,
-          test_data: LabeledDataset, cfg: TrainConfig,
-          hidden_sizes=DEFAULT_HIDDEN_SIZES) -> RunReport:
+          test_data: LabeledDataset, cfg: TrainConfig, seed: int) -> RunReport:
     """Run the full alternating loop and report per-epoch metrics.
 
     ``meta_data`` may be clean (``LabeledDataset``) or corrupted; training
-    always consumes its ``labels`` view.  The variant must agree with the
-    config's meta-loss/meta-noise flags, which the caller sets when it
-    decides whether to corrupt the meta split.
+    reads only its ``features`` and ``labels``.  The caller decides from
+    ``variant.meta_is_noisy`` whether to corrupt it; the meta loss is
+    ``variant.meta_loss``.  ``seed`` fixes the network initialization and
+    the minibatch order.
     """
-    if cfg.meta_loss is not variant.meta_loss or cfg.meta_is_noisy is not variant.meta_is_noisy:
-        raise ValueError(
-            f"config (meta_loss={cfg.meta_loss}, meta_is_noisy={cfg.meta_is_noisy}) "
-            f"is inconsistent with variant {variant.value}")
     if train_data.dim != meta_data.dim or train_data.dim != test_data.dim:
         raise ValueError("feature dimensions differ across splits")
     if train_data.num_classes != meta_data.num_classes \
             or train_data.num_classes != test_data.num_classes:
         raise ValueError("class counts differ across splits")
 
-    root = Rng(cfg.seed)
+    root = Rng(seed)
     classifier = ClassifierNet(
-        [train_data.dim, *hidden_sizes, train_data.num_classes],
+        [train_data.dim, *HIDDEN_SIZES, train_data.num_classes],
         root.spawn(_INIT_CLASSIFIER_STREAM))
     weightnet = WeightNet(root.spawn(_INIT_WEIGHTNET_STREAM))
     loop_rng = root.spawn(_LOOP_STREAM)
@@ -299,7 +293,7 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
     x_meta, y_meta = meta_data.features, meta_data.labels
     n_train, n_meta = len(train_data), len(meta_data)
 
-    report = RunReport(variant=variant, seed=cfg.seed)
+    report = RunReport()
     for epoch in range(cfg.epochs):
         alpha = _scheduled_lr(cfg, epoch)
         order = loop_rng.permutation(n_train)
@@ -310,10 +304,6 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
                 state,
                 Batch(x_train[idx], y_train[idx]),
                 Batch(x_meta[meta_idx], y_meta[meta_idx]),
-                cfg, alpha)
-        metrics, weights = _epoch_metrics(state, epoch, train_data, test_data)
-        report.epochs.append(metrics)
-    counts, edges = np.histogram(weights, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
-    report.weight_hist_edges = edges
-    report.weight_hist_counts = counts
+                cfg, alpha, variant.meta_loss)
+        report.epochs.append(_epoch_metrics(state, epoch, train_data, test_data))
     return report

@@ -29,7 +29,7 @@ from . import verify
 from .bilevel import RunReport, Variant, train
 from .config import (ConfigError, ExperimentConfig, parse_config, rate_label,
                      serialize_config)
-from .data import BlobSpec, as_corrupted, make_blobs, save_dataset, standardize
+from .data import BlobSpec, make_blobs, save_dataset, standardize
 from .noise import NoiseKind, NoiseSpec, build_transition, corrupt, majority_feasibility
 from .numkit import Rng
 
@@ -67,13 +67,6 @@ class ResultRow:
 @dataclass
 class ResultTable:
     rows: list[ResultRow] = field(default_factory=list)
-    reports: dict = field(default_factory=dict)  # (variant, kind, rate, seed_index) -> RunReport
-
-    def lookup(self, variant: Variant, kind: NoiseKind, rate: float) -> ResultRow:
-        for row in self.rows:
-            if (row.variant, row.noise_kind) == (variant, kind) and row.noise_rate == rate:
-                return row
-        raise KeyError((variant, kind, rate))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -111,18 +104,13 @@ def run_single(cfg: ExperimentConfig, variant: Variant, kind: NoiseKind,
     train_split = corrupt(bundle.train, matrix,
                           _stream(cfg.seed, _PURPOSE_TRAIN_CORRUPT,
                                   seed_index, cell_index))
+    meta_split = bundle.meta
     if variant.meta_is_noisy:
         meta_split = corrupt(bundle.meta, matrix,
                              _stream(cfg.seed, _PURPOSE_META_CORRUPT,
                                      seed_index, cell_index))
-    else:
-        meta_split = as_corrupted(bundle.meta)
-
-    train_cfg = replace(cfg.train,
-                        meta_loss=variant.meta_loss,
-                        meta_is_noisy=variant.meta_is_noisy,
-                        seed=_stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed)
-    return train(variant, train_split, meta_split, bundle.test, train_cfg)
+    return train(variant, train_split, meta_split, bundle.test, cfg.train,
+                 seed=_stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed)
 
 
 def _run_cell(args):
@@ -153,7 +141,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
 
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    table = ResultTable(reports=finished)
+    table = ResultTable()
     for variant in cfg.variants:
         for kind, rate in cells:
             reports = [finished[(variant, kind, rate, si)] for si in range(cfg.num_seeds)]

@@ -2,14 +2,16 @@
 
 Format: ``key = value`` lines grouped under ``[blob]``, ``[noise]``,
 ``[train]`` and ``[experiment]`` section headers; ``#`` starts a comment.
-Unknown sections or keys are rejected with the offending line number, as
-are out-of-range values and repeated grid entries.  An empty file yields
-the documented defaults.
+Unknown sections, unknown or repeated keys, unparsable values and repeated
+grid entries are rejected with the offending line number, out-of-range
+values with the rule they break.  An empty file yields the documented
+defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from .bilevel import TrainConfig, Variant
@@ -144,16 +146,17 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if key not in _SCHEMA[current]:
             raise ConfigError(f"{source}:{lineno}: unknown key '{key}' in section [{current}]")
         field_name, parser = _SCHEMA[current][key]
+        if field_name in sections[current]:
+            raise ConfigError(f"{source}:{lineno}: key '{key}' repeated in section [{current}]")
         try:
             sections[current][field_name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for '{key}': {exc}") from exc
 
     try:
-        blob = replace(BlobSpec(), **sections["blob"])
-        train = replace(TrainConfig(), **sections["train"])
-        top = {**sections["noise"], **sections["experiment"]}
-        return ExperimentConfig(blob=blob, train=train, **top)
+        return ExperimentConfig(blob=BlobSpec(**sections["blob"]),
+                                train=TrainConfig(**sections["train"]),
+                                **sections["noise"], **sections["experiment"])
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
@@ -165,36 +168,22 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_text(p.read_text(), source=str(p))
 
 
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(v) for v in value)
+    if isinstance(value, Enum):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [
-        "[blob]",
-        f"classes = {cfg.blob.num_classes}",
-        f"dim = {cfg.blob.dim}",
-        f"n_train = {cfg.blob.n_train}",
-        f"n_meta = {cfg.blob.n_meta}",
-        f"n_test = {cfg.blob.n_test}",
-        f"separation = {cfg.blob.separation!r}",
-        f"cluster_std = {cfg.blob.cluster_std!r}",
-        "",
-        "[noise]",
-        f"kinds = {', '.join(k.value for k in cfg.noise_kinds)}",
-        f"rates = {', '.join(repr(r) for r in cfg.noise_rates)}",
-        "",
-        "[train]",
-        f"train_batch = {cfg.train.train_batch}",
-        f"meta_batch = {cfg.train.meta_batch}",
-        f"classifier_lr = {cfg.train.classifier_lr!r}",
-        f"meta_lr = {cfg.train.meta_lr!r}",
-        f"momentum = {cfg.train.momentum!r}",
-        f"weight_decay = {cfg.train.weight_decay!r}",
-        f"epochs = {cfg.train.epochs}",
-        f"lr_milestones = {', '.join(str(m) for m in cfg.train.lr_milestones)}",
-        "",
-        "[experiment]",
-        f"variants = {', '.join(v.value for v in cfg.variants)}",
-        f"num_seeds = {cfg.num_seeds}",
-        f"seed = {cfg.seed}",
-        f"output_dir = {cfg.output_dir}",
-        f"workers = {cfg.workers}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Every schema key, in schema order, in the format ``parse_config_text``
+    reads back to an equal config."""
+    owners = {"blob": cfg.blob, "train": cfg.train}
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        owner = owners.get(section, cfg)
+        blocks.append("\n".join(
+            [f"[{section}]"] + [f"{key} = {_format_value(getattr(owner, name))}"
+                                for key, (name, _) in keys.items()]))
+    return "\n\n".join(blocks) + "\n"

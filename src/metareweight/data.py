@@ -11,6 +11,7 @@ train; the test split stays clean throughout the package.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,17 +77,6 @@ class CorruptedDataset:
         return self.observed_labels
 
 
-def as_corrupted(ds: LabeledDataset) -> CorruptedDataset:
-    """View a clean dataset in the corrupted container (no flags set)."""
-    return CorruptedDataset(
-        features=ds.features,
-        observed_labels=ds.labels.copy(),
-        true_labels=ds.labels.copy(),
-        is_corrupted=np.zeros(len(ds), dtype=bool),
-        num_classes=ds.num_classes,
-    )
-
-
 @dataclass(frozen=True)
 class BlobSpec:
     num_classes: int = 5
@@ -103,8 +93,8 @@ class BlobSpec:
             raise ValueError("need at least 2 classes and 1 feature dimension")
         if min(self.n_train, self.n_meta, self.n_test) < 1:
             raise ValueError("every split needs at least one sample")
-        if self.separation <= 0 or self.cluster_std <= 0:
-            raise ValueError("separation and cluster_std must be positive")
+        if not (0 < self.separation < math.inf and 0 < self.cluster_std < math.inf):
+            raise ValueError("separation and cluster_std must be finite and positive")
 
 
 @dataclass

@@ -95,12 +95,6 @@ class Rng:
 
     # -- uniforms ---------------------------------------------------------
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        if not lo < hi:
-            raise ValueError(f"uniform requires lo < hi, got [{lo}, {hi})")
-        u = (self.next_u64() >> 11) * _INV_2_53
-        return lo + (hi - lo) * u
-
     def uniforms(self, size: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         if not lo < hi:
             raise ValueError(f"uniform requires lo < hi, got [{lo}, {hi})")
@@ -108,15 +102,6 @@ class Rng:
         return lo + (hi - lo) * u
 
     # -- gaussians ---------------------------------------------------------
-
-    def gaussian(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """Box-Muller draw; consumes exactly two 64-bit outputs per value."""
-        if std < 0:
-            raise ValueError(f"std must be >= 0, got {std}")
-        u1 = 1.0 - (self.next_u64() >> 11) * _INV_2_53  # in (0, 1]
-        u2 = (self.next_u64() >> 11) * _INV_2_53
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return mean + std * float(z)
 
     def gaussians(self, size: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         if std < 0:

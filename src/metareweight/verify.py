@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .data import LabeledDataset
 DEFAULT_VERIFY_SEED = 20240117
 FD_STEP = 1e-6
 KINK_MARGIN = 10 * FD_STEP
+# Chance that correct label sampling fails the corruption-frequency check.
+CORRUPTION_FAMILY_ALPHA = 1e-4
 
 
 # -- exact expectations ------------------------------------------------------
@@ -376,6 +379,34 @@ def _prop_symmetry(seed: int) -> list[PropertyResult]:
     ]
 
 
+def corruption_frequency_check(rng: Rng, sample_rate: float = 0.4) -> PropertyResult:
+    """Label frequencies ``corrupt`` draws at ``sample_rate`` against the
+    rate-0.4 uniform and flip2 transition probabilities p.  Cells with p in
+    {0, 1} must match exactly; every other cell's |z| statistic must stay
+    under the Bonferroni limit that holds the chance of any false alarm to
+    ``CORRUPTION_FAMILY_ALPHA``."""
+    n, k = 100_000, 5
+    labels = np.arange(n, dtype=np.int64) % k
+    ds = LabeledDataset(np.zeros((n, 1)), labels, k)
+    zs = []
+    exact_ok = True
+    for stream, kind in enumerate((NoiseKind.UNIFORM, NoiseKind.FLIP2)):
+        p = build_transition(NoiseSpec(kind, 0.4, k, seed=7)).probs
+        out = corrupt(ds, build_transition(NoiseSpec(kind, sample_rate, k, seed=7)),
+                      rng.spawn(stream))
+        counts = np.bincount(labels * k + out.observed_labels, minlength=k * k).reshape(k, k)
+        n_y = counts.sum(axis=1, keepdims=True)
+        freq = counts / n_y
+        inner = (p > 0) & (p < 1)
+        exact_ok &= bool(np.array_equal(freq[~inner], p[~inner]))
+        zs.extend(np.abs(freq - p)[inner] / np.sqrt(p * (1 - p) / n_y)[inner])
+    limit = NormalDist().inv_cdf(1 - CORRUPTION_FAMILY_ALPHA / (2 * len(zs)))
+    return PropertyResult(
+        "noise-corruption-frequencies", exact_ok and max(zs) <= limit,
+        f"max |freq - p| = {max(zs):.2f} standard errors over {len(zs)} cells at "
+        f"n={n} (limit {limit:.2f}, family-wise false-alarm rate {CORRUPTION_FAMILY_ALPHA:g})")
+
+
 def _prop_noise_model(seed: int) -> list[PropertyResult]:
     results = []
     t = build_transition(NoiseSpec(NoiseKind.UNIFORM, 0.4, 5, seed=1))
@@ -393,31 +424,7 @@ def _prop_noise_model(seed: int) -> list[PropertyResult]:
         "noise-closed-forms", ok,
         "uniform 0.68/0.08, flip 0.6/0.4, flip2 0.6/0.2+0.2, identity at rate 0"))
 
-    rng = Rng(seed).spawn(103)
-    n = 100_000
-    k = 5
-    labels = np.arange(n, dtype=np.int64) % k
-    ds = LabeledDataset(np.zeros((n, 1)), labels, k)
-    worst_z = 0.0
-    exact_ok = True
-    for stream, spec in enumerate((NoiseSpec(NoiseKind.UNIFORM, 0.4, k, seed=7),
-                                   NoiseSpec(NoiseKind.FLIP2, 0.4, k, seed=7))):
-        tm = build_transition(spec)
-        out = corrupt(ds, tm, rng.spawn(stream))
-        for y in range(k):
-            mask = labels == y
-            n_y = int(mask.sum())
-            freq = np.bincount(out.observed_labels[mask], minlength=k) / n_y
-            for c in range(k):
-                p = tm.probs[y, c]
-                se = np.sqrt(p * (1 - p) / n_y)
-                if se == 0.0:
-                    exact_ok &= freq[c] == p
-                else:
-                    worst_z = max(worst_z, abs(freq[c] - p) / se)
-    results.append(PropertyResult(
-        "noise-corruption-frequencies", exact_ok and worst_z <= 3.0,
-        f"max |freq - p| = {worst_z:.2f} standard errors at n=100000 (limit 3)"))
+    results.append(corruption_frequency_check(Rng(seed).spawn(103)))
     return results
 
 

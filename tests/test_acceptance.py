@@ -24,6 +24,13 @@ def report(name: str, detail: str) -> None:
     print(f"[acceptance] {name}: PASS ({detail})")
 
 
+def cell_row(table, variant, kind, rate):
+    """The result row of one (variant, noise kind, noise rate) grid cell."""
+    (row,) = [r for r in table.rows
+              if (r.variant, r.noise_kind, r.noise_rate) == (variant, kind, rate)]
+    return row
+
+
 @pytest.fixture(scope="module")
 def ordering_grid(tmp_path_factory):
     """Full desk-scale grid: uniform noise at rates 0.0/0.4, all three
@@ -196,8 +203,8 @@ class TestOrderingAnalogue:
 
     def test_robust_variant_beats_noisy_ce_meta(self, ordering_grid):
         table, _ = ordering_grid
-        robust = table.lookup(Variant.NOISY_MAE, NoiseKind.UNIFORM, 0.4)
-        ce = table.lookup(Variant.NOISY_CE, NoiseKind.UNIFORM, 0.4)
+        robust = cell_row(table, Variant.NOISY_MAE, NoiseKind.UNIFORM, 0.4)
+        ce = cell_row(table, Variant.NOISY_CE, NoiseKind.UNIFORM, 0.4)
         gap = (robust.final_acc_mean - ce.final_acc_mean) * 100
         assert gap >= 2.0, (
             f"noisy-mae {robust.final_acc_mean:.4f} vs noisy-ce "
@@ -208,8 +215,8 @@ class TestOrderingAnalogue:
 
     def test_robust_variant_tracks_clean_meta_reference(self, ordering_grid):
         table, _ = ordering_grid
-        robust = table.lookup(Variant.NOISY_MAE, NoiseKind.UNIFORM, 0.4)
-        clean = table.lookup(Variant.CLEAN_CE, NoiseKind.UNIFORM, 0.4)
+        robust = cell_row(table, Variant.NOISY_MAE, NoiseKind.UNIFORM, 0.4)
+        clean = cell_row(table, Variant.CLEAN_CE, NoiseKind.UNIFORM, 0.4)
         diff = abs(robust.final_acc_mean - clean.final_acc_mean) * 100
         assert diff <= 2.0, (
             f"noisy-mae {robust.final_acc_mean:.4f} vs clean-ce "
@@ -220,7 +227,7 @@ class TestOrderingAnalogue:
 
     def test_all_variants_agree_without_noise(self, ordering_grid):
         table, _ = ordering_grid
-        accs = [table.lookup(v, NoiseKind.UNIFORM, 0.0).final_acc_mean
+        accs = [cell_row(table, v, NoiseKind.UNIFORM, 0.0).final_acc_mean
                 for v in Variant]
         spread = (max(accs) - min(accs)) * 100
         assert spread <= 1.0, f"rate-0 spread {spread:.2f}pt > 1pt"
@@ -230,8 +237,8 @@ class TestOrderingAnalogue:
 class TestDetectionAuc:
     def test_robust_variant_detects_mislabels(self, ordering_grid):
         table, _ = ordering_grid
-        robust = table.lookup(Variant.NOISY_MAE, NoiseKind.UNIFORM, 0.4)
-        ce = table.lookup(Variant.NOISY_CE, NoiseKind.UNIFORM, 0.4)
+        robust = cell_row(table, Variant.NOISY_MAE, NoiseKind.UNIFORM, 0.4)
+        ce = cell_row(table, Variant.NOISY_CE, NoiseKind.UNIFORM, 0.4)
         assert robust.best_auc_mean >= 0.90, f"best AUC {robust.best_auc_mean:.4f}"
         assert robust.best_auc_mean >= ce.best_auc_mean, (
             f"noisy-mae AUC {robust.best_auc_mean:.4f} < noisy-ce "

@@ -247,8 +247,7 @@ class TestFusedStep:
         # bit for bit, against the same update written out in one place.
         cfg = TrainConfig(train_batch=4, meta_batch=4, classifier_lr=0.1,
                           meta_lr=1e-3, momentum=0.9, weight_decay=5e-4,
-                          epochs=1, lr_milestones=(), meta_loss=LossKind.MAE,
-                          meta_is_noisy=True, seed=0)
+                          epochs=1, lr_milestones=())
         state, rng = tiny_state(19)
         state.momentum_buffer = rng.gaussians(state.classifier.num_params)
         batch = tiny_batch(rng, 4, 3, 3)
@@ -267,7 +266,7 @@ class TestFusedStep:
         v_new = cfg.momentum * v + ((wn.forward_batch(theta_new, losses) @ grads) / 4
                                     + cfg.weight_decay * w)
 
-        bilevel_step(state, batch, meta, cfg, alpha)
+        bilevel_step(state, batch, meta, cfg, alpha, LossKind.MAE)
         assert np.array_equal(wn.get_flat(), theta_new)
         assert np.array_equal(state.momentum_buffer, v_new)
         assert np.array_equal(clf.get_flat(), w - alpha * v_new)
@@ -286,40 +285,43 @@ def quick_splits(rate=0.0, seed=0, spec=None):
 class TestTrainLoop:
     def test_separable_data_reaches_high_accuracy(self):
         train_split, meta_split, test = quick_splits(rate=0.0)
-        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=12,
-                          lr_milestones=(8, 10), meta_loss=LossKind.MAE,
-                          meta_is_noisy=True, seed=3)
-        report = train(Variant.NOISY_MAE, train_split, meta_split, test, cfg)
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=12, lr_milestones=(8, 10))
+        report = train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=3)
         assert report.final_accuracy >= 0.98
 
     def test_identical_seeds_identical_reports(self):
         train_split, meta_split, test = quick_splits(rate=0.3)
-        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=3,
-                          lr_milestones=(), meta_loss=LossKind.CE,
-                          meta_is_noisy=True, seed=5)
-        a = train(Variant.NOISY_CE, train_split, meta_split, test, cfg)
-        b = train(Variant.NOISY_CE, train_split, meta_split, test, cfg)
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=3, lr_milestones=())
+        a = train(Variant.NOISY_CE, train_split, meta_split, test, cfg, seed=5)
+        b = train(Variant.NOISY_CE, train_split, meta_split, test, cfg, seed=5)
         assert a.to_csv() == b.to_csv()
-        assert np.array_equal(a.weight_hist_counts, b.weight_hist_counts)
 
-    def test_inconsistent_variant_config_rejected(self):
-        train_split, meta_split, test = quick_splits()
-        cfg = TrainConfig(meta_loss=LossKind.CE, meta_is_noisy=True, epochs=1)
-        with pytest.raises(ValueError, match="inconsistent"):
-            train(Variant.NOISY_MAE, train_split, meta_split, test, cfg)
+    def test_meta_loss_comes_from_variant(self, monkeypatch):
+        # train() takes the meta loss from the variant alone; the config
+        # has no field that could disagree with it
+        import metareweight.bilevel as b
+        seen = []
+        original = b.bilevel_step
+
+        def spy(*args):
+            seen.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(b, "bilevel_step", spy)
+        train_split, meta_split, test = quick_splits(rate=0.3)
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=1, lr_milestones=())
+        for variant in Variant:
+            seen.clear()
+            train(variant, train_split, meta_split, test, cfg, seed=2)
+            assert set(seen) == {variant.meta_loss}
 
     def test_clean_meta_path_equals_noisy_path_at_rate_zero(self):
         # corrupting with rate 0 is a no-op, so the clean-meta variant and a
         # rate-0 "noisy" CE run must produce identical trajectories
         train_split, meta_split, test = quick_splits(rate=0.0)
-        cfg_clean = TrainConfig(train_batch=40, meta_batch=30, epochs=4,
-                                lr_milestones=(), meta_loss=LossKind.CE,
-                                meta_is_noisy=False, seed=7)
-        cfg_noisy = TrainConfig(train_batch=40, meta_batch=30, epochs=4,
-                                lr_milestones=(), meta_loss=LossKind.CE,
-                                meta_is_noisy=True, seed=7)
-        a = train(Variant.CLEAN_CE, train_split, meta_split, test, cfg_clean)
-        b = train(Variant.NOISY_CE, train_split, meta_split, test, cfg_noisy)
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=4, lr_milestones=())
+        a = train(Variant.CLEAN_CE, train_split, meta_split, test, cfg, seed=7)
+        b = train(Variant.NOISY_CE, train_split, meta_split, test, cfg, seed=7)
         assert a.to_csv() == b.to_csv()
 
     def test_lr_schedule_divides_by_ten(self):
@@ -331,10 +333,8 @@ class TestTrainLoop:
 
     def test_report_csv_columns(self):
         train_split, meta_split, test = quick_splits(rate=0.3)
-        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2,
-                          lr_milestones=(), meta_loss=LossKind.MAE,
-                          meta_is_noisy=True, seed=1)
-        report = train(Variant.NOISY_MAE, train_split, meta_split, test, cfg)
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=())
+        report = train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=1)
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "epoch,test_accuracy,train_auc,mean_weight_clean,mean_weight_corrupt"
         assert len(lines) == 3

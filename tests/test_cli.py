@@ -31,6 +31,13 @@ num_seeds = 2
 seed = 4
 """
 
+def cell_row(table, variant, kind, rate):
+    """The result row of one (variant, noise kind, noise rate) grid cell."""
+    (row,) = [r for r in table.rows
+              if (r.variant, r.noise_kind, r.noise_rate) == (variant, kind, rate)]
+    return row
+
+
 
 def tiny_cfg(**overrides):
     base = dict(
@@ -51,7 +58,7 @@ class TestRunExperiment:
     def test_grid_completeness_and_aggregation(self, tmp_path):
         table = run_experiment(tiny_cfg(), out_dir=tmp_path)
         assert len(table.rows) == 2 * 2  # variants x (kinds x rates)
-        row = table.lookup(Variant.NOISY_MAE, NoiseKind.UNIFORM, 0.3)
+        row = cell_row(table, Variant.NOISY_MAE, NoiseKind.UNIFORM, 0.3)
         assert 0.0 <= row.final_acc_mean <= 1.0
         assert row.final_acc_std >= 0.0
         assert (tmp_path / "results.csv").is_file()
@@ -79,8 +86,8 @@ class TestRunExperiment:
         cfg = tiny_cfg(noise_rates=(0.0,),
                        variants=(Variant.CLEAN_CE, Variant.NOISY_CE))
         table = run_experiment(cfg, out_dir=tmp_path)
-        a = table.lookup(Variant.CLEAN_CE, NoiseKind.UNIFORM, 0.0)
-        b = table.lookup(Variant.NOISY_CE, NoiseKind.UNIFORM, 0.0)
+        a = cell_row(table, Variant.CLEAN_CE, NoiseKind.UNIFORM, 0.0)
+        b = cell_row(table, Variant.NOISY_CE, NoiseKind.UNIFORM, 0.0)
         assert a.final_acc_mean == b.final_acc_mean  # corruption is a no-op
 
     def test_workers_reproduce_serial_results(self, tmp_path):
@@ -147,6 +154,17 @@ class TestCliCommands:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert f"config error: {cfg_path}:2: bad value for 'rates'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["[train]\nclassifier_lr = nan\n",
+                                      "[train]\nweight_decay = -5\n",
+                                      "[blob]\ncluster_std = inf\n",
+                                      "[noise]\nrates = 0.4\nrates = 0.2\n"])
+    def test_run_bad_hyperparameter_or_repeated_key_exit_one(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {cfg_path}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_usage_error_exit_one(self, capsys):

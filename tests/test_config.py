@@ -1,9 +1,12 @@
+import math
+from dataclasses import fields
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metareweight.bilevel import TrainConfig, Variant
-from metareweight.config import (ConfigError, ExperimentConfig, parse_config,
+from metareweight.config import (_SCHEMA, ConfigError, ExperimentConfig, parse_config,
                                  parse_config_text, serialize_config)
 from metareweight.data import BlobSpec
 from metareweight.noise import NoiseKind
@@ -100,6 +103,139 @@ workers = 2
         with pytest.raises(ConfigError, match="variants"):
             parse_config_text("[experiment]\nvariants = fancy-net\n")
 
+    def test_repeated_key_names_key_and_line(self):
+        with pytest.raises(ConfigError, match=r"<config>:4: key 'rates' repeated in section \[noise\]"):
+            parse_config_text("[noise]\nrates = 0.4\nkinds = uniform\nrates = 0.2\n")
+
+    def test_repeated_key_across_headers_of_one_section(self):
+        with pytest.raises(ConfigError, match=r":4: key 'epochs' repeated"):
+            parse_config_text("[train]\nepochs = 3\n[train]\nepochs = 4\n")
+
+
+class TestHyperparameterRanges:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_classifier_lr(self, value):
+        with pytest.raises(ConfigError, match="learning rates must be finite and positive"):
+            parse_config_text(f"[train]\nclassifier_lr = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_meta_lr(self, value):
+        with pytest.raises(ConfigError, match="learning rates must be finite and positive"):
+            parse_config_text(f"[train]\nmeta_lr = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "-1e-300"])
+    def test_weight_decay(self, value):
+        with pytest.raises(ConfigError, match="weight_decay must be finite and >= 0"):
+            parse_config_text(f"[train]\nweight_decay = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_separation(self, value):
+        with pytest.raises(ConfigError, match="separation and cluster_std must be finite"):
+            parse_config_text(f"[blob]\nseparation = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_cluster_std(self, value):
+        with pytest.raises(ConfigError, match="separation and cluster_std must be finite"):
+            parse_config_text(f"[blob]\ncluster_std = {value}\n")
+
+    def test_zero_weight_decay_and_large_finite_values_accepted(self):
+        cfg = parse_config_text("[train]\nweight_decay = 0\nclassifier_lr = 1e308\n"
+                                "[blob]\nseparation = 1e308\n")
+        assert cfg.train.weight_decay == 0.0
+        assert math.isfinite(cfg.train.classifier_lr) and math.isfinite(cfg.blob.separation)
+
+
+class TestSchema:
+    def test_train_config_fields_are_the_train_keys(self):
+        assert ({f.name for f in fields(TrainConfig)}
+                == {name for name, _ in _SCHEMA["train"].values()})
+
+    def test_train_config_has_no_per_run_fields(self):
+        for name in ("meta_loss", "meta_is_noisy", "seed"):
+            with pytest.raises(TypeError):
+                TrainConfig(**{name: None})
+
+
+DEFAULT_CONFIG_TEXT = """\
+[blob]
+classes = 5
+dim = 20
+n_train = 2000
+n_meta = 200
+n_test = 2000
+separation = 3.0
+cluster_std = 1.0
+
+[noise]
+kinds = uniform
+rates = 0.0, 0.4
+
+[train]
+train_batch = 100
+meta_batch = 100
+classifier_lr = 0.05
+meta_lr = 0.001
+momentum = 0.9
+weight_decay = 0.0005
+epochs = 60
+lr_milestones = 36, 48
+
+[experiment]
+variants = clean-ce, noisy-ce, noisy-mae
+num_seeds = 5
+seed = 1
+output_dir = out
+workers = 1
+"""
+
+
+class TestSerializeBytes:
+    # config_resolved.cfg is part of the byte-identical output of a run, so
+    # the writer's exact bytes are pinned here, not only its meaning.
+    def test_defaults(self):
+        assert serialize_config(ExperimentConfig()) == DEFAULT_CONFIG_TEXT
+
+    def test_multi_value_config(self):
+        # empty lr_milestones leaves a trailing space, written here as \x20
+        cfg = ExperimentConfig(
+            blob=BlobSpec(num_classes=4, separation=2.5, cluster_std=1e-3),
+            noise_kinds=(NoiseKind.FLIP2, NoiseKind.UNIFORM),
+            noise_rates=(0.1, 0.25, 0.4),
+            variants=(Variant.NOISY_MAE, Variant.CLEAN_CE),
+            train=TrainConfig(classifier_lr=1, lr_milestones=()),
+            num_seeds=3, seed=-7, output_dir="my runs/a=b", workers=2)
+        assert serialize_config(cfg) == """\
+[blob]
+classes = 4
+dim = 20
+n_train = 2000
+n_meta = 200
+n_test = 2000
+separation = 2.5
+cluster_std = 0.001
+
+[noise]
+kinds = flip2, uniform
+rates = 0.1, 0.25, 0.4
+
+[train]
+train_batch = 100
+meta_batch = 100
+classifier_lr = 1
+meta_lr = 0.001
+momentum = 0.9
+weight_decay = 0.0005
+epochs = 60
+lr_milestones =\x20
+
+[experiment]
+variants = noisy-mae, clean-ce
+num_seeds = 3
+seed = -7
+output_dir = my runs/a=b
+workers = 2
+"""
+
 
 class TestGridEntries:
     def test_duplicate_rates_rejected(self):
@@ -153,12 +289,7 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def experiment_configs(draw):
-    """Configurations that set every key of the file format.
-
-    TrainConfig's meta_loss, meta_is_noisy and seed are set per run from
-    the variant and the experiment seed, so the file format has no keys for
-    them and they keep their defaults here.
-    """
+    """Configurations that set every key of the file format."""
     blob = BlobSpec(
         num_classes=draw(st.integers(2, 50)),
         dim=draw(st.integers(1, 100)),

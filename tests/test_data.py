@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from metareweight.data import (BlobSpec, CorruptedDataset, LabeledDataset, as_corrupted,
+from metareweight.data import (BlobSpec, CorruptedDataset, LabeledDataset,
                                make_blobs, save_dataset, standardize)
 from metareweight.noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from metareweight.numkit import Rng
@@ -137,9 +137,3 @@ class TestContainers:
         with pytest.raises(ValueError, match="flags"):
             CorruptedDataset(np.zeros((2, 1)), np.array([0, 1]), np.array([0, 0]),
                              np.array([False, False]), 2)
-
-    def test_as_corrupted_view(self):
-        ds = LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2)
-        view = as_corrupted(ds)
-        assert not view.is_corrupted.any()
-        assert np.array_equal(view.labels, ds.labels)

@@ -212,7 +212,7 @@ class TestWeightNet:
         for _ in range(50):
             net = WeightNet(rng, hidden=8)
             theta = rng.gaussians(net.num_params, 0.0, 0.5)
-            val = rng.uniform(0.0, 5.0)
+            val = rng.uniforms(1, 0.0, 5.0)[0]
             g = weight_grad_one(net, theta, val)
             fd = fd_grad(lambda p, net=net, val=val: weight_one(net, p, val), theta)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))

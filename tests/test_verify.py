@@ -193,6 +193,23 @@ class TestMcConvergence:
         assert -0.65 <= slope <= -0.35
 
 
+class TestCorruptionFrequencies:
+    @pytest.mark.parametrize("seed", [30, 33, 44])
+    def test_passes_at_seeds_the_three_sigma_limit_failed(self, seed):
+        # the old limit of 3 standard errors on each of 40 cells failed on
+        # correct sampling at these seeds
+        result = verify.corruption_frequency_check(Rng(seed).spawn(103))
+        assert result.passed, result.detail
+        assert "limit 4.71" in result.detail
+
+    def test_rate_off_by_two_points_fails(self):
+        # power: sampling at rate 0.42 against the rate-0.4 model is caught
+        for seed in range(1, 31):
+            result = verify.corruption_frequency_check(Rng(seed).spawn(103),
+                                                       sample_rate=0.42)
+            assert not result.passed, f"seed {seed}: {result.detail}"
+
+
 class TestRunAll:
     def test_all_properties_pass(self):
         results = verify.run_all()
