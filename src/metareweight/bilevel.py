@@ -26,19 +26,17 @@ cross-entropy, or noisy meta with mean absolute error (the robust one).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .data import CorruptedDataset, LabeledDataset
+from .data import CorruptedDataset, LabeledDataset, dataclass_csv
 from .losses import LossKind
 from .metrics import accuracy, auc_noisy_detection
 from .nets import ClassifierNet, WeightNet
-from .numkit import Rng
+from .numkit import Rng, as_vec, check_fields
 
 _INIT_CLASSIFIER_STREAM = 11
 _INIT_WEIGHTNET_STREAM = 12
@@ -78,16 +76,13 @@ class TrainConfig:
     lr_milestones: tuple[int, ...] = (36, 48)
 
     def __post_init__(self):
-        if self.train_batch < 1 or self.meta_batch < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if not (0 < self.classifier_lr < math.inf and 0 < self.meta_lr < math.inf):
-            raise ValueError("learning rates must be finite and positive")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.epochs < 1:
-            raise ValueError("need at least one epoch")
+        check_fields(self, ("train_batch", "meta_batch", "epochs"), lambda v: v >= 1,
+                     "be >= 1")
+        check_fields(self, ("classifier_lr", "meta_lr"), lambda v: 0 < v < math.inf,
+                     "be finite and positive")
+        check_fields(self, ("weight_decay",), lambda v: 0 <= v < math.inf,
+                     "be finite and >= 0")
+        check_fields(self, ("momentum",), lambda v: 0 <= v < 1, "lie in [0, 1)")
         if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
             raise ValueError("lr milestones must be strictly increasing")
 
@@ -103,8 +98,13 @@ class Batch:
 
 @dataclass
 class BilevelState:
+    """The two nets and the vectors training moves: classifier parameters,
+    weighting parameters and the classifier's momentum buffer."""
+
     classifier: ClassifierNet
     weightnet: WeightNet
+    params: np.ndarray
+    theta: np.ndarray
     momentum_buffer: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -122,8 +122,7 @@ def train_losses_and_grads(state: BilevelState, train_batch: Batch):
     The pieces below take this pair instead of recomputing it."""
     _require_nonempty(train_batch, "train")
     return state.classifier.losses_and_grads_batch(
-        state.classifier.get_flat(), train_batch.features, train_batch.labels,
-        LossKind.CE)
+        state.params, train_batch.features, train_batch.labels, LossKind.CE)
 
 
 def virtual_step(state: BilevelState, weights: np.ndarray, grads: np.ndarray,
@@ -133,7 +132,7 @@ def virtual_step(state: BilevelState, weights: np.ndarray, grads: np.ndarray,
     w_hat = w - (alpha/n) * sum_i weight_i * grad_i, with the per-sample
     gradients taken at the current parameters w.
     """
-    return state.classifier.get_flat() - (alpha / weights.size) * (weights @ grads)
+    return state.params - (alpha / weights.size) * (weights @ grads)
 
 
 def meta_gradient_at(classifier: ClassifierNet, params: np.ndarray,
@@ -157,8 +156,7 @@ def theta_gradient(state: BilevelState, losses: np.ndarray, grads: np.ndarray,
     is a constant here; samples whose training gradient aligns with the
     average meta-gradient get their weights pushed up.
     """
-    weights, theta_grads = state.weightnet.forward_and_grads_batch(
-        state.weightnet.get_flat(), losses)
+    weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
     w_hat = virtual_step(state, weights, grads, alpha)
     g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, kind)
     return -(alpha / losses.size) * ((grads @ g_meta) @ theta_grads)
@@ -167,10 +165,11 @@ def theta_gradient(state: BilevelState, losses: np.ndarray, grads: np.ndarray,
 def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
                  weight_decay: float = 0.0) -> None:
     """Plain SGD with weight decay on the weighting parameters (no momentum)."""
-    theta = state.weightnet.get_flat()
+    theta = state.theta
     if theta_grad.shape != theta.shape:
         raise ValueError("theta gradient is not aligned with the weighting params")
-    state.weightnet.set_flat(theta - beta * (theta_grad + weight_decay * theta))
+    state.theta = as_vec(theta - beta * (theta_grad + weight_decay * theta),
+                         "weighting-net parameter vector")
 
 
 def classifier_update(state: BilevelState, losses: np.ndarray, grads: np.ndarray,
@@ -181,11 +180,11 @@ def classifier_update(state: BilevelState, losses: np.ndarray, grads: np.ndarray
     v <- momentum*v + (mean_i weight_i*grad_i + weight_decay*w);
     w <- w - alpha*v.
     """
-    weights = state.weightnet.forward_batch(state.weightnet.get_flat(), losses)
-    w = state.classifier.get_flat()
+    weights = state.weightnet.forward_batch(state.theta, losses)
+    w = state.params
     state.momentum_buffer = (momentum * state.momentum_buffer
                              + ((weights @ grads) / losses.size + weight_decay * w))
-    state.classifier.set_flat(w - alpha * state.momentum_buffer)
+    state.params = as_vec(w - alpha * state.momentum_buffer, "classifier parameter vector")
 
 
 def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,
@@ -229,14 +228,7 @@ class RunReport:
         return float(np.nan) if np.all(np.isnan(aucs)) else float(np.nanmax(aucs))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["epoch", "test_accuracy", "train_auc",
-                         "mean_weight_clean", "mean_weight_corrupt"])
-        for e in self.epochs:
-            writer.writerow([e.epoch, repr(e.test_accuracy), repr(e.train_auc),
-                             repr(e.mean_weight_clean), repr(e.mean_weight_corrupt)])
-        return buf.getvalue()
+        return dataclass_csv(EpochMetrics, self.epochs)
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -250,11 +242,11 @@ def _scheduled_lr(cfg: TrainConfig, epoch: int) -> float:
 
 def _epoch_metrics(state: BilevelState, epoch: int, train: CorruptedDataset,
                    test: LabeledDataset) -> EpochMetrics:
-    params = state.classifier.get_flat()
+    params = state.params
     test_acc = accuracy(state.classifier.predict_batch(params, test.features), test.labels)
     losses = state.classifier.losses_batch(
         params, train.features, train.observed_labels, LossKind.CE)
-    weights = state.weightnet.forward_batch(state.weightnet.get_flat(), losses)
+    weights = state.weightnet.forward_batch(state.theta, losses)
     corrupted = train.is_corrupted
     if corrupted.any() and not corrupted.all():
         auc = auc_noisy_detection(weights, corrupted)
@@ -273,7 +265,9 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
     reads only its ``features`` and ``labels``.  The caller decides from
     ``variant.meta_is_noisy`` whether to corrupt it; the meta loss is
     ``variant.meta_loss``.  ``seed`` fixes the network initialization and
-    the minibatch order.
+    the minibatch order.  A step that fails, e.g. because an update made a
+    parameter vector non-finite, raises a ``ValueError`` naming the epoch
+    and the step within it.
     """
     if train_data.dim != meta_data.dim or train_data.dim != test_data.dim:
         raise ValueError("feature dimensions differ across splits")
@@ -282,12 +276,12 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
         raise ValueError("class counts differ across splits")
 
     root = Rng(seed)
-    classifier = ClassifierNet(
-        [train_data.dim, *HIDDEN_SIZES, train_data.num_classes],
-        root.spawn(_INIT_CLASSIFIER_STREAM))
-    weightnet = WeightNet(root.spawn(_INIT_WEIGHTNET_STREAM))
+    classifier = ClassifierNet([train_data.dim, *HIDDEN_SIZES, train_data.num_classes])
+    weightnet = WeightNet()
+    state = BilevelState(classifier, weightnet,
+                         classifier.init_params(root.spawn(_INIT_CLASSIFIER_STREAM)),
+                         weightnet.init_params(root.spawn(_INIT_WEIGHTNET_STREAM)))
     loop_rng = root.spawn(_LOOP_STREAM)
-    state = BilevelState(classifier, weightnet)
 
     x_train, y_train = train_data.features, train_data.observed_labels
     x_meta, y_meta = meta_data.features, meta_data.labels
@@ -297,13 +291,16 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
     for epoch in range(cfg.epochs):
         alpha = _scheduled_lr(cfg, epoch)
         order = loop_rng.permutation(n_train)
-        for start in range(0, n_train, cfg.train_batch):
+        for step, start in enumerate(range(0, n_train, cfg.train_batch)):
             idx = order[start:start + cfg.train_batch]
             meta_idx = loop_rng.randints(cfg.meta_batch, n_meta)
-            bilevel_step(
-                state,
-                Batch(x_train[idx], y_train[idx]),
-                Batch(x_meta[meta_idx], y_meta[meta_idx]),
-                cfg, alpha, variant.meta_loss)
+            try:
+                bilevel_step(
+                    state,
+                    Batch(x_train[idx], y_train[idx]),
+                    Batch(x_meta[meta_idx], y_meta[meta_idx]),
+                    cfg, alpha, variant.meta_loss)
+            except ValueError as exc:
+                raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
         report.epochs.append(_epoch_metrics(state, epoch, train_data, test_data))
     return report

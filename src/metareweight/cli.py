@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,7 +28,7 @@ from . import verify
 from .bilevel import RunReport, Variant, train
 from .config import (ConfigError, ExperimentConfig, parse_config, rate_label,
                      serialize_config)
-from .data import BlobSpec, make_blobs, save_dataset, standardize
+from .data import BlobSpec, dataclass_csv, make_blobs, save_dataset, standardize
 from .noise import NoiseKind, NoiseSpec, build_transition, corrupt, majority_feasibility
 from .numkit import Rng
 
@@ -69,19 +68,7 @@ class ResultTable:
     rows: list[ResultRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["variant", "noise_kind", "noise_rate", "num_seeds",
-                         "final_acc_mean", "final_acc_std",
-                         "best_auc_mean", "best_auc_std",
-                         "final_auc_mean", "final_auc_std"])
-        for r in self.rows:
-            writer.writerow([r.variant.value, r.noise_kind.value, repr(r.noise_rate),
-                             r.num_seeds,
-                             repr(r.final_acc_mean), repr(r.final_acc_std),
-                             repr(r.best_auc_mean), repr(r.best_auc_std),
-                             repr(r.final_auc_mean), repr(r.final_auc_std)])
-        return buf.getvalue()
+        return dataclass_csv(ResultRow, self.rows)
 
 
 def run_single(cfg: ExperimentConfig, variant: Variant, kind: NoiseKind,

@@ -11,12 +11,12 @@ defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .bilevel import TrainConfig, Variant
-from .data import BlobSpec
+from .data import BlobSpec, format_value
 from .noise import NoiseKind
+from .numkit import check_fields
 
 
 def rate_label(rate: float) -> str:
@@ -66,10 +66,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.num_seeds < 1:
-            raise ValueError("num_seeds must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_fields(self, ("num_seeds", "workers"), lambda v: v >= 1, "be >= 1")
         if not self.noise_kinds or not self.noise_rates or not self.variants:
             raise ValueError("noise kinds, rates, and variants must be nonempty")
         for rate in self.noise_rates:
@@ -170,10 +167,8 @@ def parse_config(path) -> ExperimentConfig:
 
 def _format_value(value) -> str:
     if isinstance(value, tuple):
-        return ", ".join(_format_value(v) for v in value)
-    if isinstance(value, Enum):
-        return value.value
-    return repr(value) if isinstance(value, float) else str(value)
+        return ", ".join(map(format_value, value))
+    return format_value(value)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -11,12 +11,14 @@ train; the test split stays clean throughout the package.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 
-from .numkit import Rng
+from .numkit import Rng, check_fields
 
 _MEANS_STREAM = 1
 _SPLIT_STREAMS = {"train": 2, "meta": 3, "test": 4}
@@ -89,12 +91,11 @@ class BlobSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2 or self.dim < 1:
-            raise ValueError("need at least 2 classes and 1 feature dimension")
-        if min(self.n_train, self.n_meta, self.n_test) < 1:
-            raise ValueError("every split needs at least one sample")
-        if not (0 < self.separation < math.inf and 0 < self.cluster_std < math.inf):
-            raise ValueError("separation and cluster_std must be finite and positive")
+        check_fields(self, ("num_classes",), lambda v: v >= 2, "be >= 2")
+        check_fields(self, ("dim", "n_train", "n_meta", "n_test"), lambda v: v >= 1,
+                     "be >= 1")
+        check_fields(self, ("separation", "cluster_std"), lambda v: 0 < v < math.inf,
+                     "be finite and positive")
 
 
 @dataclass
@@ -151,6 +152,24 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
 
 
 # -- CSV export -------------------------------------------------------------
+
+
+def format_value(value) -> str:
+    """A scalar as CSV and config files write it (floats round-trip exactly)."""
+    if isinstance(value, Enum):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def dataclass_csv(cls, rows) -> str:
+    """A header of ``cls``'s field names in order, then one row per instance."""
+    names = [f.name for f in fields(cls)]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(names)
+    for row in rows:
+        writer.writerow([format_value(getattr(row, name)) for name in names])
+    return buf.getvalue()
 
 
 def save_dataset(ds, path) -> None:

@@ -133,6 +133,15 @@ class Rng:
 # -- array validation ---------------------------------------------------------
 
 
+def check_fields(obj, names, ok, rule: str) -> None:
+    """ValueError naming the first field of ``obj`` in ``names`` whose value
+    fails ``ok``, with the ``rule`` it breaks and the value."""
+    for name in names:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise ValueError(f"{name} must {rule}, got {value}")
+
+
 def as_vec(x, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:

@@ -195,9 +195,8 @@ def variance_bound_check(classifier: ClassifierNet, params: np.ndarray,
 # -- finite-difference oracle for the weighting-parameter gradient -----------
 
 
-def finite_diff_theta_grad(classifier: ClassifierNet, weightnet: WeightNet,
-                           train_batch: Batch, meta_batch: Batch,
-                           alpha: float, kind: LossKind,
+def finite_diff_theta_grad(state: BilevelState, train_batch: Batch,
+                           meta_batch: Batch, alpha: float, kind: LossKind,
                            step: float = FD_STEP) -> np.ndarray:
     """Central differences of theta -> mean meta loss after the virtual step.
 
@@ -207,8 +206,8 @@ def finite_diff_theta_grad(classifier: ClassifierNet, weightnet: WeightNet,
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    w0 = classifier.get_flat()
-    theta0 = weightnet.get_flat()
+    classifier, weightnet = state.classifier, state.weightnet
+    w0, theta0 = state.params, state.theta
     losses, grads = classifier.losses_and_grads_batch(
         w0, train_batch.features, train_batch.labels, LossKind.CE)
     n = len(train_batch)
@@ -235,7 +234,7 @@ def composed_meta_objective(state: BilevelState, train_batch: Batch,
                             kind: LossKind) -> float:
     """Mean meta loss at the virtually updated classifier."""
     losses, grads = train_losses_and_grads(state, train_batch)
-    weights = state.weightnet.forward_batch(state.weightnet.get_flat(), losses)
+    weights = state.weightnet.forward_batch(state.theta, losses)
     w_hat = virtual_step(state, weights, grads, alpha)
     return float(state.classifier.losses_batch(
         w_hat, meta_batch.features, meta_batch.labels, kind).mean())
@@ -246,11 +245,13 @@ def composed_meta_objective(state: BilevelState, train_batch: Batch,
 
 def random_classifier_instance(rng: Rng, num_classes: int, dim: int = 4,
                                hidden=(8,), batch: int = 6):
-    """Small random net plus a feature/label batch at a random point."""
-    classifier = ClassifierNet([dim, *hidden, num_classes], rng)
+    """Small random net, a random point ``params`` of it, and a
+    feature/label batch."""
+    classifier = ClassifierNet([dim, *hidden, num_classes])
+    params = classifier.init_params(rng)
     features = rng.gaussians(batch * dim).reshape(batch, dim)
     labels = rng.randints(batch, num_classes)
-    return classifier, features, labels
+    return classifier, params, features, labels
 
 
 def random_hypergrad_instance(rng: Rng, dim: int = 3, num_classes: int = 3,
@@ -267,16 +268,17 @@ def random_hypergrad_instance(rng: Rng, dim: int = 3, num_classes: int = 3,
     so small that relative comparison is meaningless.
     """
     while True:
-        classifier = ClassifierNet([dim, *hidden, num_classes], rng)
-        weightnet = WeightNet(rng)
+        classifier = ClassifierNet([dim, *hidden, num_classes])
+        weightnet = WeightNet()
+        params = classifier.init_params(rng)
+        theta = weightnet.init_params(rng)
         train_batch = Batch(rng.gaussians(n_train * dim).reshape(n_train, dim),
                             rng.randints(n_train, num_classes))
         meta_batch = Batch(rng.gaussians(n_meta * dim).reshape(n_meta, dim),
                            rng.randints(n_meta, num_classes))
-        state = BilevelState(classifier, weightnet)
+        state = BilevelState(classifier, weightnet, params, theta)
 
         losses, grads = train_losses_and_grads(state, train_batch)
-        theta = weightnet.get_flat()
         wn_pre = weightnet.hidden_preactivations(theta, losses)
         w_hat = virtual_step(state, weightnet.forward_batch(theta, losses), grads, alpha)
         cl_pre = classifier.hidden_preactivations(w_hat, meta_batch.features)
@@ -297,9 +299,8 @@ def mc_convergence_slope(rng: Rng, eta: float = 0.4, num_classes: int = 5,
                          repeats: int = 40) -> float:
     """Log-log slope of |sampled mean - exact expectation| against the
     number of sampled corrupted minibatches (should be about -1/2)."""
-    classifier, features, labels = random_classifier_instance(
+    classifier, params, features, labels = random_classifier_instance(
         rng, num_classes, batch=batch)
-    params = classifier.get_flat()
     g_all = per_label_gradients(classifier, params, features, LossKind.MAE)
     expected = expected_uniform_gradient(classifier, params, features, labels,
                                          eta, LossKind.MAE)
@@ -339,8 +340,7 @@ def _prop_uniform_expectation(seed: int) -> list[PropertyResult]:
     for k in classes:
         for eta in rates:
             for _ in range(per_cell):
-                classifier, x, y = random_classifier_instance(rng, k)
-                params = classifier.get_flat()
+                classifier, params, x, y = random_classifier_instance(rng, k)
                 rep = equivalence_report(classifier, params, x, y, eta, LossKind.MAE)
                 worst_mae = max(worst_mae, rep.relative_residual)
                 rep_ce = equivalence_report(classifier, params, x, y, eta, LossKind.CE)
@@ -434,8 +434,7 @@ def _prop_flip(seed: int) -> list[PropertyResult]:
     witness = 0.0
     found = False
     for _ in range(10):
-        classifier, x, y = random_classifier_instance(rng, k)
-        params = classifier.get_flat()
+        classifier, params, x, y = random_classifier_instance(rng, k)
         targets = (np.arange(k) + 1 + rng.randint(k - 1)) % k
         clean = clean_mean_gradient(classifier, params, x, y, LossKind.MAE)
         g = expected_flip_gradient(classifier, params, x, y, 0.4, targets, LossKind.MAE)
@@ -443,8 +442,7 @@ def _prop_flip(seed: int) -> list[PropertyResult]:
         if witness > 1e-3:
             found = True
             break
-    classifier, x, y = random_classifier_instance(rng, k)
-    params = classifier.get_flat()
+    classifier, params, x, y = random_classifier_instance(rng, k)
     clean = clean_mean_gradient(classifier, params, x, y, LossKind.MAE)
     maps = list(all_flip_maps(k))
     avg = np.mean([expected_flip_gradient(classifier, params, x, y, 0.4, t, LossKind.MAE)
@@ -464,8 +462,7 @@ def _prop_hypergradient(seed: int) -> list[PropertyResult]:
     for i in range(20):
         kind = LossKind.MAE if i % 2 == 0 else LossKind.CE
         state, tb, mb, analytic = random_hypergrad_instance(rng, kind=kind)
-        fd = finite_diff_theta_grad(state.classifier, state.weightnet, tb, mb,
-                                    0.1, kind)
+        fd = finite_diff_theta_grad(state, tb, mb, 0.1, kind)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         worst = max(worst, rel)
     descent_ok = True
@@ -474,7 +471,7 @@ def _prop_hypergradient(seed: int) -> list[PropertyResult]:
         kind = LossKind.MAE if i % 2 == 0 else LossKind.CE
         state, tb, mb, analytic = random_hypergrad_instance(rng, kind=kind)
         before = composed_meta_objective(state, tb, mb, 0.1, kind)
-        state.weightnet.set_flat(state.weightnet.get_flat() - 1e-6 * analytic)
+        state.theta = state.theta - 1e-6 * analytic
         after = composed_meta_objective(state, tb, mb, 0.1, kind)
         descent_ok &= after <= before + 1e-12 * max(1.0, abs(before))
         detail_drop = min(detail_drop, before - after)
@@ -492,10 +489,10 @@ def _prop_variance_bound(seed: int) -> list[PropertyResult]:
     configs = 100
     for _ in range(configs):
         k = 5
-        classifier, x, y = random_classifier_instance(rng, k, dim=4, hidden=(8,),
-                                                      batch=40)
+        classifier, params, x, y = random_classifier_instance(
+            rng, k, dim=4, hidden=(8,), batch=40)
         pool = LabeledDataset(x, y, k)
-        rep = variance_bound_check(classifier, classifier.get_flat(), pool,
+        rep = variance_bound_check(classifier, params, pool,
                                    eta=0.4, m=20, trials=1200, rng=rng)
         holds += rep.holds
     return [PropertyResult(

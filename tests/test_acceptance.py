@@ -50,8 +50,7 @@ class TestExpectationEquivalence:
         for k in (3, 5, 10):
             for eta in (0.2, 0.4, 0.6, 0.8):
                 for _ in range(17):
-                    c, x, y = verify.random_classifier_instance(rng, k)
-                    params = c.get_flat()
+                    c, params, x, y = verify.random_classifier_instance(rng, k)
                     rep = verify.equivalence_report(c, params, x, y, eta, LossKind.MAE)
                     worst_mae = max(worst_mae, rep.relative_residual)
                     rep_ce = verify.equivalence_report(c, params, x, y, eta, LossKind.CE)
@@ -77,8 +76,7 @@ class TestHypergradient:
             state, tb, mb, analytic = verify.random_hypergrad_instance(
                 rng, dim=3, num_classes=3, n_train=4, n_meta=4,
                 kink_margin=1e-5, kind=kind)
-            fd = verify.finite_diff_theta_grad(state.classifier, state.weightnet,
-                                               tb, mb, 0.1, kind)
+            fd = verify.finite_diff_theta_grad(state, tb, mb, 0.1, kind)
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
             worst = max(worst, rel)
         elapsed = time.monotonic() - start
@@ -150,8 +148,7 @@ class TestFlipAnalysis:
         tries = 0
         for _ in range(10):
             tries += 1
-            c, x, y = verify.random_classifier_instance(rng, 3)
-            params = c.get_flat()
+            c, params, x, y = verify.random_classifier_instance(rng, 3)
             clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
             shift = 1 + rng.randint(2)
             targets = (np.arange(3) + shift) % 3
@@ -162,8 +159,7 @@ class TestFlipAnalysis:
                 break
         assert witness > 1e-3, f"no witness in 10 instances (best {witness:.3e})"
 
-        c, x, y = verify.random_classifier_instance(rng, 3)
-        params = c.get_flat()
+        c, params, x, y = verify.random_classifier_instance(rng, 3)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         maps = list(verify.all_flip_maps(3))
         avg = np.mean([verify.expected_flip_gradient(c, params, x, y, 0.4, t,
@@ -182,10 +178,10 @@ class TestVarianceBound:
         rng = Rng(verify.DEFAULT_VERIFY_SEED).spawn(6)
         holds = 0
         for _ in range(100):
-            c, x, y = verify.random_classifier_instance(rng, 5, dim=4, hidden=(8,),
-                                                        batch=40)
+            c, params, x, y = verify.random_classifier_instance(rng, 5, dim=4, hidden=(8,),
+                                                                batch=40)
             pool = LabeledDataset(x, y, 5)
-            rep = verify.variance_bound_check(c, c.get_flat(), pool, eta=0.4,
+            rep = verify.variance_bound_check(c, params, pool, eta=0.4,
                                               m=20, trials=1200, rng=rng)
             holds += rep.holds
         elapsed = time.monotonic() - start

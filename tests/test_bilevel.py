@@ -15,11 +15,13 @@ from metareweight.verify import composed_meta_objective, random_hypergrad_instan
 
 def tiny_state(seed=0, dim=3, k=3, hidden=(5,), wn_hidden=8, randomize_wn=True):
     rng = Rng(seed)
-    classifier = ClassifierNet([dim, *hidden, k], rng)
-    weightnet = WeightNet(rng, hidden=wn_hidden)
+    classifier = ClassifierNet([dim, *hidden, k])
+    weightnet = WeightNet(hidden=wn_hidden)
+    params = classifier.init_params(rng)
+    theta = weightnet.init_params(rng)
     if randomize_wn:
-        weightnet.set_flat(rng.gaussians(weightnet.num_params, 0.0, 0.4))
-    return BilevelState(classifier, weightnet), rng
+        theta = rng.gaussians(weightnet.num_params, 0.0, 0.4)
+    return BilevelState(classifier, weightnet, params, theta), rng
 
 
 def tiny_batch(rng, n, dim, k):
@@ -27,7 +29,7 @@ def tiny_batch(rng, n, dim, k):
 
 
 def weights_of(state, losses):
-    return state.weightnet.forward_batch(state.weightnet.get_flat(), losses)
+    return state.weightnet.forward_batch(state.theta, losses)
 
 
 def lookahead(state, batch, alpha):
@@ -51,12 +53,12 @@ class TestVirtualStep:
     def test_zero_lr_is_identity(self):
         state, rng = tiny_state()
         w_hat = lookahead(state, tiny_batch(rng, 4, 3, 3), 0.0)
-        assert np.array_equal(w_hat, state.classifier.get_flat())
+        assert np.array_equal(w_hat, state.params)
 
     def test_single_sample_hand_formula(self):
         state, rng = tiny_state(1)
         batch = tiny_batch(rng, 1, 3, 3)
-        w = state.classifier.get_flat()
+        w = state.params
         loss, g = sample_grad(state, w, batch, 0, LossKind.CE)
         weight = weights_of(state, [loss])[0]
         expect = w - 0.1 * weight * g
@@ -68,7 +70,7 @@ class TestVirtualStep:
         with pytest.raises(ValueError, match="train batch is empty"):
             train_losses_and_grads(state, empty)
         with pytest.raises(ValueError, match="meta batch is empty"):
-            meta_gradient_at(state.classifier, state.classifier.get_flat(), empty,
+            meta_gradient_at(state.classifier, state.params, empty,
                              LossKind.MAE)
 
     def test_duplicating_batch_is_invariant(self):
@@ -83,7 +85,7 @@ class TestMetaGradient:
     def test_single_sample_equals_per_sample_grad(self):
         state, rng = tiny_state(3)
         batch = tiny_batch(rng, 1, 3, 3)
-        w_hat = state.classifier.get_flat() + 0.01
+        w_hat = state.params + 0.01
         g = meta_gradient_at(state.classifier, w_hat, batch, LossKind.MAE)
         _, expect = sample_grad(state, w_hat, batch, 0, LossKind.MAE)
         assert np.array_equal(g, expect)
@@ -91,7 +93,7 @@ class TestMetaGradient:
     def test_duplicated_batch_same_average(self):
         state, rng = tiny_state(4)
         batch = tiny_batch(rng, 3, 3, 3)
-        w_hat = state.classifier.get_flat()
+        w_hat = state.params
         a = meta_gradient_at(state.classifier, w_hat, batch, LossKind.CE)
         b = meta_gradient_at(state.classifier, w_hat, doubled(batch), LossKind.CE)
         assert np.allclose(a, b, atol=1e-14)
@@ -99,19 +101,11 @@ class TestMetaGradient:
     def test_equals_mean_of_per_sample_grads(self):
         state, rng = tiny_state(5)
         batch = tiny_batch(rng, 6, 3, 3)
-        w_hat = state.classifier.get_flat() - 0.02
+        w_hat = state.params - 0.02
         g = meta_gradient_at(state.classifier, w_hat, batch, LossKind.MAE)
         rows = [sample_grad(state, w_hat, batch, i, LossKind.MAE)[1]
                 for i in range(len(batch))]
         assert np.linalg.norm(g - np.mean(rows, axis=0)) <= 1e-12
-
-    def test_restores_classifier_params(self):
-        # evaluating at another point leaves the stored parameters untouched
-        state, rng = tiny_state(6)
-        before = state.classifier.get_flat()
-        meta_gradient_at(state.classifier, before + 1.0, tiny_batch(rng, 2, 3, 3),
-                         LossKind.CE)
-        assert np.array_equal(state.classifier.get_flat(), before)
 
 
 class TestThetaGradient:
@@ -121,8 +115,7 @@ class TestThetaGradient:
         for i in range(6):
             kind = LossKind.MAE if i % 2 == 0 else LossKind.CE
             state, tb, mb, analytic = random_hypergrad_instance(rng, kind=kind)
-            fd = finite_diff_theta_grad(state.classifier, state.weightnet,
-                                        tb, mb, 0.1, kind)
+            fd = finite_diff_theta_grad(state, tb, mb, 0.1, kind)
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
             assert rel <= 1e-4
 
@@ -188,42 +181,50 @@ class TestThetaGradient:
 class TestThetaUpdate:
     def test_zero_gradient_zero_decay_unchanged(self):
         state, _ = tiny_state(12)
-        theta = state.weightnet.get_flat()
+        theta = state.theta
         theta_update(state, np.zeros_like(theta), 0.5, 0.0)
-        assert np.array_equal(state.weightnet.get_flat(), theta)
+        assert np.array_equal(state.theta, theta)
 
     def test_zero_lr_unchanged(self):
         state, rng = tiny_state(13)
-        theta = state.weightnet.get_flat()
+        theta = state.theta
         theta_update(state, rng.gaussians(theta.size), 0.0, 0.0)
-        assert np.array_equal(state.weightnet.get_flat(), theta)
+        assert np.array_equal(state.theta, theta)
 
     def test_hand_arithmetic(self):
         state, _ = tiny_state(14, wn_hidden=2)
-        state.weightnet.set_flat(np.ones(state.weightnet.num_params))
+        state.theta = np.ones(state.weightnet.num_params)
         theta_update(state, np.full(state.weightnet.num_params, 2.0), 0.1, 0.0)
-        assert np.allclose(state.weightnet.get_flat(), 0.8, atol=1e-15)
+        assert np.allclose(state.theta, 0.8, atol=1e-15)
 
     def test_misaligned_gradient_rejected(self):
         state, _ = tiny_state(15)
         with pytest.raises(ValueError):
             theta_update(state, np.zeros(3), 0.1)
 
+    def test_nonfinite_result_rejected_and_named(self):
+        state, _ = tiny_state(15)
+        theta = state.theta
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="weighting-net parameter vector contains non-finite"):
+            theta_update(state, np.full(theta.size, 1e300), 1e300)
+        assert state.theta is theta
+
 
 class TestClassifierUpdate:
     def test_plain_step_at_zero_momentum_decay(self):
         state, rng = tiny_state(16)
         losses, grads = train_losses_and_grads(state, tiny_batch(rng, 4, 3, 3))
-        expect = state.classifier.get_flat() - 0.1 * (weights_of(state, losses) @ grads) / 4
+        expect = state.params - 0.1 * (weights_of(state, losses) @ grads) / 4
         classifier_update(state, losses, grads, 0.1, momentum=0.0, weight_decay=0.0)
-        assert np.allclose(state.classifier.get_flat(), expect, atol=1e-15)
+        assert np.allclose(state.params, expect, atol=1e-15)
 
     def test_fresh_weightnet_is_half_unweighted_step(self):
         state, rng = tiny_state(17, randomize_wn=False)  # fresh net: weight 0.5
         losses, grads = train_losses_and_grads(state, tiny_batch(rng, 4, 3, 3))
-        before = state.classifier.get_flat()
+        before = state.params
         classifier_update(state, losses, grads, 0.1, momentum=0.0, weight_decay=0.0)
-        step = before - state.classifier.get_flat()
+        step = before - state.params
         assert np.allclose(step, 0.5 * 0.1 * grads.mean(axis=0), atol=1e-15)
 
     def test_momentum_recurrence_with_zero_gradient(self):
@@ -232,13 +233,23 @@ class TestClassifierUpdate:
         state, rng = tiny_state(18)
         losses, grads = train_losses_and_grads(state, tiny_batch(rng, 3, 3, 3))
         state.momentum_buffer = np.ones(state.classifier.num_params)
-        w0 = state.classifier.get_flat()
+        w0 = state.params
         classifier_update(state, losses, grads, 0.0, momentum=0.9, weight_decay=0.0)
-        assert np.array_equal(state.classifier.get_flat(), w0)  # alpha 0: frozen
+        assert np.array_equal(state.params, w0)  # alpha 0: frozen
         mean = (weights_of(state, losses) @ grads) / 3
         expect_v = 0.9 * (0.9 * np.ones_like(w0) + mean) + mean
         classifier_update(state, losses, grads, 0.0, momentum=0.9, weight_decay=0.0)
         assert np.allclose(state.momentum_buffer, expect_v, atol=1e-14)
+
+    def test_nonfinite_result_rejected_and_named(self):
+        state, rng = tiny_state(18)
+        losses, grads = train_losses_and_grads(state, tiny_batch(rng, 3, 3, 3))
+        params = state.params
+        state.momentum_buffer = np.full(state.classifier.num_params, 1e300)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="classifier parameter vector contains non-finite"):
+            classifier_update(state, losses, grads, 1e300, momentum=0.9)
+        assert state.params is params
 
 
 class TestFusedStep:
@@ -253,7 +264,7 @@ class TestFusedStep:
         batch = tiny_batch(rng, 4, 3, 3)
         meta = tiny_batch(rng, 4, 3, 3)
         clf, wn = state.classifier, state.weightnet
-        w, theta, v, alpha = clf.get_flat(), wn.get_flat(), state.momentum_buffer, 0.1
+        w, theta, v, alpha = state.params, state.theta, state.momentum_buffer, 0.1
 
         losses, grads = clf.losses_and_grads_batch(w, batch.features, batch.labels,
                                                    LossKind.CE)
@@ -267,9 +278,9 @@ class TestFusedStep:
                                     + cfg.weight_decay * w)
 
         bilevel_step(state, batch, meta, cfg, alpha, LossKind.MAE)
-        assert np.array_equal(wn.get_flat(), theta_new)
+        assert np.array_equal(state.theta, theta_new)
         assert np.array_equal(state.momentum_buffer, v_new)
-        assert np.array_equal(clf.get_flat(), w - alpha * v_new)
+        assert np.array_equal(state.params, w - alpha * v_new)
 
 
 def quick_splits(rate=0.0, seed=0, spec=None):
@@ -323,6 +334,14 @@ class TestTrainLoop:
         a = train(Variant.CLEAN_CE, train_split, meta_split, test, cfg, seed=7)
         b = train(Variant.NOISY_CE, train_split, meta_split, test, cfg, seed=7)
         assert a.to_csv() == b.to_csv()
+
+    @pytest.mark.parametrize("lrs", [dict(classifier_lr=1e100), dict(meta_lr=1e200)])
+    def test_divergence_names_epoch_and_step(self, lrs):
+        train_split, meta_split, test = quick_splits(rate=0.3)
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=(), **lrs)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"^epoch 0, step \d+: .*non-finite entries"):
+            train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=1)
 
     def test_lr_schedule_divides_by_ten(self):
         from metareweight.bilevel import _scheduled_lr

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from metareweight.bilevel import TrainConfig, Variant
-from metareweight.cli import main, run_experiment, run_single
+from metareweight.cli import ResultRow, ResultTable, main, run_experiment, run_single
 from metareweight.config import ExperimentConfig
 from metareweight.data import BlobSpec
 from metareweight.noise import NoiseKind
@@ -108,6 +109,17 @@ class TestRunExperiment:
             run_experiment(tiny_cfg(), out_dir=tmp_path)
 
 
+class TestResultCsv:
+    def test_bytes_of_a_table(self):
+        # header = field names in order; enums by value, floats by repr
+        table = ResultTable([ResultRow(Variant.NOISY_MAE, NoiseKind.FLIP2, 0.4, 5,
+                                       0.1 + 0.2, 0.0, 1.0, float("nan"), 0.5, 1e-17)])
+        assert table.to_csv() == (
+            "variant,noise_kind,noise_rate,num_seeds,final_acc_mean,final_acc_std,"
+            "best_auc_mean,best_auc_std,final_auc_mean,final_auc_std\r\n"
+            "noisy-mae,flip2,0.4,5,0.30000000000000004,0.0,1.0,nan,0.5,1e-17\r\n")
+
+
 class TestRunSingle:
     def test_same_data_and_init_across_variants(self):
         # paired comparison: variants of a cell share data and classifier init
@@ -167,6 +179,13 @@ class TestCliCommands:
         assert f"config error: {cfg_path}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_run_bad_learning_rate_names_the_field(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("[train]\nmeta_lr = nan\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {cfg_path}: meta_lr must be finite and positive, got nan" in err
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["no-such-command"]) == 1
 
@@ -214,6 +233,19 @@ class TestCliCommands:
                             lambda seed: [PropertyResult("stub", False, "forced")])
         assert main(["verify"]) == 2
         assert "[FAIL] stub" in capsys.readouterr().out
+
+    # The weighting-parameter gradient scales with the classifier learning
+    # rate, so a huge classifier_lr also overflows the weighting net first.
+    @pytest.mark.parametrize("setting", ["classifier_lr = 1e100", "meta_lr = 1e200"])
+    def test_diverging_run_exit_three_names_epoch_and_step(self, tmp_path, capsys, setting):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT.replace("[train]", f"[train]\n{setting}"))
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert ("runtime failure: run failed for variant=clean-ce, noise=uniform@0.0, "
+                "seed=0: epoch 0, step 1: weighting-net parameter vector contains "
+                "non-finite entries") in capsys.readouterr().err
 
     def test_runtime_failure_exit_three(self, tmp_path, monkeypatch, capsys):
         import metareweight.cli as cli_mod

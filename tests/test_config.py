@@ -115,12 +115,14 @@ workers = 2
 class TestHyperparameterRanges:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_classifier_lr(self, value):
-        with pytest.raises(ConfigError, match="learning rates must be finite and positive"):
+        with pytest.raises(ConfigError, match=f"classifier_lr must be finite and positive, "
+                                              f"got {float(value)}"):
             parse_config_text(f"[train]\nclassifier_lr = {value}\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_meta_lr(self, value):
-        with pytest.raises(ConfigError, match="learning rates must be finite and positive"):
+        with pytest.raises(ConfigError, match=f"meta_lr must be finite and positive, "
+                                              f"got {float(value)}"):
             parse_config_text(f"[train]\nmeta_lr = {value}\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "-1e-300"])
@@ -130,13 +132,28 @@ class TestHyperparameterRanges:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_separation(self, value):
-        with pytest.raises(ConfigError, match="separation and cluster_std must be finite"):
+        with pytest.raises(ConfigError, match=f"separation must be finite and positive, "
+                                              f"got {float(value)}"):
             parse_config_text(f"[blob]\nseparation = {value}\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     def test_cluster_std(self, value):
-        with pytest.raises(ConfigError, match="separation and cluster_std must be finite"):
+        with pytest.raises(ConfigError, match=f"cluster_std must be finite and positive, "
+                                              f"got {float(value)}"):
             parse_config_text(f"[blob]\ncluster_std = {value}\n")
+
+    @pytest.mark.parametrize("section, key, field, rule", [
+        ("train", "train_batch", "train_batch", ">= 1"),
+        ("train", "meta_batch", "meta_batch", ">= 1"),
+        ("blob", "classes", "num_classes", ">= 2"),
+        ("blob", "dim", "dim", ">= 1"),
+        ("blob", "n_train", "n_train", ">= 1"),
+        ("blob", "n_meta", "n_meta", ">= 1"),
+        ("blob", "n_test", "n_test", ">= 1"),
+    ])
+    def test_counts_name_the_field_and_value(self, section, key, field, rule):
+        with pytest.raises(ConfigError, match=f": {field} must be {rule}, got -3$"):
+            parse_config_text(f"[{section}]\n{key} = -3\n")
 
     def test_zero_weight_decay_and_large_finite_values_accepted(self):
         cfg = parse_config_text("[train]\nweight_decay = 0\nclassifier_lr = 1e308\n"

@@ -38,20 +38,20 @@ def weight_grad_one(net, theta, loss_value):
 
 class TestClassifierForward:
     def test_zero_params_give_uniform(self):
-        net = ClassifierNet([3, 4, 5], Rng(1))
+        net = ClassifierNet([3, 4, 5])
         u = probs_one(net, np.zeros(net.num_params), [1.0, -2.0, 0.5])
         assert np.allclose(u, 0.2, atol=1e-15)
 
     def test_probabilities_normalized(self):
         rng = Rng(2)
         for _ in range(100):
-            net = ClassifierNet([4, 6, 3], rng)
-            u = probs_one(net, net.get_flat(), rng.gaussians(4))
+            net = ClassifierNet([4, 6, 3])
+            u = probs_one(net, net.init_params(rng), rng.gaussians(4))
             assert abs(u.sum() - 1.0) <= 1e-9
             assert np.all(u >= 0.0)
 
     def test_hand_softmax_single_layer(self):
-        net = ClassifierNet([2, 2], Rng(0))
+        net = ClassifierNet([2, 2])
         u = probs_one(net, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]),  # W=I, b=0
                       [3.0, 0.0])
         expect = np.exp([3.0, 0.0]) / np.exp([3.0, 0.0]).sum()
@@ -59,20 +59,26 @@ class TestClassifierForward:
         assert u[0] == pytest.approx(0.95257, abs=1e-5)
 
     def test_dimension_mismatch(self):
-        net = ClassifierNet([3, 2], Rng(1))
+        net = ClassifierNet([3, 2])
         with pytest.raises(ValueError):
-            probs_one(net, net.get_flat(), [1.0, 2.0])
+            probs_one(net, net.init_params(Rng(1)), [1.0, 2.0])
         with pytest.raises(ValueError, match="params"):
             probs_one(net, np.zeros(net.num_params - 1), [1.0, 2.0, 3.0])
 
     def test_evaluation_leaves_stored_params_untouched(self):
-        net = ClassifierNet([3, 4, 2], Rng(4))
-        stored = net.get_flat()
-        x = Rng(5).gaussians(6).reshape(2, 3)
-        for params in (stored + 1.0, np.zeros(net.num_params)):
-            net.losses_and_grads_batch(params, x, [0, 1], LossKind.CE)
-            net.predict_batch(params, x)
-        assert np.array_equal(net.get_flat(), stored)
+        # the passes read the caller's vector through views; none writes it
+        net, wn = ClassifierNet([3, 4, 2]), WeightNet(hidden=5)
+        rng = Rng(4)
+        params, theta = net.init_params(rng), rng.gaussians(wn.num_params)
+        stored = params.copy(), theta.copy()
+        x = rng.gaussians(6).reshape(2, 3)
+        net.losses_and_grads_batch(params, x, [0, 1], LossKind.CE)
+        net.predict_batch(params, x)
+        net.hidden_preactivations(params, x)
+        wn.forward_and_grads_batch(theta, [0.5, 2.0])
+        wn.forward_batch(theta, [0.5, 2.0])
+        wn.hidden_preactivations(theta, [0.5, 2.0])
+        assert np.array_equal(params, stored[0]) and np.array_equal(theta, stored[1])
 
 
 class TestClassifierGradients:
@@ -80,10 +86,10 @@ class TestClassifierGradients:
     def test_matches_finite_differences(self, kind):
         rng = Rng(5)
         for _ in range(10):
-            net = ClassifierNet([3, 5, 4], rng)
+            net = ClassifierNet([3, 5, 4])
+            params = net.init_params(rng)
             x = rng.gaussians(3)
             label = rng.randint(4)
-            params = net.get_flat()
             loss, g = loss_and_grad_one(net, params, x, label, kind)
 
             def objective(p, net=net, x=x, label=label):
@@ -94,15 +100,16 @@ class TestClassifierGradients:
             assert loss == pytest.approx(objective(params), abs=1e-12)
 
     def test_deterministic_repeat(self):
-        net = ClassifierNet([3, 4, 2], Rng(9))
+        net = ClassifierNet([3, 4, 2])
+        params = net.init_params(Rng(9))
         x = Rng(10).gaussians(3)
-        l1, g1 = loss_and_grad_one(net, net.get_flat(), x, 1, LossKind.CE)
-        l2, g2 = loss_and_grad_one(net, net.get_flat(), x, 1, LossKind.CE)
+        l1, g1 = loss_and_grad_one(net, params, x, 1, LossKind.CE)
+        l2, g2 = loss_and_grad_one(net, params, x, 1, LossKind.CE)
         assert l1 == l2
         assert np.array_equal(g1, g2)
 
     def test_zero_logit_output_bias_grad(self):
-        net = ClassifierNet([3, 4, 5], Rng(1))
+        net = ClassifierNet([3, 4, 5])
         _, g = loss_and_grad_one(net, np.zeros(net.num_params), [0.3, -0.1, 2.0], 2,
                                  LossKind.CE)
         bias_grad = g[-5:]  # final layer bias is the tail of the flat layout
@@ -112,10 +119,10 @@ class TestClassifierGradients:
 
     def test_batch_rows_equal_per_sample(self):
         rng = Rng(12)
-        net = ClassifierNet([4, 6, 3], rng)
+        net = ClassifierNet([4, 6, 3])
+        params = net.init_params(rng)
         x = rng.gaussians(5 * 4).reshape(5, 4)
         labels = rng.randints(5, 3)
-        params = net.get_flat()
         losses, grads = net.losses_and_grads_batch(params, x, labels, LossKind.MAE)
         for i in range(5):
             li, gi = loss_and_grad_one(net, params, x[i], labels[i], LossKind.MAE)
@@ -124,32 +131,26 @@ class TestClassifierGradients:
 
 
 class TestFlatParams:
-    def test_round_trip_identity(self):
-        net = ClassifierNet([5, 7, 3], Rng(3))
-        flat = net.get_flat()
-        net.set_flat(flat)
-        assert np.array_equal(net.get_flat(), flat)
-
     def test_wrong_size_rejected(self):
-        net = ClassifierNet([2, 2], Rng(3))
-        with pytest.raises(ValueError):
-            net.set_flat(np.zeros(net.num_params + 1))
-        with pytest.raises(ValueError, match="non-finite"):
-            net.set_flat(np.full(net.num_params, np.nan))
+        net = ClassifierNet([2, 2])
+        x = np.zeros((1, 2))
+        for params in (np.zeros(net.num_params + 1), np.zeros((1, net.num_params))):
+            with pytest.raises(ValueError, match="params"):
+                net.forward_batch(params, x)
+            with pytest.raises(ValueError, match="params"):
+                net.losses_and_grads_batch(params, x, [0], LossKind.CE)
 
-    def test_get_flat_is_a_snapshot(self):
-        net = ClassifierNet([2, 3, 2], Rng(3))
-        flat = net.get_flat()
-        flat += 1.0
-        assert not np.array_equal(net.get_flat(), flat)
-        source = np.zeros(net.num_params)
-        net.set_flat(source)
-        source += 1.0
-        assert np.array_equal(net.get_flat(), np.zeros(net.num_params))
+    def test_init_draws_a_fresh_vector(self):
+        net = ClassifierNet([2, 3, 2])
+        rng = Rng(3)
+        a, b = net.init_params(rng), net.init_params(rng)
+        assert a.shape == b.shape == (net.num_params,)
+        assert not np.shares_memory(a, b) and not np.array_equal(a, b)
+        assert np.array_equal(a, net.init_params(Rng(3)))
 
     def test_layout_is_weights_then_bias_per_layer(self):
         # [2, 3, 1]: W1 (3x2) row-major, b1 (3,), W2 (1x3), b2 (1,)
-        net = ClassifierNet([2, 3, 1], Rng(0))
+        net = ClassifierNet([2, 3, 1])
         params = np.zeros(net.num_params)
         params[6:9] = 1.0     # b1: every hidden unit outputs 1 at x = 0
         params[9:12] = 2.0    # W2
@@ -167,34 +168,43 @@ class TestFlatParams:
         for fan_in, fan_out in ((4, 6), (6, 3)):
             expect.append(rng.gaussians(fan_out * fan_in, 0.0, np.sqrt(2.0 / fan_in)))
             expect.append(np.zeros(fan_out))
-        net = ClassifierNet([4, 6, 3], Rng(21))
-        assert np.array_equal(net.get_flat(), np.concatenate(expect))
+        net = ClassifierNet([4, 6, 3])
+        assert np.array_equal(net.init_params(Rng(21)), np.concatenate(expect))
 
 
 class TestWeightNet:
     def test_zero_params_give_half(self):
-        net = WeightNet(Rng(1), hidden=10)
+        net = WeightNet(hidden=10)
         theta = np.zeros(net.num_params)
         for v in (0.0, 0.5, 3.0, 100.0):
             assert weight_one(net, theta, v) == 0.5
 
     def test_fresh_net_outputs_half(self):
         # zeroed output layer: neutral start regardless of the hidden init
-        net = WeightNet(Rng(123))
-        assert weight_one(net, net.get_flat(), 1.7) == 0.5
-        assert np.all(net.get_flat()[-101:-1] == 0.0)  # output weights
-        assert np.all(net.get_flat()[:100] != 0.0)     # hidden weights drawn
+        net = WeightNet()
+        theta = net.init_params(Rng(123))
+        assert weight_one(net, theta, 1.7) == 0.5
+        assert np.all(theta[-101:-1] == 0.0)  # output weights
+        assert np.all(theta[:100] != 0.0)     # hidden weights drawn
+
+    def test_init_draws_the_output_layer_before_zeroing_it(self):
+        # the zeroed output weights still consume their He-normal draws, so
+        # the stream continues exactly as after a full [1, H, 1] init
+        rng_a, rng_b = Rng(8), Rng(8)
+        WeightNet(hidden=7).init_params(rng_a)
+        ClassifierNet([1, 7, 1]).init_params(rng_b)
+        assert np.array_equal(rng_a.gaussians(4), rng_b.gaussians(4))
 
     def test_output_in_open_unit_interval(self):
         rng = Rng(2)
         for _ in range(100):
-            net = WeightNet(rng, hidden=10)
+            net = WeightNet(hidden=10)
             out = net.forward_batch(rng.gaussians(net.num_params),
                                     rng.uniforms(10, 0.0, 8.0))
             assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_hand_composed_single_unit(self):
-        net = WeightNet(Rng(0), hidden=3)
+        net = WeightNet(hidden=3)
         theta = np.zeros(net.num_params)
         a, b, v, c = 1.5, -0.25, 2.0, 0.3
         theta[0] = a          # first hidden weight
@@ -210,7 +220,7 @@ class TestWeightNet:
     def test_grad_matches_finite_differences(self):
         rng = Rng(6)
         for _ in range(50):
-            net = WeightNet(rng, hidden=8)
+            net = WeightNet(hidden=8)
             theta = rng.gaussians(net.num_params, 0.0, 0.5)
             val = rng.uniforms(1, 0.0, 5.0)[0]
             g = weight_grad_one(net, theta, val)
@@ -218,12 +228,12 @@ class TestWeightNet:
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
     def test_zero_params_output_bias_grad_is_quarter(self):
-        net = WeightNet(Rng(1), hidden=10)
+        net = WeightNet(hidden=10)
         g = weight_grad_one(net, np.zeros(net.num_params), 2.0)
         assert g[-1] == pytest.approx(0.25, abs=1e-15)  # logistic'(0)
 
     def test_dead_unit_has_zero_incoming_grads(self):
-        net = WeightNet(Rng(0), hidden=2)
+        net = WeightNet(hidden=2)
         theta = np.zeros(net.num_params)
         theta[0] = -1.0   # unit 0 pre-activation is negative for positive input
         theta[1] = 1.0
@@ -234,8 +244,57 @@ class TestWeightNet:
         assert g[1] != 0.0 and g[3] != 0.0
 
     def test_nonfinite_input_rejected(self):
-        net = WeightNet(Rng(1), hidden=4)
+        net = WeightNet(hidden=4)
+        theta = net.init_params(Rng(1))
         with pytest.raises(ValueError):
-            weight_one(net, net.get_flat(), float("nan"))
+            weight_one(net, theta, float("nan"))
         with pytest.raises(ValueError):
-            weight_one(net, net.get_flat(), float("inf"))
+            weight_one(net, theta, float("inf"))
+
+
+def weightnet_oracle(net, theta, loss_values):
+    """The weighting net written out for its one hidden layer: clipped
+    weights and per-input gradients ``[dh * v, dh, dout * h, dout]``."""
+    v = np.asarray(loss_values, dtype=np.float64)
+    hidden = net.layer_sizes[1]
+    w1, b1 = theta[:hidden], theta[hidden:2 * hidden]
+    w2, b2 = theta[2 * hidden:3 * hidden], theta[3 * hidden]
+    zh = np.outer(v, w1) + b1
+    h = np.maximum(zh, 0.0)
+    out = 1.0 / (1.0 + np.exp(-(h @ w2 + b2)))
+    dout = out * (1.0 - out)
+    dh = dout[:, None] * w2 * (zh > 0.0)
+    grads = np.concatenate([dh * v[:, None], dh, dout[:, None] * h, dout[:, None]],
+                           axis=1)
+    return np.clip(out, net._OUTPUT_CLIP, 1.0 - net._OUTPUT_CLIP), grads, zh.ravel()
+
+
+class TestWeightNetOracle:
+    """The weighting net runs the classifier's forward and per-sample
+    backward loops; they must reproduce its closed form bit for bit."""
+
+    def check(self, net, theta, v):
+        weights, grads, pre = weightnet_oracle(net, theta, v)
+        got_weights, got_grads = net.forward_and_grads_batch(theta, v)
+        assert np.array_equal(got_weights, weights)
+        assert np.array_equal(got_grads, grads)
+        assert np.array_equal(net.forward_batch(theta, v), weights)
+        assert np.array_equal(net.hidden_preactivations(theta, v), pre)
+
+    def test_random_sizes_and_inputs(self):
+        rng = Rng(31)
+        for _ in range(200):
+            net = WeightNet(hidden=1 + rng.randint(120))
+            n = 1 + rng.randint(200)
+            self.check(net, rng.gaussians(net.num_params, 0.0, 2.0),
+                       rng.uniforms(n, 0.0, 8.0))
+
+    def test_dead_units_and_zero_output_layer(self):
+        rng = Rng(32)
+        for hidden in (1, 2, 5, 100):
+            net = WeightNet(hidden=hidden)
+            theta = net.init_params(rng)        # zero output layer
+            self.check(net, theta, rng.uniforms(9, 0.0, 5.0))
+            theta[:hidden] = -np.abs(theta[:hidden])   # every unit dead for v > 0
+            theta[2 * hidden:] = rng.gaussians(hidden + 1)
+            self.check(net, theta, np.concatenate([[0.0], rng.uniforms(9, 0.0, 5.0)]))

@@ -10,8 +10,7 @@ from metareweight.numkit import Rng
 class TestExpectedUniformGradient:
     def test_rate_zero_equals_clean_gradient(self):
         rng = Rng(1)
-        c, x, y = verify.random_classifier_instance(rng, 4)
-        params = c.get_flat()
+        c, params, x, y = verify.random_classifier_instance(rng, 4)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         expected = verify.expected_uniform_gradient(c, params, x, y, 0.0, LossKind.MAE)
         assert np.allclose(expected, clean, atol=1e-15)
@@ -21,23 +20,22 @@ class TestExpectedUniformGradient:
     def test_mae_scaled_clean_gradient(self, k, eta):
         rng = Rng(100 * k + int(10 * eta))
         for _ in range(5):
-            c, x, y = verify.random_classifier_instance(rng, k)
-            rep = verify.equivalence_report(c, c.get_flat(), x, y, eta, LossKind.MAE)
+            c, params, x, y = verify.random_classifier_instance(rng, k)
+            rep = verify.equivalence_report(c, params, x, y, eta, LossKind.MAE)
             assert rep.relative_residual <= 1e-10
 
     def test_ce_breaks_equivalence(self):
         rng = Rng(2)
         hits = 0
         for _ in range(10):
-            c, x, y = verify.random_classifier_instance(rng, 5)
-            rep = verify.equivalence_report(c, c.get_flat(), x, y, 0.4, LossKind.CE)
+            c, params, x, y = verify.random_classifier_instance(rng, 5)
+            rep = verify.equivalence_report(c, params, x, y, 0.4, LossKind.CE)
             hits += rep.relative_residual > 1e-3
         assert hits >= 9
 
     def test_matches_monte_carlo(self):
         rng = Rng(3)
-        c, x, y = verify.random_classifier_instance(rng, 4, batch=5)
-        params = c.get_flat()
+        c, params, x, y = verify.random_classifier_instance(rng, 4, batch=5)
         eta = 0.3
         expected = verify.expected_uniform_gradient(c, params, x, y, eta, LossKind.MAE)
         g_all = verify.per_label_gradients(c, params, x, LossKind.MAE)
@@ -52,8 +50,7 @@ class TestExpectedUniformGradient:
 class TestExpectedFlipGradient:
     def test_rate_zero_equals_clean(self):
         rng = Rng(4)
-        c, x, y = verify.random_classifier_instance(rng, 3)
-        params = c.get_flat()
+        c, params, x, y = verify.random_classifier_instance(rng, 3)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         g = verify.expected_flip_gradient(c, params, x, y, 0.0,
                                           np.array([1, 2, 0]), LossKind.MAE)
@@ -61,17 +58,16 @@ class TestExpectedFlipGradient:
 
     def test_identity_target_rejected(self):
         rng = Rng(4)
-        c, x, y = verify.random_classifier_instance(rng, 3)
+        c, params, x, y = verify.random_classifier_instance(rng, 3)
         with pytest.raises(ValueError, match="move every class"):
-            verify.expected_flip_gradient(c, c.get_flat(), x, y, 0.3,
+            verify.expected_flip_gradient(c, params, x, y, 0.3,
                                           np.array([0, 2, 1]), LossKind.MAE)
 
     def test_fixed_map_breaks_proportionality(self):
         rng = Rng(5)
         found = False
         for _ in range(10):
-            c, x, y = verify.random_classifier_instance(rng, 3)
-            params = c.get_flat()
+            c, params, x, y = verify.random_classifier_instance(rng, 3)
             clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
             g = verify.expected_flip_gradient(c, params, x, y, 0.4,
                                               np.array([1, 2, 0]), LossKind.MAE)
@@ -82,8 +78,7 @@ class TestExpectedFlipGradient:
 
     def test_enumerating_all_maps_restores_proportionality(self):
         rng = Rng(6)
-        c, x, y = verify.random_classifier_instance(rng, 3)
-        params = c.get_flat()
+        c, params, x, y = verify.random_classifier_instance(rng, 3)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         maps = list(verify.all_flip_maps(3))
         assert len(maps) == 8  # (K-1)^K admissible maps at K=3
@@ -95,8 +90,7 @@ class TestExpectedFlipGradient:
         # averaging over maps spreads the flipped mass evenly on the other
         # classes, so the result is (1 - eta*K/(K-1)) times the clean gradient
         rng = Rng(7)
-        c, x, y = verify.random_classifier_instance(rng, 3)
-        params = c.get_flat()
+        c, params, x, y = verify.random_classifier_instance(rng, 3)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         eta = 0.4
         avg = np.mean([verify.expected_flip_gradient(c, params, x, y, eta, t, LossKind.MAE)
@@ -106,13 +100,14 @@ class TestExpectedFlipGradient:
 
 class TestVarianceBound:
     def _pool(self, rng, n=40, k=5):
-        c, x, y = verify.random_classifier_instance(rng, k, dim=4, hidden=(8,), batch=n)
-        return c, LabeledDataset(x, y, k)
+        c, params, x, y = verify.random_classifier_instance(rng, k, dim=4, hidden=(8,),
+                                                            batch=n)
+        return c, params, LabeledDataset(x, y, k)
 
     def test_rate_zero_reduces_to_clean_variance(self):
         rng = Rng(8)
-        c, pool = self._pool(rng)
-        rep = verify.variance_bound_check(c, c.get_flat(), pool, 0.0, 20, 8000, rng)
+        c, params, pool = self._pool(rng)
+        rep = verify.variance_bound_check(c, params, pool, 0.0, 20, 8000, rng)
         assert rep.holds
         assert rep.bound == pytest.approx(rep.sigma_sq)
         assert rep.empirical_variance == pytest.approx(rep.sigma_sq, rel=0.1)
@@ -121,24 +116,24 @@ class TestVarianceBound:
         rng = Rng(9)
         holds = 0
         for _ in range(20):
-            c, pool = self._pool(rng)
-            rep = verify.variance_bound_check(c, c.get_flat(), pool, 0.4, 20, 1200, rng)
+            c, params, pool = self._pool(rng)
+            rep = verify.variance_bound_check(c, params, pool, 0.4, 20, 1200, rng)
             holds += rep.holds
         assert holds >= 19
 
     def test_doubling_batch_roughly_halves_variance(self):
         rng = Rng(10)
-        c, pool = self._pool(rng, n=60)
-        rep_m = verify.variance_bound_check(c, c.get_flat(), pool, 0.4, 10, 8000, rng)
-        rep_2m = verify.variance_bound_check(c, c.get_flat(), pool, 0.4, 20, 8000, rng)
+        c, params, pool = self._pool(rng, n=60)
+        rep_m = verify.variance_bound_check(c, params, pool, 0.4, 10, 8000, rng)
+        rep_2m = verify.variance_bound_check(c, params, pool, 0.4, 20, 8000, rng)
         ratio = rep_2m.empirical_variance / rep_m.empirical_variance
         assert 0.4 <= ratio <= 0.6
 
     def test_ce_rejected(self):
         rng = Rng(11)
-        c, pool = self._pool(rng)
+        c, params, pool = self._pool(rng)
         with pytest.raises(ValueError, match="symmetric"):
-            verify.variance_bound_check(c, c.get_flat(), pool, 0.4, 20, 1200, rng,
+            verify.variance_bound_check(c, params, pool, 0.4, 20, 1200, rng,
                                         kind=LossKind.CE)
 
 
@@ -149,8 +144,7 @@ class TestFiniteDifferenceOracle:
         x = rng.gaussians(3)
         from metareweight.bilevel import Batch
         flat_meta = Batch(np.tile(x, (3, 1)), np.arange(3, dtype=np.int64))
-        fd = verify.finite_diff_theta_grad(state.classifier, state.weightnet,
-                                           tb, flat_meta, 0.1, LossKind.MAE)
+        fd = verify.finite_diff_theta_grad(state, tb, flat_meta, 0.1, LossKind.MAE)
         # the symmetric loss makes this meta objective constant in theta
         assert np.abs(fd).max() <= 1e-9
 
@@ -159,8 +153,7 @@ class TestFiniteDifferenceOracle:
         state, tb, mb, analytic = verify.random_hypergrad_instance(rng)
         errs = []
         for step in (2e-4, 1e-4, 5e-5):
-            fd = verify.finite_diff_theta_grad(state.classifier, state.weightnet,
-                                               tb, mb, 0.1, LossKind.MAE, step=step)
+            fd = verify.finite_diff_theta_grad(state, tb, mb, 0.1, LossKind.MAE, step=step)
             errs.append(np.linalg.norm(fd - analytic))
         # error should shrink about 4x per halving away from kinks
         assert errs[1] <= errs[0] / 2.5
@@ -169,21 +162,20 @@ class TestFiniteDifferenceOracle:
     def test_oracles_leave_net_params_untouched(self):
         rng = Rng(17)
         state, tb, mb, _ = verify.random_hypergrad_instance(rng)
-        w, theta = state.classifier.get_flat(), state.weightnet.get_flat()
-        verify.finite_diff_theta_grad(state.classifier, state.weightnet, tb, mb, 0.1,
-                                      LossKind.MAE)
+        w, theta = state.params.copy(), state.theta.copy()
+        verify.finite_diff_theta_grad(state, tb, mb, 0.1, LossKind.MAE)
         verify.composed_meta_objective(state, tb, mb, 0.1, LossKind.MAE)
         verify.per_label_gradients(state.classifier, w + 0.5, tb.features, LossKind.CE)
-        assert np.array_equal(state.classifier.get_flat(), w)
-        assert np.array_equal(state.weightnet.get_flat(), theta)
+        assert np.array_equal(state.params, w)
+        assert np.array_equal(state.theta, theta)
 
     def test_instance_sampler_respects_kink_margin(self):
         rng = Rng(14)
         for _ in range(5):
             state, tb, mb, _ = verify.random_hypergrad_instance(rng)
-            losses = state.classifier.losses_batch(state.classifier.get_flat(),
-                                                   tb.features, tb.labels, LossKind.CE)
-            pre = state.weightnet.hidden_preactivations(state.weightnet.get_flat(), losses)
+            losses = state.classifier.losses_batch(state.params, tb.features, tb.labels,
+                                                   LossKind.CE)
+            pre = state.weightnet.hidden_preactivations(state.theta, losses)
             assert np.abs(pre).min() > verify.KINK_MARGIN
 
 
@@ -237,7 +229,7 @@ class TestRunAll:
         rng = Rng(16)
         worst = 0.0
         for _ in range(10):
-            c, x, y = verify.random_classifier_instance(rng, 5)
-            rep = verify.equivalence_report(c, c.get_flat(), x, y, 0.4, LossKind.CE)
+            c, params, x, y = verify.random_classifier_instance(rng, 5)
+            rep = verify.equivalence_report(c, params, x, y, 0.4, LossKind.CE)
             worst = max(worst, rep.relative_residual)
         assert worst > 1e-10  # would have passed at 1e-10 with MAE
