@@ -36,7 +36,7 @@ from .data import CorruptedDataset, LabeledDataset, dataclass_csv
 from .losses import LossKind
 from .metrics import accuracy, auc_noisy_detection
 from .nets import ClassifierNet, WeightNet
-from .numkit import Rng, as_vec, check_fields
+from .numkit import Rng, check_fields
 
 _INIT_CLASSIFIER_STREAM = 11
 _INIT_WEIGHTNET_STREAM = 12
@@ -168,8 +168,8 @@ def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
     theta = state.theta
     if theta_grad.shape != theta.shape:
         raise ValueError("theta gradient is not aligned with the weighting params")
-    state.theta = as_vec(theta - beta * (theta_grad + weight_decay * theta),
-                         "weighting-net parameter vector")
+    state.theta = state.weightnet.set_flat(theta - beta * (theta_grad + weight_decay * theta),
+                                           "weighting-net parameter vector")
 
 
 def classifier_update(state: BilevelState, losses: np.ndarray, grads: np.ndarray,
@@ -184,7 +184,8 @@ def classifier_update(state: BilevelState, losses: np.ndarray, grads: np.ndarray
     w = state.params
     state.momentum_buffer = (momentum * state.momentum_buffer
                              + ((weights @ grads) / losses.size + weight_decay * w))
-    state.params = as_vec(w - alpha * state.momentum_buffer, "classifier parameter vector")
+    state.params = state.classifier.set_flat(w - alpha * state.momentum_buffer,
+                                             "classifier parameter vector")
 
 
 def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,

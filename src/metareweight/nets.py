@@ -14,7 +14,9 @@ Two networks drive the whole package:
 The nets hold no parameters.  A net is its layer sizes; ``init_params``
 draws a fresh flat float64 vector, and every forward and backward method
 takes the vector to evaluate at as its first argument.  The training state
-(``bilevel.BilevelState``) owns the vectors it trains.  Both nets share one
+(``bilevel.BilevelState``) owns the vectors it trains and passes each new
+one through ``set_flat``, which checks its size and finiteness;
+``get_flat`` gives a checked copy for callers that write into it.  Both nets share one
 forward loop and one per-sample backward loop; they differ only in how the
 input is read and in the output-layer delta.
 
@@ -55,6 +57,18 @@ class _Mlp:
         for w, _ in self._layers(params):
             w[:] = rng.gaussians(w.size, 0.0, np.sqrt(2.0 / w.shape[1])).reshape(w.shape)
         return params
+
+    def set_flat(self, flat, name: str = "params") -> np.ndarray:
+        """``flat`` checked as a parameter vector of this net: 1-D float64
+        with ``num_params`` finite entries.  The error names ``name``."""
+        v = as_vec(flat, name)
+        if v.size != self.num_params:
+            raise ValueError(f"{name} must have {self.num_params} entries, got {v.size}")
+        return v
+
+    def get_flat(self, params, name: str = "params") -> np.ndarray:
+        """A checked copy of ``params`` that the caller may write into."""
+        return self.set_flat(params, name).copy()
 
     def _layers(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer ``(W (out, in), b (out,))`` views into ``params``."""

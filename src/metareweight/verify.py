@@ -219,12 +219,13 @@ def finite_diff_theta_grad(state: BilevelState, train_batch: Batch,
             w_hat, meta_batch.features, meta_batch.labels, kind).mean())
 
     out = np.empty(theta0.size)
+    theta = weightnet.get_flat(theta0)
     for i in range(theta0.size):
-        theta = theta0.copy()
         theta[i] = theta0[i] + step
         f_plus = objective(theta)
         theta[i] = theta0[i] - step
         f_minus = objective(theta)
+        theta[i] = theta0[i]
         out[i] = (f_plus - f_minus) / (2.0 * step)
     return out
 

@@ -140,6 +140,30 @@ class TestFlatParams:
             with pytest.raises(ValueError, match="params"):
                 net.losses_and_grads_batch(params, x, [0], LossKind.CE)
 
+    def test_round_trip_identity(self):
+        net = ClassifierNet([5, 7, 3])
+        params = net.init_params(Rng(3))
+        assert np.array_equal(net.set_flat(net.get_flat(params)), params)
+
+    def test_set_flat_rejects_wrong_size_and_nonfinite_and_names_the_vector(self):
+        net = ClassifierNet([2, 2])
+        with pytest.raises(ValueError, match="^theta must have 6 entries, got 7$"):
+            net.set_flat(np.zeros(net.num_params + 1), "theta")
+        with pytest.raises(ValueError, match="must be 1-D"):
+            net.set_flat(np.zeros((1, net.num_params)))
+        with pytest.raises(ValueError, match="^theta contains non-finite"):
+            net.set_flat(np.full(net.num_params, np.nan), "theta")
+        with pytest.raises(ValueError, match="non-finite"):
+            net.get_flat(np.full(net.num_params, np.inf))
+
+    def test_get_flat_is_a_snapshot(self):
+        net = ClassifierNet([2, 3, 2])
+        params = net.init_params(Rng(3))
+        flat = net.get_flat(params)
+        assert np.array_equal(flat, params) and not np.shares_memory(flat, params)
+        flat += 1.0
+        assert np.array_equal(params, net.init_params(Rng(3)))
+
     def test_init_draws_a_fresh_vector(self):
         net = ClassifierNet([2, 3, 2])
         rng = Rng(3)
