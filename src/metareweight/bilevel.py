@@ -15,6 +15,24 @@ pair:
 3. *classifier update* -- the real SGD-with-momentum step using the
    freshly updated sample weights.
 
+``bilevel_step`` runs them as one function per phase:
+
+* ``train_forward_backward`` -- losses and per-sample gradients of the
+  train batch at the current classifier, kept factored
+  (``nets.SampleGrads``): no ``(n, num_params)`` matrix is built;
+* ``virtual_step`` -- their weighted sum;
+* ``meta_gradient_at`` -- the mean meta-loss gradient at the virtual point,
+  one backward pass;
+* ``alignments`` -- each sample's gradient dotted with it;
+* ``theta_gradient`` (the three above, then one weighting-net backward
+  pass) and ``theta_update`` -- the weighting update;
+* ``classifier_update``.
+
+The pieces read per-sample gradients only through ``weights @ grads`` and
+``grads @ g``, so they run unchanged on the materialized matrix of
+``train_losses_and_grads``, which the verification oracles and the tests
+compare them against.
+
 The virtual step is deliberately plain SGD (no momentum, no decay): the
 closed-form weighting gradient is derived from that exact map, and the
 finite-difference oracle in ``verify`` checks it at 1e-4 relative error.
@@ -35,14 +53,17 @@ import numpy as np
 from .data import CorruptedDataset, LabeledDataset, dataclass_csv
 from .losses import LossKind
 from .metrics import accuracy, auc_noisy_detection
-from .nets import ClassifierNet, WeightNet
-from .numkit import Rng, check_fields
+from .nets import ClassifierNet, SampleGrads, WeightNet
+from .numkit import FieldError, Rng, check_fields
 
 _INIT_CLASSIFIER_STREAM = 11
 _INIT_WEIGHTNET_STREAM = 12
 _LOOP_STREAM = 13
 
 HIDDEN_SIZES = (32, 32)  # the classifier's hidden layer widths
+
+# Per-sample gradients of a train batch, factored or as the (n, P) matrix.
+Grads = SampleGrads | np.ndarray
 
 
 class Variant(Enum):
@@ -84,7 +105,7 @@ class TrainConfig:
                      "be finite and >= 0")
         check_fields(self, ("momentum",), lambda v: 0 <= v < 1, "lie in [0, 1)")
         if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
-            raise ValueError("lr milestones must be strictly increasing")
+            raise FieldError("lr_milestones", "lr milestones must be strictly increasing")
 
 
 @dataclass
@@ -116,16 +137,26 @@ def _require_nonempty(batch: Batch, what: str) -> None:
         raise ValueError(f"{what} batch is empty")
 
 
+def train_forward_backward(state: BilevelState, train_batch: Batch):
+    """Per-sample CE losses and factored gradients (``nets.SampleGrads``)
+    of the train batch at the current classifier: the one forward/backward
+    pass a step makes on it.  The pieces below take this pair instead of
+    recomputing it."""
+    _require_nonempty(train_batch, "train")
+    return state.classifier.losses_and_factored_grads_batch(
+        state.params, train_batch.features, train_batch.labels, LossKind.CE)
+
+
 def train_losses_and_grads(state: BilevelState, train_batch: Batch):
-    """Per-sample CE losses and flat gradients of the train batch at the
-    current classifier: the one forward/backward pass a step makes on it.
-    The pieces below take this pair instead of recomputing it."""
+    """``train_forward_backward`` with the gradients materialized as an
+    ``(n, num_params)`` matrix: the reference the factored pieces are
+    checked against."""
     _require_nonempty(train_batch, "train")
     return state.classifier.losses_and_grads_batch(
         state.params, train_batch.features, train_batch.labels, LossKind.CE)
 
 
-def virtual_step(state: BilevelState, weights: np.ndarray, grads: np.ndarray,
+def virtual_step(state: BilevelState, weights: np.ndarray, grads: Grads,
                  alpha: float) -> np.ndarray:
     """One-step-lookahead classifier parameters as plain weighted SGD.
 
@@ -137,14 +168,21 @@ def virtual_step(state: BilevelState, weights: np.ndarray, grads: np.ndarray,
 
 def meta_gradient_at(classifier: ClassifierNet, params: np.ndarray,
                      meta_batch: Batch, kind: LossKind) -> np.ndarray:
-    """Average meta-loss gradient w.r.t. classifier params, at ``params``."""
+    """Average meta-loss gradient w.r.t. classifier params, at ``params``:
+    one backward pass with every sample's delta scaled by 1/m."""
     _require_nonempty(meta_batch, "meta")
-    _, grads = classifier.losses_and_grads_batch(
+    _, grads = classifier.losses_and_factored_grads_batch(
         params, meta_batch.features, meta_batch.labels, kind)
-    return grads.mean(axis=0)
+    m = len(meta_batch)
+    return np.full(m, 1.0 / m) @ grads
 
 
-def theta_gradient(state: BilevelState, losses: np.ndarray, grads: np.ndarray,
+def alignments(grads: Grads, g_meta: np.ndarray) -> np.ndarray:
+    """Each train sample's gradient dotted with the meta-gradient."""
+    return grads @ g_meta
+
+
+def theta_gradient(state: BilevelState, losses: np.ndarray, grads: Grads,
                    meta_batch: Batch, alpha: float, kind: LossKind) -> np.ndarray:
     """Exact gradient of the mean meta loss after one virtual step,
     with respect to the weighting-network parameters.
@@ -152,14 +190,17 @@ def theta_gradient(state: BilevelState, losses: np.ndarray, grads: np.ndarray,
     Equals -(alpha/n) * sum_i (meta_grad . grad_i) * d weight_i / d theta,
     where grad_i are the per-sample training gradients at the current
     classifier and the meta-gradient is evaluated at the virtual point.
-    The weighting-net input loss_i depends only on the classifier, so it
-    is a constant here; samples whose training gradient aligns with the
-    average meta-gradient get their weights pushed up.
+    The sum is one weighting-net backward pass whose output deltas are
+    scaled by those coefficients.  The weighting-net input loss_i depends
+    only on the classifier, so it is a constant here; samples whose
+    training gradient aligns with the average meta-gradient get their
+    weights pushed up.
     """
-    weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
+    weights, theta_grads = state.weightnet.forward_and_factored_grads_batch(
+        state.theta, losses)
     w_hat = virtual_step(state, weights, grads, alpha)
     g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, kind)
-    return -(alpha / losses.size) * ((grads @ g_meta) @ theta_grads)
+    return (-(alpha / losses.size) * alignments(grads, g_meta)) @ theta_grads
 
 
 def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
@@ -172,7 +213,7 @@ def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
                                            "weighting-net parameter vector")
 
 
-def classifier_update(state: BilevelState, losses: np.ndarray, grads: np.ndarray,
+def classifier_update(state: BilevelState, losses: np.ndarray, grads: Grads,
                       alpha: float, momentum: float = 0.0,
                       weight_decay: float = 0.0) -> None:
     """Real classifier step with the current (updated) weighting parameters.
@@ -193,7 +234,7 @@ def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,
     """One alternation step: weighting gradient through the virtual step,
     weighting update, then the real classifier update, all from a single
     forward/backward pass over the train batch."""
-    losses, grads = train_losses_and_grads(state, train_batch)
+    losses, grads = train_forward_backward(state, train_batch)
     t_grad = theta_gradient(state, losses, grads, meta_batch, alpha, meta_loss)
     theta_update(state, t_grad, cfg.meta_lr, cfg.weight_decay)
     classifier_update(state, losses, grads, alpha, cfg.momentum, cfg.weight_decay)
@@ -268,7 +309,8 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
     ``variant.meta_loss``.  ``seed`` fixes the network initialization and
     the minibatch order.  A step that fails, e.g. because an update made a
     parameter vector non-finite, raises a ``ValueError`` naming the epoch
-    and the step within it.
+    and the step within it; a failure in the per-epoch metrics names the
+    epoch.
     """
     if train_data.dim != meta_data.dim or train_data.dim != test_data.dim:
         raise ValueError("feature dimensions differ across splits")
@@ -289,19 +331,26 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
     n_train, n_meta = len(train_data), len(meta_data)
 
     report = RunReport()
-    for epoch in range(cfg.epochs):
-        alpha = _scheduled_lr(cfg, epoch)
-        order = loop_rng.permutation(n_train)
-        for step, start in enumerate(range(0, n_train, cfg.train_batch)):
-            idx = order[start:start + cfg.train_batch]
-            meta_idx = loop_rng.randints(cfg.meta_batch, n_meta)
+    # A diverging run overflows before anything is non-finite; numpy's
+    # warnings about that are silenced so that the first check to fail
+    # (``set_flat`` on an update, ``as_vec`` on the losses) is the one report.
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            alpha = _scheduled_lr(cfg, epoch)
+            order = loop_rng.permutation(n_train)
+            for step, start in enumerate(range(0, n_train, cfg.train_batch)):
+                idx = order[start:start + cfg.train_batch]
+                meta_idx = loop_rng.randints(cfg.meta_batch, n_meta)
+                try:
+                    bilevel_step(
+                        state,
+                        Batch(x_train[idx], y_train[idx]),
+                        Batch(x_meta[meta_idx], y_meta[meta_idx]),
+                        cfg, alpha, variant.meta_loss)
+                except ValueError as exc:
+                    raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
             try:
-                bilevel_step(
-                    state,
-                    Batch(x_train[idx], y_train[idx]),
-                    Batch(x_meta[meta_idx], y_meta[meta_idx]),
-                    cfg, alpha, variant.meta_loss)
+                report.epochs.append(_epoch_metrics(state, epoch, train_data, test_data))
             except ValueError as exc:
-                raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
-        report.epochs.append(_epoch_metrics(state, epoch, train_data, test_data))
+                raise ValueError(f"epoch {epoch}, metrics: {exc}") from exc
     return report

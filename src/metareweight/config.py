@@ -16,7 +16,7 @@ from pathlib import Path
 from .bilevel import TrainConfig, Variant
 from .data import BlobSpec, format_value
 from .noise import NoiseKind
-from .numkit import check_fields
+from .numkit import FieldError, check_fields
 
 
 def rate_label(rate: float) -> str:
@@ -49,8 +49,8 @@ def _check_output_dir(path: str) -> None:
     # The serialized config writes the value bare on one line, so it must
     # survive comment stripping, line splitting and whitespace stripping.
     if "#" in path or len(path.splitlines()) > 1 or path != path.strip():
-        raise ValueError(f"output_dir {path!r} must not contain '#' or a line "
-                         "break, nor start or end with whitespace")
+        raise FieldError("output_dir", f"output_dir {path!r} must not contain '#' or a "
+                         "line break, nor start or end with whitespace")
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self, ("num_seeds", "workers"), lambda v: v >= 1, "be >= 1")
-        if not self.noise_kinds or not self.noise_rates or not self.variants:
-            raise ValueError("noise kinds, rates, and variants must be nonempty")
+        check_fields(self, ("noise_kinds", "noise_rates", "variants"), len, "be nonempty")
         for rate in self.noise_rates:
             if not 0.0 <= rate < 1.0:
-                raise ValueError(f"noise rate must lie in [0, 1), got {rate}")
+                raise FieldError("noise_rates", f"noise rate must lie in [0, 1), got {rate}")
         _distinct(self.noise_kinds, "noise kind")
         _distinct_rates(self.noise_rates)
         _distinct(self.variants, "variant")
@@ -79,7 +78,13 @@ class ExperimentConfig:
 
 
 class ConfigError(ValueError):
-    pass
+    """A config that cannot be used.  When a range check rejects a value the
+    file set, the message states the rule as the dataclass words it and
+    ``location`` gives the file, line and text that set the value."""
+
+    def __init__(self, message: str, location: str | None = None):
+        super().__init__(message)
+        self.location = location
 
 
 def _parse_list(s: str, item):
@@ -125,6 +130,7 @@ _SCHEMA = {
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     sections: dict[str, dict] = {name: {} for name in _SCHEMA}
+    set_at: dict[str, str] = {}  # field -> "file:line: key = value" (fields are unique)
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -149,13 +155,15 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             sections[current][field_name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for '{key}': {exc}") from exc
+        set_at[field_name] = f"{source}:{lineno}: {key} = {value}"
 
     try:
         return ExperimentConfig(blob=BlobSpec(**sections["blob"]),
                                 train=TrainConfig(**sections["train"]),
                                 **sections["noise"], **sections["experiment"])
     except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+        raise ConfigError(f"{source}: {exc}",
+                          set_at.get(getattr(exc, "field", None))) from exc
 
 
 def parse_config(path) -> ExperimentConfig:

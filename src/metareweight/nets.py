@@ -3,9 +3,12 @@
 Two networks drive the whole package:
 
 * ``ClassifierNet`` -- a rectifier MLP with a softmax head.  Besides plain
-  forward evaluation it exposes *per-sample* parameter gradients, which the
-  bilevel loop needs both for the virtual update and for the inner products
-  against the meta-gradient.
+  forward evaluation it gives the per-sample parameter gradients of a
+  batch, either materialized as an ``(n, num_params)`` matrix or factored
+  as a ``SampleGrads``.  The bilevel step needs those gradients only
+  through a weighted sum (virtual and real updates) and through their
+  inner products with the meta-gradient, so it uses the factored form;
+  the matrix serves the verification oracles and the tests.
 
 * ``WeightNet`` -- the weighting network: one scalar in (a sample's loss),
   one hidden rectifier layer, logistic output in (0, 1).  Its output is the
@@ -16,9 +19,9 @@ draws a fresh flat float64 vector, and every forward and backward method
 takes the vector to evaluate at as its first argument.  The training state
 (``bilevel.BilevelState``) owns the vectors it trains and passes each new
 one through ``set_flat``, which checks its size and finiteness;
-``get_flat`` gives a checked copy for callers that write into it.  Both nets share one
-forward loop and one per-sample backward loop; they differ only in how the
-input is read and in the output-layer delta.
+``get_flat`` gives a checked copy for callers that write into it.  Both nets
+share one forward loop and one backward loop (``_backward_deltas``); they
+differ only in how the input is read and in the output-layer delta.
 
 Flat parameter layout (both networks): layers in input-to-output order,
 each layer contributing W.ravel() (row-major, shape out x in) followed by
@@ -37,6 +40,44 @@ from .numkit import Rng, as_vec
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+class SampleGrads:
+    """The per-sample parameter gradients of one batch, kept factored.
+
+    Stands for the ``(n, num_params)`` matrix whose row i is sample i's
+    flat gradient.  In layer l that row holds the outer product of the
+    layer's delta ``deltas[l][i]`` with its input ``inputs[l][i]`` (the
+    weight block), then the delta itself (the bias block).  The matrix is
+    never built: both of its products are backprop contractions,
+
+    * ``c @ grads = sum_i c_i grad_i``, per layer ``(c * delta)^T a`` and
+      ``c @ delta``;
+    * ``grads @ g = (grad_i . g)_i``, per layer
+      ``rowsum((delta @ G) * a) + delta @ g_b`` with ``G, g_b`` the layer's
+      blocks of ``g``;
+
+    so code written against the matrix runs on this form unchanged.
+    """
+
+    __array_ufunc__ = None  # makes ``ndarray @ grads`` call ``__rmatmul__``
+
+    def __init__(self, net: _Mlp, inputs: list[np.ndarray], deltas: list[np.ndarray]):
+        self.net, self.inputs, self.deltas = net, inputs, deltas
+
+    def __rmatmul__(self, c) -> np.ndarray:
+        c = np.asarray(c, dtype=np.float64)
+        parts = []
+        for a, d in zip(self.inputs, self.deltas):
+            cd = d.T * c  # (out, n)
+            parts += [(cd @ a).ravel(), cd.sum(axis=1)]
+        return np.concatenate(parts)
+
+    def __matmul__(self, g) -> np.ndarray:
+        dots = 0.0
+        for a, d, (w, b) in zip(self.inputs, self.deltas, self.net._layers(g)):
+            dots = dots + ((d @ w) * a).sum(axis=1) + d @ b
+        return dots
 
 
 class _Mlp:
@@ -97,12 +138,19 @@ class _Mlp:
             acts.append(a)
         return acts, zs
 
-    def _per_sample_grads(self, layers, acts, zs, out_delta: np.ndarray) -> np.ndarray:
-        """Per-sample flat parameter gradients ``(n, num_params)``, given the
-        gradient of each sample's objective w.r.t. the last pre-activations."""
+    @staticmethod
+    def _backward_deltas(layers, zs, out_delta: np.ndarray) -> list[np.ndarray]:
+        """Per-layer deltas ``(n, out_l)``: the gradient of each sample's
+        objective w.r.t. every layer's pre-activations, given it for the last."""
         deltas = [out_delta]
         for i in range(len(layers) - 1, 0, -1):
             deltas.insert(0, (deltas[0] @ layers[i][0]) * (zs[i - 1] > 0.0))
+        return deltas
+
+    def _per_sample_grads(self, layers, acts, zs, out_delta: np.ndarray) -> np.ndarray:
+        """Per-sample flat parameter gradients ``(n, num_params)``, given the
+        gradient of each sample's objective w.r.t. the last pre-activations."""
+        deltas = self._backward_deltas(layers, zs, out_delta)
         n = out_delta.shape[0]
         grads = np.empty((n, self.num_params))
         off = 0
@@ -113,6 +161,10 @@ class _Mlp:
             grads[:, off:off + d.shape[1]] = d
             off += d.shape[1]
         return grads
+
+    def _factored_grads(self, layers, acts, zs, out_delta: np.ndarray) -> SampleGrads:
+        """The same gradients as ``_per_sample_grads``, left factored."""
+        return SampleGrads(self, acts[:-1], self._backward_deltas(layers, zs, out_delta))
 
     def hidden_preactivations(self, params, x) -> np.ndarray:
         """All rectifier pre-activations for a batch, flattened (kink check)."""
@@ -152,20 +204,28 @@ class ClassifierNet(_Mlp):
     def losses_batch(self, params, x, labels, kind: LossKind) -> np.ndarray:
         return loss_values_batch(kind, labels, self.forward_batch(params, x))
 
+    def _loss_pass(self, params, x, labels, kind: LossKind):
+        """Forward pass and losses: ``(layers, acts, zs, losses, logit deltas)``."""
+        layers = self._layers(params)
+        labels = np.asarray(labels, dtype=np.int64)
+        acts, zs = self._forward(layers, self._inputs(x))
+        probs = _softmax_rows(zs[-1])
+        losses = loss_values_batch(kind, labels, probs)  # checks the labels
+        return layers, acts, zs, losses, grad_logits_batch(kind, labels, probs)
+
     def losses_and_grads_batch(self, params, x, labels, kind: LossKind):
         """Per-sample losses and per-sample flat parameter gradients at ``params``.
 
         Returns ``(losses (n,), grads (n, num_params))``; row i of the
         gradient matrix is the gradient of sample i's loss alone.
         """
-        layers = self._layers(params)
-        labels = np.asarray(labels, dtype=np.int64)
-        acts, zs = self._forward(layers, self._inputs(x))
-        probs = _softmax_rows(zs[-1])
-        losses = loss_values_batch(kind, labels, probs)  # checks the labels
-        grads = self._per_sample_grads(layers, acts, zs,
-                                       grad_logits_batch(kind, labels, probs))
-        return losses, grads
+        layers, acts, zs, losses, out_delta = self._loss_pass(params, x, labels, kind)
+        return losses, self._per_sample_grads(layers, acts, zs, out_delta)
+
+    def losses_and_factored_grads_batch(self, params, x, labels, kind: LossKind):
+        """``losses_and_grads_batch`` with the gradients left as a ``SampleGrads``."""
+        layers, acts, zs, losses, out_delta = self._loss_pass(params, x, labels, kind)
+        return losses, self._factored_grads(layers, acts, zs, out_delta)
 
 
 class WeightNet(_Mlp):
@@ -200,6 +260,12 @@ class WeightNet(_Mlp):
         out = 1.0 / (1.0 + np.exp(-zs[-1][:, 0]))
         return np.clip(out, self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
 
+    def _logistic_pass(self, theta, loss_values):
+        """Forward pass: ``(layers, acts, zs, unclipped outputs (n, 1))``."""
+        layers = self._layers(theta)
+        acts, zs = self._forward(layers, self._inputs(loss_values))
+        return layers, acts, zs, 1.0 / (1.0 + np.exp(-zs[-1]))
+
     def forward_and_grads_batch(self, theta, loss_values):
         """Weights and per-input flat gradients d weight / d theta.
 
@@ -207,8 +273,12 @@ class WeightNet(_Mlp):
         treated as a constant: these are gradients with respect to the
         weighting network's own parameters only.
         """
-        layers = self._layers(theta)
-        acts, zs = self._forward(layers, self._inputs(loss_values))
-        out = 1.0 / (1.0 + np.exp(-zs[-1]))   # (n, 1), unclipped
+        layers, acts, zs, out = self._logistic_pass(theta, loss_values)
         grads = self._per_sample_grads(layers, acts, zs, out * (1.0 - out))
+        return np.clip(out[:, 0], self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP), grads
+
+    def forward_and_factored_grads_batch(self, theta, loss_values):
+        """``forward_and_grads_batch`` with the gradients left as a ``SampleGrads``."""
+        layers, acts, zs, out = self._logistic_pass(theta, loss_values)
+        grads = self._factored_grads(layers, acts, zs, out * (1.0 - out))
         return np.clip(out[:, 0], self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP), grads

@@ -133,13 +133,21 @@ class Rng:
 # -- array validation ---------------------------------------------------------
 
 
+class FieldError(ValueError):
+    """A field value its dataclass rejects; ``field`` names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def check_fields(obj, names, ok, rule: str) -> None:
-    """ValueError naming the first field of ``obj`` in ``names`` whose value
+    """FieldError naming the first field of ``obj`` in ``names`` whose value
     fails ``ok``, with the ``rule`` it breaks and the value."""
     for name in names:
         value = getattr(obj, name)
         if not ok(value):
-            raise ValueError(f"{name} must {rule}, got {value}")
+            raise FieldError(name, f"{name} must {rule}, got {value}")
 
 
 def as_vec(x, name: str = "vector") -> np.ndarray:

@@ -26,8 +26,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .bilevel import (Batch, BilevelState, theta_gradient, train_losses_and_grads,
-                      virtual_step)
+from .bilevel import (Batch, BilevelState, theta_gradient, train_forward_backward,
+                      train_losses_and_grads, virtual_step)
 from .losses import LossKind, symmetry_sum
 from .nets import ClassifierNet, WeightNet
 from .noise import NoiseKind, NoiseSpec, build_transition, corrupt
@@ -279,7 +279,7 @@ def random_hypergrad_instance(rng: Rng, dim: int = 3, num_classes: int = 3,
                            rng.randints(n_meta, num_classes))
         state = BilevelState(classifier, weightnet, params, theta)
 
-        losses, grads = train_losses_and_grads(state, train_batch)
+        losses, grads = train_forward_backward(state, train_batch)
         wn_pre = weightnet.hidden_preactivations(theta, losses)
         w_hat = virtual_step(state, weightnet.forward_batch(theta, losses), grads, alpha)
         cl_pre = classifier.hidden_preactivations(w_hat, meta_batch.features)

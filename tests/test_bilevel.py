@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metareweight.bilevel import (Batch, BilevelState, TrainConfig, Variant,
-                                  bilevel_step, classifier_update, meta_gradient_at,
-                                  theta_gradient, theta_update, train,
-                                  train_losses_and_grads, virtual_step)
+                                  alignments, bilevel_step, classifier_update,
+                                  meta_gradient_at, theta_gradient, theta_update, train,
+                                  train_forward_backward, train_losses_and_grads,
+                                  virtual_step)
 from metareweight.data import BlobSpec, make_blobs, standardize
 from metareweight.losses import LossKind
 from metareweight.nets import ClassifierNet, WeightNet
 from metareweight.noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from metareweight.numkit import Rng
-from metareweight.verify import composed_meta_objective, random_hypergrad_instance
+from metareweight.verify import (composed_meta_objective, finite_diff_theta_grad,
+                                 random_hypergrad_instance)
 
 
 def tiny_state(seed=0, dim=3, k=3, hidden=(5,), wn_hidden=8, randomize_wn=True):
@@ -43,6 +47,15 @@ def sample_grad(state, params, batch, i, kind):
     losses, grads = state.classifier.losses_and_grads_batch(
         params, batch.features[i:i + 1], batch.labels[i:i + 1], kind)
     return losses[0], grads[0]
+
+
+def rel_diff(got, want) -> float:
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+def agree(got, want, bound) -> bool:
+    """``got`` equals ``want`` to within 1e-12 of the norm of ``bound``."""
+    return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(bound)
 
 
 def doubled(batch):
@@ -254,8 +267,10 @@ class TestClassifierUpdate:
 
 class TestFusedStep:
     def test_equals_composed_ops(self):
-        # The step is the composition of the pieces; here it is checked,
-        # bit for bit, against the same update written out in one place.
+        # The step is checked against the same update written out in one
+        # place on the materialized per-sample gradient matrices.  The step
+        # contracts factored gradients instead, which sums in another
+        # order, so the two agree to rounding (1e-12 relative), not bitwise.
         cfg = TrainConfig(train_batch=4, meta_batch=4, classifier_lr=0.1,
                           meta_lr=1e-3, momentum=0.9, weight_decay=5e-4,
                           epochs=1, lr_milestones=())
@@ -278,9 +293,85 @@ class TestFusedStep:
                                     + cfg.weight_decay * w)
 
         bilevel_step(state, batch, meta, cfg, alpha, LossKind.MAE)
-        assert np.array_equal(state.theta, theta_new)
-        assert np.array_equal(state.momentum_buffer, v_new)
-        assert np.array_equal(state.params, w - alpha * v_new)
+        assert rel_diff(state.theta, theta_new) <= 1e-12
+        assert rel_diff(state.momentum_buffer, v_new) <= 1e-12
+        assert rel_diff(state.params, w - alpha * v_new) <= 1e-12
+
+
+@st.composite
+def step_instances(draw):
+    """A random bilevel step: depth, widths, batch sizes and meta loss."""
+    dim = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 5))
+    hidden = draw(st.lists(st.integers(1, 8), min_size=0, max_size=3))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(list(LossKind)))
+    rng = Rng(draw(st.integers(0, 2**32)))
+    classifier = ClassifierNet([dim, *hidden, k])
+    weightnet = WeightNet(hidden=draw(st.integers(1, 10)))
+    state = BilevelState(classifier, weightnet, classifier.init_params(rng),
+                         rng.gaussians(weightnet.num_params, 0.0, 0.5))
+    state.momentum_buffer = rng.gaussians(classifier.num_params)
+    return state, tiny_batch(rng, n, dim, k), tiny_batch(rng, m, dim, k), kind, rng
+
+
+class TestFactoredStep:
+    """The step contracts factored per-sample gradients; every piece must
+    agree with the same contraction of the materialized matrices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_instances())
+    def test_pieces_and_step_match_the_materialized_path(self, instance):
+        # Each result must match to 1e-12 relative to its bound: the same
+        # sums taken over absolute values, so that a sum that cancels to
+        # about zero is judged by the size of its terms.
+        state, batch, meta, kind, rng = instance
+        clf, wn = state.classifier, state.weightnet
+        w, theta, v, alpha = state.params, state.theta, state.momentum_buffer, 0.1
+        n = len(batch)
+        A = np.abs
+
+        losses, grads = train_forward_backward(state, batch)
+        ref_losses, ref_grads = train_losses_and_grads(state, batch)
+        assert np.array_equal(losses, ref_losses)
+        c, g = rng.gaussians(n), rng.gaussians(clf.num_params)
+        assert agree(c @ grads, c @ ref_grads, A(c) @ A(ref_grads))
+        assert agree(alignments(grads, g), ref_grads @ g, A(ref_grads) @ A(g))
+
+        weights, theta_grads = wn.forward_and_factored_grads_batch(theta, losses)
+        ref_weights, ref_theta_grads = wn.forward_and_grads_batch(theta, losses)
+        assert np.array_equal(weights, ref_weights)
+        assert agree(c @ theta_grads, c @ ref_theta_grads, A(c) @ A(ref_theta_grads))
+
+        step_bound = (alpha / n) * (weights @ A(ref_grads))
+        w_hat = w - (alpha / n) * (weights @ ref_grads)
+        assert agree(virtual_step(state, weights, grads, alpha), w_hat, A(w) + step_bound)
+        _, meta_grads = clf.losses_and_grads_batch(w_hat, meta.features, meta.labels, kind)
+        g_meta, g_meta_bound = meta_grads.mean(axis=0), A(meta_grads).mean(axis=0)
+        assert agree(meta_gradient_at(clf, w_hat, meta, kind), g_meta, g_meta_bound)
+        t_grad = -(alpha / n) * ((ref_grads @ g_meta) @ ref_theta_grads)
+        t_bound = (alpha / n) * ((A(ref_grads) @ g_meta_bound) @ A(ref_theta_grads))
+        assert agree(theta_gradient(state, losses, grads, meta, alpha, kind), t_grad, t_bound)
+
+        cfg = TrainConfig(meta_lr=1e-3, momentum=0.9, weight_decay=5e-4)
+        theta_new = theta - cfg.meta_lr * (t_grad + cfg.weight_decay * theta)
+        new_weights = wn.forward_batch(theta_new, losses)
+        v_new = cfg.momentum * v + ((new_weights @ ref_grads) / n + cfg.weight_decay * w)
+        v_bound = (cfg.momentum * A(v) + (new_weights @ A(ref_grads)) / n
+                   + cfg.weight_decay * A(w))
+        bilevel_step(state, batch, meta, cfg, alpha, kind)
+        assert agree(state.theta, theta_new,
+                     A(theta) + cfg.meta_lr * (t_bound + cfg.weight_decay * A(theta)))
+        assert agree(state.momentum_buffer, v_new, v_bound)
+        assert agree(state.params, w - alpha * v_new, A(w) + alpha * v_bound)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_two_hidden_layers_match_finite_differences(self, kind):
+        rng = Rng(23)
+        for _ in range(4):
+            state, tb, mb, analytic = random_hypergrad_instance(rng, hidden=(5, 4), kind=kind)
+            fd = finite_diff_theta_grad(state, tb, mb, 0.1, kind)
+            assert rel_diff(analytic, fd) <= 1e-4
 
 
 def quick_splits(rate=0.0, seed=0, spec=None):
@@ -341,6 +432,33 @@ class TestTrainLoop:
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=(), **lrs)
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match=r"^epoch 0, step \d+: .*non-finite entries"):
+            train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=1)
+
+    def test_training_builds_no_per_sample_gradient_matrix(self, monkeypatch):
+        from metareweight.nets import _Mlp
+
+        def materialized(*args, **kwargs):
+            raise AssertionError("training built a per-sample gradient matrix")
+
+        monkeypatch.setattr(ClassifierNet, "losses_and_grads_batch", materialized)
+        monkeypatch.setattr(WeightNet, "forward_and_grads_batch", materialized)
+        monkeypatch.setattr(_Mlp, "_per_sample_grads", materialized)
+        train_split, meta_split, test = quick_splits(rate=0.3)
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=())
+        for variant in Variant:
+            report = train(variant, train_split, meta_split, test, cfg, seed=1)
+            assert len(report.epochs) == 2
+
+    def test_metrics_failure_names_the_epoch(self, monkeypatch):
+        import metareweight.bilevel as b
+
+        def failing(*args):
+            raise ValueError("loss values contains non-finite entries")
+
+        monkeypatch.setattr(b, "_epoch_metrics", failing)
+        train_split, meta_split, test = quick_splits(rate=0.3)
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=())
+        with pytest.raises(ValueError, match=r"^epoch 0, metrics: loss values contains"):
             train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=1)
 
     def test_lr_schedule_divides_by_ten(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,14 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert f"config error: {cfg_path}: meta_lr must be finite and positive, got nan" in err
 
+    def test_range_error_names_the_key_and_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("[experiment]\nnum_seeds = 1\n\n[blob]\nclasses = 1\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {cfg_path}: num_classes must be >= 2, got 1 "
+                       f"(at {cfg_path}:5: classes = 1)"]
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["no-such-command"]) == 1
 
@@ -246,6 +256,17 @@ class TestCliCommands:
         assert ("runtime failure: run failed for variant=clean-ce, noise=uniform@0.0, "
                 "seed=0: epoch 0, step 1: weighting-net parameter vector contains "
                 "non-finite entries") in capsys.readouterr().err
+
+    def test_diverging_run_prints_one_line_and_no_warnings(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT.replace("[train]", "[train]\nclassifier_lr = 1e100"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime failure: ")
 
     def test_runtime_failure_exit_three(self, tmp_path, monkeypatch, capsys):
         import metareweight.cli as cli_mod
