@@ -54,7 +54,7 @@ from .data import CorruptedDataset, LabeledDataset, dataclass_csv
 from .losses import LossKind
 from .metrics import accuracy, auc_noisy_detection
 from .nets import ClassifierNet, SampleGrads, WeightNet
-from .numkit import FieldError, Rng, check_fields
+from .numkit import FieldError, Rng, as_vec, check_fields
 
 _INIT_CLASSIFIER_STREAM = 11
 _INIT_WEIGHTNET_STREAM = 12
@@ -141,10 +141,12 @@ def train_forward_backward(state: BilevelState, train_batch: Batch):
     """Per-sample CE losses and factored gradients (``nets.SampleGrads``)
     of the train batch at the current classifier: the one forward/backward
     pass a step makes on it.  The pieces below take this pair instead of
-    recomputing it."""
+    recomputing it.  A classifier whose finite parameters overflow its
+    forward pass is reported here, by its non-finite losses."""
     _require_nonempty(train_batch, "train")
-    return state.classifier.losses_and_factored_grads_batch(
+    losses, grads = state.classifier.losses_and_factored_grads_batch(
         state.params, train_batch.features, train_batch.labels, LossKind.CE)
+    return as_vec(losses, "classifier train-loss vector"), grads
 
 
 def train_losses_and_grads(state: BilevelState, train_batch: Batch):

@@ -23,6 +23,14 @@ one through ``set_flat``, which checks its size and finiteness;
 share one forward loop and one backward loop (``_backward_deltas``); they
 differ only in how the input is read and in the output-layer delta.
 
+Leading parameter axis: the forward-only methods (``ClassifierNet.
+forward_batch``/``predict_batch``/``losses_batch`` and ``WeightNet.
+forward_batch``) also take a ``(T, num_params)`` stack of parameter
+vectors and evaluate the one input batch at each of them, returning
+``(T, n, ...)`` in place of ``(n, ...)``.  Row t equals the call at
+``params[t]`` bit for bit.  The gradient methods and ``set_flat`` take a
+single vector only.
+
 Flat parameter layout (both networks): layers in input-to-output order,
 each layer contributing W.ravel() (row-major, shape out x in) followed by
 its bias (out,).  ``_Mlp._layers`` is the only code that knows this layout.
@@ -38,8 +46,15 @@ from .numkit import Rng, as_vec
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``.  Over an inner axis of length 1 the product is an outer
+    product; numpy's matmul has no BLAS call for that shape and falls back
+    to a slow generic loop, so it is computed by broadcasting (same bits)."""
+    return a * b if a.shape[-1] == 1 else np.matmul(a, b)
 
 
 class SampleGrads:
@@ -111,28 +126,33 @@ class _Mlp:
         """A checked copy of ``params`` that the caller may write into."""
         return self.set_flat(params, name).copy()
 
-    def _layers(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer ``(W (out, in), b (out,))`` views into ``params``."""
+    def _layers(self, params, stacked: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(W (out, in), b (out,))`` views into ``params``; with
+        ``stacked``, a ``(T, num_params)`` stack is also accepted and gives
+        ``(T, out, in)`` and ``(T, out)`` views."""
         params = np.asarray(params, dtype=np.float64)
-        if params.shape != (self.num_params,):
+        if not (params.ndim == 1 or stacked and params.ndim == 2) \
+                or params.shape[-1] != self.num_params:
             raise ValueError(f"expected {self.num_params} params, got shape {params.shape}")
+        lead = params.shape[:-1]
         views = []
         off = 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            w = params[off:off + fan_out * fan_in].reshape(fan_out, fan_in)
-            off += w.size
-            views.append((w, params[off:off + fan_out]))
+            w = params[..., off:off + fan_out * fan_in].reshape(*lead, fan_out, fan_in)
+            off += fan_out * fan_in
+            views.append((w, params[..., off:off + fan_out]))
             off += fan_out
         return views
 
     def _forward(self, layers, x: np.ndarray):
-        """Returns (activations per layer incl. input, pre-activations)."""
+        """Returns (activations per layer incl. input, pre-activations);
+        ``(T, n, width)`` beyond the input for stacked layers."""
         acts = [x]
         zs = []
         a = x
         last = len(layers) - 1
         for i, (w, b) in enumerate(layers):
-            z = a @ w.T + b
+            z = _matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]
             zs.append(z)
             a = z if i == last else np.maximum(z, 0.0)
             acts.append(a)
@@ -144,7 +164,7 @@ class _Mlp:
         objective w.r.t. every layer's pre-activations, given it for the last."""
         deltas = [out_delta]
         for i in range(len(layers) - 1, 0, -1):
-            deltas.insert(0, (deltas[0] @ layers[i][0]) * (zs[i - 1] > 0.0))
+            deltas.insert(0, _matmul(deltas[0], layers[i][0]) * (zs[i - 1] > 0.0))
         return deltas
 
     def _per_sample_grads(self, layers, acts, zs, out_delta: np.ndarray) -> np.ndarray:
@@ -194,15 +214,22 @@ class ClassifierNet(_Mlp):
         return x
 
     def forward_batch(self, params, x) -> np.ndarray:
-        """Softmax probabilities at ``params``, one row per sample."""
-        _, zs = self._forward(self._layers(params), self._inputs(x))
+        """Softmax probabilities at ``params``, one row per sample:
+        ``(n, K)``, or ``(T, n, K)`` for a ``(T, num_params)`` stack."""
+        _, zs = self._forward(self._layers(params, stacked=True), self._inputs(x))
         return _softmax_rows(zs[-1])
 
     def predict_batch(self, params, x) -> np.ndarray:
-        return np.argmax(self.forward_batch(params, x), axis=1)
+        return np.argmax(self.forward_batch(params, x), axis=-1)
 
     def losses_batch(self, params, x, labels, kind: LossKind) -> np.ndarray:
-        return loss_values_batch(kind, labels, self.forward_batch(params, x))
+        """Per-sample losses: ``(n,)``, or ``(T, n)`` for a stack."""
+        probs = self.forward_batch(params, x)
+        if probs.ndim == 2:
+            return loss_values_batch(kind, labels, probs)
+        t, n, k = probs.shape
+        labels = np.tile(np.asarray(labels, dtype=np.int64), t)
+        return loss_values_batch(kind, labels, probs.reshape(t * n, k)).reshape(t, n)
 
     def _loss_pass(self, params, x, labels, kind: LossKind):
         """Forward pass and losses: ``(layers, acts, zs, losses, logit deltas)``."""
@@ -256,8 +283,9 @@ class WeightNet(_Mlp):
         return as_vec(loss_values, "loss values")[:, None]
 
     def forward_batch(self, theta, loss_values) -> np.ndarray:
-        _, zs = self._forward(self._layers(theta), self._inputs(loss_values))
-        out = 1.0 / (1.0 + np.exp(-zs[-1][:, 0]))
+        """Weights ``(n,)``, or ``(T, n)`` for a ``(T, num_params)`` stack."""
+        _, zs = self._forward(self._layers(theta, stacked=True), self._inputs(loss_values))
+        out = 1.0 / (1.0 + np.exp(-zs[-1][..., 0]))
         return np.clip(out, self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
 
     def _logistic_pass(self, theta, loss_values):

@@ -16,6 +16,12 @@ the training-path code:
 * The closed-form weighting-parameter gradient in ``bilevel`` matches
   central finite differences of the composed objective (meta loss after
   one virtual step), checked away from rectifier kinks.
+
+The oracles run as batched numpy passes, not Python loops: every label of
+every sample goes through one backward pass, a finite-difference sweep
+evaluates all its perturbed parameter vectors as one stack (the nets'
+leading parameter axis), and Monte-Carlo minibatch means are products of
+a draw-count matrix with the per-(sample, label) gradients.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ FD_STEP = 1e-6
 KINK_MARGIN = 10 * FD_STEP
 # Chance that correct label sampling fails the corruption-frequency check.
 CORRUPTION_FAMILY_ALPHA = 1e-4
+# Activation memory of one block of a finite-difference sweep: the
+# weighting net's hidden layer over the train batch, per perturbed vector.
+FD_BLOCK_BYTES = 2 * 2**20
 
 
 # -- exact expectations ------------------------------------------------------
@@ -46,14 +55,13 @@ CORRUPTION_FAMILY_ALPHA = 1e-4
 
 def per_label_gradients(classifier: ClassifierNet, params: np.ndarray,
                         features: np.ndarray, kind: LossKind) -> np.ndarray:
-    """Gradients for every (sample, label) pair at ``params``: (n, K, P)."""
+    """Gradients for every (sample, label) pair at ``params``: (n, K, P),
+    from one backward pass over each sample repeated once per label."""
     n = features.shape[0]
     k = classifier.num_classes
-    out = np.empty((n, k, classifier.num_params))
-    for c in range(k):
-        _, out[:, c, :] = classifier.losses_and_grads_batch(
-            params, features, np.full(n, c, dtype=np.int64), kind)
-    return out
+    _, grads = classifier.losses_and_grads_batch(
+        params, np.repeat(features, k, axis=0), np.tile(np.arange(k), n), kind)
+    return grads.reshape(n, k, classifier.num_params)
 
 
 def clean_mean_gradient(classifier: ClassifierNet, params: np.ndarray,
@@ -147,9 +155,14 @@ class VarianceCheckReport:
     holds: bool
 
 
-def _minibatch_mean_grads(g_rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Means of rows of g_rows grouped as (trials, m) index draws."""
-    return g_rows[idx].mean(axis=1)
+def _draw_counts(cells: np.ndarray, num_cells: int) -> np.ndarray:
+    """How often each of ``num_cells`` cells occurs in each row of the
+    ``(trials, m)`` draws ``cells``: a float ``(trials, num_cells)`` matrix,
+    so that ``counts @ rows`` sums the drawn rows of each trial in BLAS."""
+    trials = cells.shape[0]
+    flat = (np.arange(trials)[:, None] * num_cells + cells).ravel()
+    return np.bincount(flat, minlength=trials * num_cells).reshape(
+        trials, num_cells).astype(np.float64)
 
 
 def variance_bound_check(classifier: ClassifierNet, params: np.ndarray,
@@ -161,6 +174,9 @@ def variance_bound_check(classifier: ClassifierNet, params: np.ndarray,
 
     Only symmetric meta losses are admitted: the (1 - eta)-scaled mean the
     corrupted deviation is measured from *is* the expectation only then.
+    A minibatch mean is its row of draw counts times the gradient rows,
+    over m: samples for the clean draws, (sample, label) cells for the
+    corrupted ones.
     """
     if kind is not LossKind.MAE:
         raise ValueError("variance bound is only claimed for the symmetric (MAE) loss")
@@ -169,21 +185,22 @@ def variance_bound_check(classifier: ClassifierNet, params: np.ndarray,
     if m < 1 or not 0.0 <= eta < 1.0:
         raise ValueError("bad minibatch size or noise rate")
 
-    k = classifier.num_classes
+    n, k = len(pool), classifier.num_classes
     g_all = per_label_gradients(classifier, params, pool.features, kind)
-    g_clean = g_all[np.arange(len(pool)), pool.labels]
+    g_clean = g_all[np.arange(n), pool.labels]
     mu = g_clean.mean(axis=0)
     rho = float(np.linalg.norm(g_all, axis=2).max())
 
-    clean_idx = rng.randints(trials * m, len(pool)).reshape(trials, m)
-    dev = _minibatch_mean_grads(g_clean, clean_idx) - mu
+    clean_idx = rng.randints(trials * m, n).reshape(trials, m)
+    dev = _draw_counts(clean_idx, n) @ g_clean / m - mu
     sigma_sq = float((dev ** 2).sum(axis=1).mean())
 
-    noisy_idx = rng.randints(trials * m, len(pool)).reshape(trials, m)
+    noisy_idx = rng.randints(trials * m, n).reshape(trials, m)
     flip_mask = rng.uniforms(trials * m).reshape(trials, m) < eta
     drawn = rng.randints(trials * m, k).reshape(trials, m)
     labels = np.where(flip_mask, drawn, pool.labels[noisy_idx])
-    noisy_means = g_all[noisy_idx, labels].mean(axis=1)
+    noisy_means = (_draw_counts(noisy_idx * k + labels, n * k)
+                   @ g_all.reshape(n * k, -1) / m)
     dev_noisy = noisy_means - (1.0 - eta) * mu
     empirical = float((dev_noisy ** 2).sum(axis=1).mean())
 
@@ -201,33 +218,34 @@ def finite_diff_theta_grad(state: BilevelState, train_batch: Batch,
     """Central differences of theta -> mean meta loss after the virtual step.
 
     The training-batch losses and per-sample gradients do not depend on
-    the weighting parameters, so they are computed once; each coordinate
-    evaluation only re-runs the weighting net and the meta forward pass.
+    the weighting parameters, so they are computed once.  The objective is
+    then evaluated at all 2P perturbed vectors (each coordinate + step,
+    then each - step) as a stack, in blocks of rows whose weighting-net
+    activations fit ``FD_BLOCK_BYTES``: per block one weighting-net
+    forward pass, one product for the virtual steps and one meta forward
+    pass.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     classifier, weightnet = state.classifier, state.weightnet
-    w0, theta0 = state.params, state.theta
+    w0, theta = state.params, weightnet.get_flat(state.theta)
     losses, grads = classifier.losses_and_grads_batch(
         w0, train_batch.features, train_batch.labels, LossKind.CE)
-    n = len(train_batch)
+    n, p = len(train_batch), theta.size
 
-    def objective(theta: np.ndarray) -> float:
-        weights = weightnet.forward_batch(theta, losses)
+    coords = np.arange(p)
+    stack = np.tile(theta, (2 * p, 1))
+    stack[coords, coords] = theta + step
+    stack[p + coords, coords] = theta - step
+    objective = np.empty(2 * p)
+    rows = max(1, FD_BLOCK_BYTES // (8 * n * weightnet.layer_sizes[1]))
+    for start in range(0, 2 * p, rows):
+        block = stack[start:start + rows]
+        weights = weightnet.forward_batch(block, losses)
         w_hat = w0 - (alpha / n) * (weights @ grads)
-        return float(classifier.losses_batch(
-            w_hat, meta_batch.features, meta_batch.labels, kind).mean())
-
-    out = np.empty(theta0.size)
-    theta = weightnet.get_flat(theta0)
-    for i in range(theta0.size):
-        theta[i] = theta0[i] + step
-        f_plus = objective(theta)
-        theta[i] = theta0[i] - step
-        f_minus = objective(theta)
-        theta[i] = theta0[i]
-        out[i] = (f_plus - f_minus) / (2.0 * step)
-    return out
+        objective[start:start + rows] = classifier.losses_batch(
+            w_hat, meta_batch.features, meta_batch.labels, kind).mean(axis=1)
+    return (objective[:p] - objective[p:]) / (2.0 * step)
 
 
 def composed_meta_objective(state: BilevelState, train_batch: Batch,
@@ -305,6 +323,7 @@ def mc_convergence_slope(rng: Rng, eta: float = 0.4, num_classes: int = 5,
     g_all = per_label_gradients(classifier, params, features, LossKind.MAE)
     expected = expected_uniform_gradient(classifier, params, features, labels,
                                          eta, LossKind.MAE)
+    g_cells = g_all.reshape(batch * num_classes, -1)
     log_errors = []
     for trials in trial_counts:
         errs = np.empty(repeats)
@@ -312,7 +331,9 @@ def mc_convergence_slope(rng: Rng, eta: float = 0.4, num_classes: int = 5,
             flip = rng.uniforms(trials * batch).reshape(trials, batch) < eta
             drawn = rng.randints(trials * batch, num_classes).reshape(trials, batch)
             obs = np.where(flip, drawn, labels[None, :])
-            est = g_all[np.arange(batch)[None, :], obs].mean(axis=(0, 1))
+            cells = np.arange(batch)[None, :] * num_classes + obs
+            counts = np.bincount(cells.ravel(), minlength=batch * num_classes)
+            est = counts @ g_cells / (trials * batch)
             errs[r] = np.linalg.norm(est - expected)
         log_errors.append(np.mean(np.log10(errs)))
     slope, _ = np.polyfit(np.log10(np.asarray(trial_counts, dtype=float)),

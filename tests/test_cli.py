@@ -257,6 +257,17 @@ class TestCliCommands:
                 "seed=0: epoch 0, step 1: weighting-net parameter vector contains "
                 "non-finite entries") in capsys.readouterr().err
 
+    def test_diverging_classifier_is_named_by_its_losses(self, tmp_path, capsys):
+        # finite parameters that overflow the classifier's forward pass make
+        # its train losses non-finite before any vector check fails
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT.replace("[train]", "[train]\nclassifier_lr = 1e5"))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert ("runtime failure: run failed for variant=noisy-mae, noise=uniform@0.0, "
+                "seed=0: epoch 1, step 3: classifier train-loss vector contains "
+                "non-finite entries") in capsys.readouterr().err
+
     def test_diverging_run_prints_one_line_and_no_warnings(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY_CFG_TEXT.replace("[train]", "[train]\nclassifier_lr = 1e100"))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metareweight.losses import LossKind
-from metareweight.nets import ClassifierNet, WeightNet
+from metareweight.nets import ClassifierNet, WeightNet, _matmul
 from metareweight.numkit import Rng
 
 
@@ -134,9 +136,13 @@ class TestFlatParams:
     def test_wrong_size_rejected(self):
         net = ClassifierNet([2, 2])
         x = np.zeros((1, 2))
-        for params in (np.zeros(net.num_params + 1), np.zeros((1, net.num_params))):
+        p = net.num_params
+        # the forward pass also takes a (T, P) stack, never a deeper one
+        for params in (np.zeros(p + 1), np.zeros((1, p + 1)), np.zeros((1, 1, p))):
             with pytest.raises(ValueError, match="params"):
                 net.forward_batch(params, x)
+        # the gradient methods take one vector only
+        for params in (np.zeros(p + 1), np.zeros((1, p))):
             with pytest.raises(ValueError, match="params"):
                 net.losses_and_grads_batch(params, x, [0], LossKind.CE)
 
@@ -322,3 +328,64 @@ class TestWeightNetOracle:
             theta[:hidden] = -np.abs(theta[:hidden])   # every unit dead for v > 0
             theta[2 * hidden:] = rng.gaussians(hidden + 1)
             self.check(net, theta, np.concatenate([[0.0], rng.uniforms(9, 0.0, 5.0)]))
+
+
+class TestParameterStack:
+    """A ``(T, P)`` stack through the forward-only methods gives, row for
+    row, the bits of the 1-D call at each vector."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 8), max_size=3),
+           dim=st.integers(1, 5), classes=st.integers(2, 5), n=st.integers(1, 12),
+           t=st.integers(1, 6), kind=st.sampled_from(list(LossKind)))
+    def test_classifier_rows_equal_single_vector_calls(self, seed, hidden, dim, classes,
+                                                       n, t, kind):
+        rng = Rng(seed)
+        net = ClassifierNet([dim, *hidden, classes])
+        stack = rng.gaussians(t * net.num_params).reshape(t, net.num_params)
+        x = rng.gaussians(n * dim).reshape(n, dim)
+        labels = rng.randints(n, classes)
+        probs = net.forward_batch(stack, x)
+        losses = net.losses_batch(stack, x, labels, kind)
+        preds = net.predict_batch(stack, x)
+        assert probs.shape == (t, n, classes) and losses.shape == preds.shape == (t, n)
+        for row, params in enumerate(stack):
+            assert np.array_equal(probs[row], net.forward_batch(params, x))
+            assert np.array_equal(losses[row], net.losses_batch(params, x, labels, kind))
+            assert np.array_equal(preds[row], net.predict_batch(params, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 120),
+           n=st.integers(1, 50), t=st.integers(1, 6))
+    def test_weightnet_rows_equal_single_vector_calls(self, seed, hidden, n, t):
+        rng = Rng(seed)
+        net = WeightNet(hidden=hidden)
+        stack = rng.gaussians(t * net.num_params, 0.0, 2.0).reshape(t, net.num_params)
+        v = rng.uniforms(n, 0.0, 8.0)
+        weights = net.forward_batch(stack, v)
+        assert weights.shape == (t, n)
+        for row, theta in enumerate(stack):
+            assert np.array_equal(weights[row], net.forward_batch(theta, v))
+
+    def test_gradient_methods_reject_a_stack(self):
+        net, wn = ClassifierNet([2, 3, 2]), WeightNet(hidden=4)
+        stack, theta_stack = np.zeros((2, net.num_params)), np.zeros((2, wn.num_params))
+        with pytest.raises(ValueError, match="params"):
+            net.losses_and_factored_grads_batch(stack, np.zeros((1, 2)), [0], LossKind.CE)
+        with pytest.raises(ValueError, match="params"):
+            wn.forward_and_grads_batch(theta_stack, [1.0])
+        with pytest.raises(ValueError, match="params"):
+            wn.forward_and_factored_grads_batch(theta_stack, [1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            wn.set_flat(theta_stack)
+
+    def test_length_one_inner_axis_is_matmul(self):
+        # the weighting net's input layer and its backward into the hidden
+        # layer contract over one entry; broadcasting must give matmul's bits
+        rng = Rng(41)
+        for n, width in ((1, 1), (7, 100), (2000, 100)):
+            a = rng.gaussians(n, 0.0, 3.0).reshape(n, 1)
+            b = rng.gaussians(width).reshape(1, width)
+            assert np.array_equal(_matmul(a, b), np.matmul(a, b))
+            stacked_b = rng.gaussians(3 * width).reshape(3, 1, width)
+            assert np.array_equal(_matmul(a, stacked_b), np.matmul(a, stacked_b))

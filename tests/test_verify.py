@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metareweight import verify
+from metareweight.bilevel import Batch
 from metareweight.data import LabeledDataset
 from metareweight.losses import LossKind
 from metareweight.numkit import Rng
@@ -142,7 +143,6 @@ class TestFiniteDifferenceOracle:
         rng = Rng(12)
         state, tb, _, _ = verify.random_hypergrad_instance(rng)
         x = rng.gaussians(3)
-        from metareweight.bilevel import Batch
         flat_meta = Batch(np.tile(x, (3, 1)), np.arange(3, dtype=np.int64))
         fd = verify.finite_diff_theta_grad(state, tb, flat_meta, 0.1, LossKind.MAE)
         # the symmetric loss makes this meta objective constant in theta
@@ -233,3 +233,137 @@ class TestRunAll:
             rep = verify.equivalence_report(c, params, x, y, 0.4, LossKind.CE)
             worst = max(worst, rep.relative_residual)
         assert worst > 1e-10  # would have passed at 1e-10 with MAE
+
+
+# -- the oracles as loops: references for their batched forms ----------------
+
+
+def loop_per_label_gradients(classifier, params, features, kind):
+    n, k = features.shape[0], classifier.num_classes
+    out = np.empty((n, k, classifier.num_params))
+    for c in range(k):
+        _, out[:, c, :] = classifier.losses_and_grads_batch(
+            params, features, np.full(n, c, dtype=np.int64), kind)
+    return out
+
+
+def loop_finite_diff_theta_grad(state, train_batch, meta_batch, alpha, kind,
+                                step=verify.FD_STEP):
+    classifier, weightnet = state.classifier, state.weightnet
+    w0, theta0 = state.params, state.theta
+    losses, grads = classifier.losses_and_grads_batch(
+        w0, train_batch.features, train_batch.labels, LossKind.CE)
+    n = len(train_batch)
+
+    def objective(theta):
+        weights = weightnet.forward_batch(theta, losses)
+        w_hat = w0 - (alpha / n) * (weights @ grads)
+        return float(classifier.losses_batch(
+            w_hat, meta_batch.features, meta_batch.labels, kind).mean())
+
+    out = np.empty(theta0.size)
+    theta = theta0.copy()
+    for i in range(theta0.size):
+        theta[i] = theta0[i] + step
+        f_plus = objective(theta)
+        theta[i] = theta0[i] - step
+        f_minus = objective(theta)
+        theta[i] = theta0[i]
+        out[i] = (f_plus - f_minus) / (2.0 * step)
+    return out
+
+
+def gather_variance_bound_check(classifier, params, pool, eta, m, trials, rng,
+                                slack=0.05):
+    """``variance_bound_check`` with each minibatch gathered and averaged."""
+    k = classifier.num_classes
+    g_all = loop_per_label_gradients(classifier, params, pool.features, LossKind.MAE)
+    g_clean = g_all[np.arange(len(pool)), pool.labels]
+    mu = g_clean.mean(axis=0)
+    rho = float(np.linalg.norm(g_all, axis=2).max())
+    clean_idx = rng.randints(trials * m, len(pool)).reshape(trials, m)
+    dev = g_clean[clean_idx].mean(axis=1) - mu
+    sigma_sq = float((dev ** 2).sum(axis=1).mean())
+    noisy_idx = rng.randints(trials * m, len(pool)).reshape(trials, m)
+    flip_mask = rng.uniforms(trials * m).reshape(trials, m) < eta
+    drawn = rng.randints(trials * m, k).reshape(trials, m)
+    labels = np.where(flip_mask, drawn, pool.labels[noisy_idx])
+    dev_noisy = g_all[noisy_idx, labels].mean(axis=1) - (1.0 - eta) * mu
+    empirical = float((dev_noisy ** 2).sum(axis=1).mean())
+    bound = sigma_sq + 2.0 * eta * rho ** 2 / m
+    return verify.VarianceCheckReport(empirical, bound, sigma_sq, rho, m, eta,
+                                      empirical <= bound * (1.0 + slack))
+
+
+def gather_mc_convergence_slope(rng, eta=0.4, num_classes=5, batch=6,
+                                trial_counts=(100, 400, 1600, 6400), repeats=40):
+    """``mc_convergence_slope`` with each sampled minibatch gathered."""
+    classifier, params, features, labels = verify.random_classifier_instance(
+        rng, num_classes, batch=batch)
+    g_all = loop_per_label_gradients(classifier, params, features, LossKind.MAE)
+    expected = verify.expected_uniform_gradient(classifier, params, features, labels,
+                                                eta, LossKind.MAE)
+    log_errors = []
+    for trials in trial_counts:
+        errs = np.empty(repeats)
+        for r in range(repeats):
+            flip = rng.uniforms(trials * batch).reshape(trials, batch) < eta
+            drawn = rng.randints(trials * batch, num_classes).reshape(trials, batch)
+            obs = np.where(flip, drawn, labels[None, :])
+            est = g_all[np.arange(batch)[None, :], obs].mean(axis=(0, 1))
+            errs[r] = np.linalg.norm(est - expected)
+        log_errors.append(np.mean(np.log10(errs)))
+    slope, _ = np.polyfit(np.log10(np.asarray(trial_counts, dtype=float)),
+                          np.array(log_errors), 1)
+    return float(slope)
+
+
+class TestBatchedOraclesMatchLoops:
+    def test_per_label_gradients_equal_one_pass_per_label(self):
+        rng = Rng(50)
+        for k in (2, 3, 5, 10):
+            for kind in LossKind:
+                for hidden in ((8,), (5, 4), ()):
+                    c, params, x, _ = verify.random_classifier_instance(
+                        rng, k, hidden=hidden, batch=1 + rng.randint(40))
+                    assert np.array_equal(verify.per_label_gradients(c, params, x, kind),
+                                          loop_per_label_gradients(c, params, x, kind))
+
+    @pytest.mark.parametrize("hidden", [(5,), (5, 4)])
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_finite_differences_match_the_coordinate_loop(self, kind, hidden):
+        rng = Rng(51)
+        for _ in range(4):
+            state, tb, mb, _ = verify.random_hypergrad_instance(rng, kind=kind,
+                                                                hidden=hidden)
+            ref = loop_finite_diff_theta_grad(state, tb, mb, 0.1, kind)
+            fd = verify.finite_diff_theta_grad(state, tb, mb, 0.1, kind)
+            assert np.abs(fd - ref).max() <= 1e-7 * np.abs(ref).max()
+
+    def test_finite_differences_do_not_depend_on_the_block_size(self, monkeypatch):
+        rng = Rng(52)
+        state, tb, mb, _ = verify.random_hypergrad_instance(rng, n_train=7)
+        whole = verify.finite_diff_theta_grad(state, tb, mb, 0.1, LossKind.MAE)
+        for budget in (1, 8 * 7 * 100 * 5):  # one row, then 5 rows per block
+            monkeypatch.setattr(verify, "FD_BLOCK_BYTES", budget)
+            blocked = verify.finite_diff_theta_grad(state, tb, mb, 0.1, LossKind.MAE)
+            assert np.array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8])
+    def test_variance_report_matches_the_gathered_means(self, eta):
+        for seed in range(5):
+            c, params, x, y = verify.random_classifier_instance(
+                Rng(60 + seed), 5, dim=4, hidden=(8,), batch=40)
+            pool = LabeledDataset(x, y, 5)
+            got = verify.variance_bound_check(c, params, pool, eta, 20, 1200, Rng(seed))
+            ref = gather_variance_bound_check(c, params, pool, eta, 20, 1200, Rng(seed))
+            assert got.holds == ref.holds
+            for field in ("empirical_variance", "bound", "sigma_sq", "rho"):
+                assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12)
+
+    def test_mc_slope_matches_the_gathered_means(self):
+        slope = verify.mc_convergence_slope(Rng(15), trial_counts=(100, 400, 1600),
+                                            repeats=10)
+        ref = gather_mc_convergence_slope(Rng(15), trial_counts=(100, 400, 1600),
+                                          repeats=10)
+        assert slope == pytest.approx(ref, rel=1e-12)
