@@ -50,13 +50,6 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``.  Over an inner axis of length 1 the product is an outer
-    product; numpy's matmul has no BLAS call for that shape and falls back
-    to a slow generic loop, so it is computed by broadcasting (same bits)."""
-    return a * b if a.shape[-1] == 1 else np.matmul(a, b)
-
-
 class SampleGrads:
     """The per-sample parameter gradients of one batch, kept factored.
 
@@ -152,7 +145,7 @@ class _Mlp:
         a = x
         last = len(layers) - 1
         for i, (w, b) in enumerate(layers):
-            z = _matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]
+            z = np.matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]
             zs.append(z)
             a = z if i == last else np.maximum(z, 0.0)
             acts.append(a)
@@ -164,7 +157,7 @@ class _Mlp:
         objective w.r.t. every layer's pre-activations, given it for the last."""
         deltas = [out_delta]
         for i in range(len(layers) - 1, 0, -1):
-            deltas.insert(0, _matmul(deltas[0], layers[i][0]) * (zs[i - 1] > 0.0))
+            deltas.insert(0, (deltas[0] @ layers[i][0]) * (zs[i - 1] > 0.0))
         return deltas
 
     def _per_sample_grads(self, layers, acts, zs, out_delta: np.ndarray) -> np.ndarray:

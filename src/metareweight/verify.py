@@ -45,9 +45,6 @@ FD_STEP = 1e-6
 KINK_MARGIN = 10 * FD_STEP
 # Chance that correct label sampling fails the corruption-frequency check.
 CORRUPTION_FAMILY_ALPHA = 1e-4
-# Activation memory of one block of a finite-difference sweep: the
-# weighting net's hidden layer over the train batch, per perturbed vector.
-FD_BLOCK_BYTES = 2 * 2**20
 
 
 # -- exact expectations ------------------------------------------------------
@@ -220,10 +217,8 @@ def finite_diff_theta_grad(state: BilevelState, train_batch: Batch,
     The training-batch losses and per-sample gradients do not depend on
     the weighting parameters, so they are computed once.  The objective is
     then evaluated at all 2P perturbed vectors (each coordinate + step,
-    then each - step) as a stack, in blocks of rows whose weighting-net
-    activations fit ``FD_BLOCK_BYTES``: per block one weighting-net
-    forward pass, one product for the virtual steps and one meta forward
-    pass.
+    then each - step) as one stack: one weighting-net forward pass, one
+    product for all virtual steps and one meta forward pass.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -237,14 +232,10 @@ def finite_diff_theta_grad(state: BilevelState, train_batch: Batch,
     stack = np.tile(theta, (2 * p, 1))
     stack[coords, coords] = theta + step
     stack[p + coords, coords] = theta - step
-    objective = np.empty(2 * p)
-    rows = max(1, FD_BLOCK_BYTES // (8 * n * weightnet.layer_sizes[1]))
-    for start in range(0, 2 * p, rows):
-        block = stack[start:start + rows]
-        weights = weightnet.forward_batch(block, losses)
-        w_hat = w0 - (alpha / n) * (weights @ grads)
-        objective[start:start + rows] = classifier.losses_batch(
-            w_hat, meta_batch.features, meta_batch.labels, kind).mean(axis=1)
+    weights = weightnet.forward_batch(stack, losses)
+    w_hat = w0 - (alpha / n) * (weights @ grads)
+    objective = classifier.losses_batch(
+        w_hat, meta_batch.features, meta_batch.labels, kind).mean(axis=1)
     return (objective[:p] - objective[p:]) / (2.0 * step)
 
 
@@ -331,9 +322,8 @@ def mc_convergence_slope(rng: Rng, eta: float = 0.4, num_classes: int = 5,
             flip = rng.uniforms(trials * batch).reshape(trials, batch) < eta
             drawn = rng.randints(trials * batch, num_classes).reshape(trials, batch)
             obs = np.where(flip, drawn, labels[None, :])
-            cells = np.arange(batch)[None, :] * num_classes + obs
-            counts = np.bincount(cells.ravel(), minlength=batch * num_classes)
-            est = counts @ g_cells / (trials * batch)
+            cells = (np.arange(batch)[None, :] * num_classes + obs).reshape(1, -1)
+            est = _draw_counts(cells, batch * num_classes)[0] @ g_cells / (trials * batch)
             errs[r] = np.linalg.norm(est - expected)
         log_errors.append(np.mean(np.log10(errs)))
     slope, _ = np.polyfit(np.log10(np.asarray(trial_counts, dtype=float)),

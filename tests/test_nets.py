@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metareweight.losses import LossKind
-from metareweight.nets import ClassifierNet, WeightNet, _matmul
+from metareweight.nets import ClassifierNet, WeightNet
 from metareweight.numkit import Rng
 
 
@@ -378,14 +378,3 @@ class TestParameterStack:
             wn.forward_and_factored_grads_batch(theta_stack, [1.0])
         with pytest.raises(ValueError, match="1-D"):
             wn.set_flat(theta_stack)
-
-    def test_length_one_inner_axis_is_matmul(self):
-        # the weighting net's input layer and its backward into the hidden
-        # layer contract over one entry; broadcasting must give matmul's bits
-        rng = Rng(41)
-        for n, width in ((1, 1), (7, 100), (2000, 100)):
-            a = rng.gaussians(n, 0.0, 3.0).reshape(n, 1)
-            b = rng.gaussians(width).reshape(1, width)
-            assert np.array_equal(_matmul(a, b), np.matmul(a, b))
-            stacked_b = rng.gaussians(3 * width).reshape(3, 1, width)
-            assert np.array_equal(_matmul(a, stacked_b), np.matmul(a, stacked_b))

@@ -340,15 +340,6 @@ class TestBatchedOraclesMatchLoops:
             fd = verify.finite_diff_theta_grad(state, tb, mb, 0.1, kind)
             assert np.abs(fd - ref).max() <= 1e-7 * np.abs(ref).max()
 
-    def test_finite_differences_do_not_depend_on_the_block_size(self, monkeypatch):
-        rng = Rng(52)
-        state, tb, mb, _ = verify.random_hypergrad_instance(rng, n_train=7)
-        whole = verify.finite_diff_theta_grad(state, tb, mb, 0.1, LossKind.MAE)
-        for budget in (1, 8 * 7 * 100 * 5):  # one row, then 5 rows per block
-            monkeypatch.setattr(verify, "FD_BLOCK_BYTES", budget)
-            blocked = verify.finite_diff_theta_grad(state, tb, mb, 0.1, LossKind.MAE)
-            assert np.array_equal(blocked, whole)
-
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8])
     def test_variance_report_matches_the_gathered_means(self, eta):
         for seed in range(5):
