@@ -18,8 +18,9 @@ pair:
 ``bilevel_step`` runs them as one function per phase:
 
 * ``train_forward_backward`` -- losses and per-sample gradients of the
-  train batch at the current classifier, kept factored
-  (``nets.SampleGrads``): no ``(n, num_params)`` matrix is built;
+  train batch at the current classifier, as the nets return every
+  backward pass: a ``nets.SampleGrads``, never an ``(n, num_params)``
+  matrix;
 * ``virtual_step`` -- their weighted sum;
 * ``meta_gradient_at`` -- the mean meta-loss gradient at the virtual point,
   one backward pass;
@@ -29,9 +30,8 @@ pair:
 * ``classifier_update``.
 
 The pieces read per-sample gradients only through ``weights @ grads`` and
-``grads @ g``, so they run unchanged on the materialized matrix of
-``train_losses_and_grads``, which the verification oracles and the tests
-compare them against.
+``grads @ g``, so they run unchanged on ``SampleGrads.matrix()``, the form
+the verification oracles and the tests compare them against.
 
 The virtual step is deliberately plain SGD (no momentum, no decay): the
 closed-form weighting gradient is derived from that exact map, and the
@@ -62,7 +62,8 @@ _LOOP_STREAM = 13
 
 HIDDEN_SIZES = (32, 32)  # the classifier's hidden layer widths
 
-# Per-sample gradients of a train batch, factored or as the (n, P) matrix.
+# Per-sample gradients of a train batch: the step passes ``SampleGrads``,
+# the oracles its ``matrix()``.
 Grads = SampleGrads | np.ndarray
 
 
@@ -138,24 +139,15 @@ def _require_nonempty(batch: Batch, what: str) -> None:
 
 
 def train_forward_backward(state: BilevelState, train_batch: Batch):
-    """Per-sample CE losses and factored gradients (``nets.SampleGrads``)
-    of the train batch at the current classifier: the one forward/backward
-    pass a step makes on it.  The pieces below take this pair instead of
+    """Per-sample CE losses and gradients (``nets.SampleGrads``) of the
+    train batch at the current classifier: the one forward/backward pass a
+    step makes on it.  The pieces below take this pair instead of
     recomputing it.  A classifier whose finite parameters overflow its
     forward pass is reported here, by its non-finite losses."""
     _require_nonempty(train_batch, "train")
-    losses, grads = state.classifier.losses_and_factored_grads_batch(
+    losses, grads = state.classifier.losses_and_grads_batch(
         state.params, train_batch.features, train_batch.labels, LossKind.CE)
     return as_vec(losses, "classifier train-loss vector"), grads
-
-
-def train_losses_and_grads(state: BilevelState, train_batch: Batch):
-    """``train_forward_backward`` with the gradients materialized as an
-    ``(n, num_params)`` matrix: the reference the factored pieces are
-    checked against."""
-    _require_nonempty(train_batch, "train")
-    return state.classifier.losses_and_grads_batch(
-        state.params, train_batch.features, train_batch.labels, LossKind.CE)
 
 
 def virtual_step(state: BilevelState, weights: np.ndarray, grads: Grads,
@@ -173,7 +165,7 @@ def meta_gradient_at(classifier: ClassifierNet, params: np.ndarray,
     """Average meta-loss gradient w.r.t. classifier params, at ``params``:
     one backward pass with every sample's delta scaled by 1/m."""
     _require_nonempty(meta_batch, "meta")
-    _, grads = classifier.losses_and_factored_grads_batch(
+    _, grads = classifier.losses_and_grads_batch(
         params, meta_batch.features, meta_batch.labels, kind)
     m = len(meta_batch)
     return np.full(m, 1.0 / m) @ grads
@@ -198,8 +190,7 @@ def theta_gradient(state: BilevelState, losses: np.ndarray, grads: Grads,
     training gradient aligns with the average meta-gradient get their
     weights pushed up.
     """
-    weights, theta_grads = state.weightnet.forward_and_factored_grads_batch(
-        state.theta, losses)
+    weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
     w_hat = virtual_step(state, weights, grads, alpha)
     g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, kind)
     return (-(alpha / losses.size) * alignments(grads, g_meta)) @ theta_grads

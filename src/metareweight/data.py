@@ -37,6 +37,10 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
             raise ValueError("features must be (n, d) with one label per row")
+        labels = self.labels
+        if labels.size and not 0 <= labels.min() <= labels.max() < self.num_classes:
+            raise ValueError(f"labels must lie in [0, {self.num_classes}), got values in "
+                             f"[{labels.min()}, {labels.max()}]")
 
     def __len__(self) -> int:
         return self.labels.size

@@ -4,11 +4,12 @@ Two networks drive the whole package:
 
 * ``ClassifierNet`` -- a rectifier MLP with a softmax head.  Besides plain
   forward evaluation it gives the per-sample parameter gradients of a
-  batch, either materialized as an ``(n, num_params)`` matrix or factored
-  as a ``SampleGrads``.  The bilevel step needs those gradients only
-  through a weighted sum (virtual and real updates) and through their
-  inner products with the meta-gradient, so it uses the factored form;
-  the matrix serves the verification oracles and the tests.
+  batch as a ``SampleGrads``: the backward pass's layer inputs and deltas,
+  kept factored.  The bilevel step needs those gradients only through a
+  weighted sum (virtual and real updates) and through their inner products
+  with the meta-gradient, both backprop contractions on that form;
+  ``SampleGrads.matrix()`` builds the ``(n, num_params)`` matrix for the
+  verification oracles.
 
 * ``WeightNet`` -- the weighting network: one scalar in (a sample's loss),
   one hidden rectifier layer, logistic output in (0, 1).  Its output is the
@@ -20,8 +21,8 @@ takes the vector to evaluate at as its first argument.  The training state
 (``bilevel.BilevelState``) owns the vectors it trains and passes each new
 one through ``set_flat``, which checks its size and finiteness;
 ``get_flat`` gives a checked copy for callers that write into it.  Both nets
-share one forward loop and one backward loop (``_backward_deltas``); they
-differ only in how the input is read and in the output-layer delta.
+share one forward loop and one backward loop (``_backward``); they differ
+only in how the input is read and in the output-layer delta.
 
 Leading parameter axis: the forward-only methods (``ClassifierNet.
 forward_batch``/``predict_batch``/``losses_batch`` and ``WeightNet.
@@ -56,8 +57,8 @@ class SampleGrads:
     Stands for the ``(n, num_params)`` matrix whose row i is sample i's
     flat gradient.  In layer l that row holds the outer product of the
     layer's delta ``deltas[l][i]`` with its input ``inputs[l][i]`` (the
-    weight block), then the delta itself (the bias block).  The matrix is
-    never built: both of its products are backprop contractions,
+    weight block), then the delta itself (the bias block).  Both products
+    the training step takes of that matrix are backprop contractions,
 
     * ``c @ grads = sum_i c_i grad_i``, per layer ``(c * delta)^T a`` and
       ``c @ delta``;
@@ -65,7 +66,8 @@ class SampleGrads:
       ``rowsum((delta @ G) * a) + delta @ g_b`` with ``G, g_b`` the layer's
       blocks of ``g``;
 
-    so code written against the matrix runs on this form unchanged.
+    so the step never builds it.  ``matrix()`` does, for the verification
+    oracles, which keep their own arithmetic on the rows.
     """
 
     __array_ufunc__ = None  # makes ``ndarray @ grads`` call ``__rmatmul__``
@@ -73,8 +75,29 @@ class SampleGrads:
     def __init__(self, net: _Mlp, inputs: list[np.ndarray], deltas: list[np.ndarray]):
         self.net, self.inputs, self.deltas = net, inputs, deltas
 
+    def __len__(self) -> int:
+        return self.deltas[0].shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the inputs and deltas held; the matrix is never stored."""
+        return sum(a.nbytes + d.nbytes for a, d in zip(self.inputs, self.deltas))
+
+    def matrix(self) -> np.ndarray:
+        """The ``(n, num_params)`` per-sample gradient matrix."""
+        grads = np.empty((len(self), self.net.num_params))
+        # ``_layers`` returns views, so each layer's blocks fill in place.
+        for (w, b), a, d in zip(self.net._layers(grads, stacked=True),
+                                self.inputs, self.deltas):
+            np.einsum("no,ni->noi", d, a, out=w)
+            b[:] = d
+        return grads
+
     def __rmatmul__(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=np.float64)
+        if c.shape != (len(self),):
+            raise ValueError(f"coefficients of shape {c.shape} do not match "
+                             f"the {len(self)} per-sample gradients")
         parts = []
         for a, d in zip(self.inputs, self.deltas):
             cd = d.T * c  # (out, n)
@@ -151,33 +174,14 @@ class _Mlp:
             acts.append(a)
         return acts, zs
 
-    @staticmethod
-    def _backward_deltas(layers, zs, out_delta: np.ndarray) -> list[np.ndarray]:
-        """Per-layer deltas ``(n, out_l)``: the gradient of each sample's
-        objective w.r.t. every layer's pre-activations, given it for the last."""
+    def _backward(self, layers, acts, zs, out_delta: np.ndarray) -> SampleGrads:
+        """Per-sample gradients of a forward pass's batch, given the gradient
+        of each sample's objective w.r.t. the last pre-activations: the
+        deltas of every layer, paired with the layer inputs."""
         deltas = [out_delta]
         for i in range(len(layers) - 1, 0, -1):
             deltas.insert(0, (deltas[0] @ layers[i][0]) * (zs[i - 1] > 0.0))
-        return deltas
-
-    def _per_sample_grads(self, layers, acts, zs, out_delta: np.ndarray) -> np.ndarray:
-        """Per-sample flat parameter gradients ``(n, num_params)``, given the
-        gradient of each sample's objective w.r.t. the last pre-activations."""
-        deltas = self._backward_deltas(layers, zs, out_delta)
-        n = out_delta.shape[0]
-        grads = np.empty((n, self.num_params))
-        off = 0
-        for a_prev, d in zip(acts[:-1], deltas):
-            wsz = d.shape[1] * a_prev.shape[1]
-            grads[:, off:off + wsz] = np.einsum("no,ni->noi", d, a_prev).reshape(n, wsz)
-            off += wsz
-            grads[:, off:off + d.shape[1]] = d
-            off += d.shape[1]
-        return grads
-
-    def _factored_grads(self, layers, acts, zs, out_delta: np.ndarray) -> SampleGrads:
-        """The same gradients as ``_per_sample_grads``, left factored."""
-        return SampleGrads(self, acts[:-1], self._backward_deltas(layers, zs, out_delta))
+        return SampleGrads(self, acts[:-1], deltas)
 
     def hidden_preactivations(self, params, x) -> np.ndarray:
         """All rectifier pre-activations for a batch, flattened (kink check)."""
@@ -224,28 +228,16 @@ class ClassifierNet(_Mlp):
         labels = np.tile(np.asarray(labels, dtype=np.int64), t)
         return loss_values_batch(kind, labels, probs.reshape(t * n, k)).reshape(t, n)
 
-    def _loss_pass(self, params, x, labels, kind: LossKind):
-        """Forward pass and losses: ``(layers, acts, zs, losses, logit deltas)``."""
+    def losses_and_grads_batch(self, params, x, labels, kind: LossKind):
+        """Per-sample losses ``(n,)`` and per-sample parameter gradients
+        (``SampleGrads``) at ``params``; row i of the gradients is the
+        gradient of sample i's loss alone."""
         layers = self._layers(params)
         labels = np.asarray(labels, dtype=np.int64)
         acts, zs = self._forward(layers, self._inputs(x))
         probs = _softmax_rows(zs[-1])
         losses = loss_values_batch(kind, labels, probs)  # checks the labels
-        return layers, acts, zs, losses, grad_logits_batch(kind, labels, probs)
-
-    def losses_and_grads_batch(self, params, x, labels, kind: LossKind):
-        """Per-sample losses and per-sample flat parameter gradients at ``params``.
-
-        Returns ``(losses (n,), grads (n, num_params))``; row i of the
-        gradient matrix is the gradient of sample i's loss alone.
-        """
-        layers, acts, zs, losses, out_delta = self._loss_pass(params, x, labels, kind)
-        return losses, self._per_sample_grads(layers, acts, zs, out_delta)
-
-    def losses_and_factored_grads_batch(self, params, x, labels, kind: LossKind):
-        """``losses_and_grads_batch`` with the gradients left as a ``SampleGrads``."""
-        layers, acts, zs, losses, out_delta = self._loss_pass(params, x, labels, kind)
-        return losses, self._factored_grads(layers, acts, zs, out_delta)
+        return losses, self._backward(layers, acts, zs, grad_logits_batch(kind, labels, probs))
 
 
 class WeightNet(_Mlp):
@@ -281,25 +273,13 @@ class WeightNet(_Mlp):
         out = 1.0 / (1.0 + np.exp(-zs[-1][..., 0]))
         return np.clip(out, self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
 
-    def _logistic_pass(self, theta, loss_values):
-        """Forward pass: ``(layers, acts, zs, unclipped outputs (n, 1))``."""
+    def forward_and_grads_batch(self, theta, loss_values):
+        """Weights ``(n,)`` and their gradients d weight / d theta
+        (``SampleGrads``).  The input is treated as a constant: these are
+        gradients with respect to the weighting network's own parameters
+        only."""
         layers = self._layers(theta)
         acts, zs = self._forward(layers, self._inputs(loss_values))
-        return layers, acts, zs, 1.0 / (1.0 + np.exp(-zs[-1]))
-
-    def forward_and_grads_batch(self, theta, loss_values):
-        """Weights and per-input flat gradients d weight / d theta.
-
-        Returns ``(weights (n,), grads (n, num_params))``.  The input is
-        treated as a constant: these are gradients with respect to the
-        weighting network's own parameters only.
-        """
-        layers, acts, zs, out = self._logistic_pass(theta, loss_values)
-        grads = self._per_sample_grads(layers, acts, zs, out * (1.0 - out))
-        return np.clip(out[:, 0], self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP), grads
-
-    def forward_and_factored_grads_batch(self, theta, loss_values):
-        """``forward_and_grads_batch`` with the gradients left as a ``SampleGrads``."""
-        layers, acts, zs, out = self._logistic_pass(theta, loss_values)
-        grads = self._factored_grads(layers, acts, zs, out * (1.0 - out))
+        out = 1.0 / (1.0 + np.exp(-zs[-1]))
+        grads = self._backward(layers, acts, zs, out * (1.0 - out))
         return np.clip(out[:, 0], self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP), grads

@@ -36,14 +36,6 @@ class NoiseKind(Enum):
     FLIP2 = "flip2"
 
 
-# Noise rate at or above which some corrupted class outweighs the true one.
-_MAJORITY_THRESHOLD = {
-    NoiseKind.FLIP: 0.50,
-    NoiseKind.FLIP2: 0.67,
-    NoiseKind.UNIFORM: 1.0,
-}
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     kind: NoiseKind
@@ -152,10 +144,15 @@ def corrupt(dataset: LabeledDataset, t: TransitionMatrix, rng: Rng) -> Corrupted
 
 
 def majority_feasibility(spec: NoiseSpec) -> str:
-    """"warning" when some corrupted class would outweigh the true class.
+    """"warning" when, for some true class, one corrupted class is observed
+    at least as often as the true class itself: in some row of the
+    transition matrix the largest off-diagonal entry reaches the diagonal
+    (ties within rounding count).
 
     Heavy-noise settings must still run, so this never raises; it only
     flags rates at which learning the true structure becomes infeasible
-    (flip >= 0.50, flip2 >= 0.67; uniform never, since rate < 1).
+    (flip >= 1/2, flip2 >= 2/3; uniform never, since rate < 1).
     """
-    return "warning" if spec.rate >= _MAJORITY_THRESHOLD[spec.kind] else "ok"
+    p = build_transition(spec).probs
+    corrupted = np.where(np.eye(spec.num_classes, dtype=bool), 0.0, p)
+    return "warning" if np.any(corrupted.max(axis=1) >= np.diag(p) - 1e-12) else "ok"

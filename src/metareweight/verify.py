@@ -32,8 +32,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .bilevel import (Batch, BilevelState, theta_gradient, train_forward_backward,
-                      train_losses_and_grads, virtual_step)
+from .bilevel import Batch, BilevelState, theta_gradient, train_forward_backward, virtual_step
 from .losses import LossKind, symmetry_sum
 from .nets import ClassifierNet, WeightNet
 from .noise import NoiseKind, NoiseSpec, build_transition, corrupt
@@ -58,14 +57,14 @@ def per_label_gradients(classifier: ClassifierNet, params: np.ndarray,
     k = classifier.num_classes
     _, grads = classifier.losses_and_grads_batch(
         params, np.repeat(features, k, axis=0), np.tile(np.arange(k), n), kind)
-    return grads.reshape(n, k, classifier.num_params)
+    return grads.matrix().reshape(n, k, classifier.num_params)
 
 
 def clean_mean_gradient(classifier: ClassifierNet, params: np.ndarray,
                         features: np.ndarray, labels: np.ndarray,
                         kind: LossKind) -> np.ndarray:
     _, grads = classifier.losses_and_grads_batch(params, features, labels, kind)
-    return grads.mean(axis=0)
+    return grads.matrix().mean(axis=0)
 
 
 def expected_uniform_gradient(classifier: ClassifierNet, params: np.ndarray,
@@ -233,7 +232,7 @@ def finite_diff_theta_grad(state: BilevelState, train_batch: Batch,
     stack[coords, coords] = theta + step
     stack[p + coords, coords] = theta - step
     weights = weightnet.forward_batch(stack, losses)
-    w_hat = w0 - (alpha / n) * (weights @ grads)
+    w_hat = w0 - (alpha / n) * (weights @ grads.matrix())
     objective = classifier.losses_batch(
         w_hat, meta_batch.features, meta_batch.labels, kind).mean(axis=1)
     return (objective[:p] - objective[p:]) / (2.0 * step)
@@ -243,9 +242,10 @@ def composed_meta_objective(state: BilevelState, train_batch: Batch,
                             meta_batch: Batch, alpha: float,
                             kind: LossKind) -> float:
     """Mean meta loss at the virtually updated classifier."""
-    losses, grads = train_losses_and_grads(state, train_batch)
+    losses, grads = state.classifier.losses_and_grads_batch(
+        state.params, train_batch.features, train_batch.labels, LossKind.CE)
     weights = state.weightnet.forward_batch(state.theta, losses)
-    w_hat = virtual_step(state, weights, grads, alpha)
+    w_hat = virtual_step(state, weights, grads.matrix(), alpha)
     return float(state.classifier.losses_batch(
         w_hat, meta_batch.features, meta_batch.labels, kind).mean())
 

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from metareweight.bilevel import (Batch, BilevelState, TrainConfig, Variant,
                                   alignments, bilevel_step, classifier_update,
                                   meta_gradient_at, theta_gradient, theta_update, train,
-                                  train_forward_backward, train_losses_and_grads,
-                                  virtual_step)
+                                  train_forward_backward, virtual_step)
 from metareweight.data import BlobSpec, make_blobs, standardize
 from metareweight.losses import LossKind
-from metareweight.nets import ClassifierNet, WeightNet
+from metareweight.nets import ClassifierNet, SampleGrads, WeightNet
 from metareweight.noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from metareweight.numkit import Rng
 from metareweight.verify import (composed_meta_objective, finite_diff_theta_grad,
@@ -36,9 +35,15 @@ def weights_of(state, losses):
     return state.weightnet.forward_batch(state.theta, losses)
 
 
+def train_losses_and_matrix(state, batch):
+    """The step's train losses and its per-sample gradients as a matrix."""
+    losses, grads = train_forward_backward(state, batch)
+    return losses, grads.matrix()
+
+
 def lookahead(state, batch, alpha):
     """Virtual step of ``batch`` at the state's current weighting params."""
-    losses, grads = train_losses_and_grads(state, batch)
+    losses, grads = train_losses_and_matrix(state, batch)
     return virtual_step(state, weights_of(state, losses), grads, alpha)
 
 
@@ -46,7 +51,7 @@ def sample_grad(state, params, batch, i, kind):
     """Loss and gradient of sample ``i`` of ``batch`` alone, at ``params``."""
     losses, grads = state.classifier.losses_and_grads_batch(
         params, batch.features[i:i + 1], batch.labels[i:i + 1], kind)
-    return losses[0], grads[0]
+    return losses[0], grads.matrix()[0]
 
 
 def rel_diff(got, want) -> float:
@@ -81,7 +86,7 @@ class TestVirtualStep:
         state, _ = tiny_state()
         empty = Batch(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="train batch is empty"):
-            train_losses_and_grads(state, empty)
+            train_forward_backward(state, empty)
         with pytest.raises(ValueError, match="meta batch is empty"):
             meta_gradient_at(state.classifier, state.params, empty,
                              LossKind.MAE)
@@ -143,7 +148,7 @@ class TestThetaGradient:
         g_meta = meta_gradient_at(state.classifier, lookahead(state, batch, 0.1), meta,
                                   LossKind.MAE)
         assert np.linalg.norm(g_meta) <= 1e-14
-        losses, grads = train_losses_and_grads(state, batch)
+        losses, grads = train_losses_and_matrix(state, batch)
         g = theta_gradient(state, losses, grads, meta, 0.1, LossKind.MAE)
         assert np.linalg.norm(g) <= 1e-14
 
@@ -155,7 +160,7 @@ class TestThetaGradient:
             state, rng2 = tiny_state(rng.randint(10_000), hidden=(6,))
             batch = tiny_batch(rng2, 1, 3, 3)
             meta = Batch(batch.features.copy(), batch.labels.copy())  # aligned
-            losses, grads = train_losses_and_grads(state, batch)
+            losses, grads = train_losses_and_matrix(state, batch)
             w_hat = lookahead(state, batch, 0.1)
             g_meta = meta_gradient_at(state.classifier, w_hat, meta, LossKind.CE)
             align = float(grads[0] @ g_meta)
@@ -174,9 +179,9 @@ class TestThetaGradient:
         state, rng = tiny_state(10)
         batch = tiny_batch(rng, 4, 3, 3)
         meta = tiny_batch(rng, 4, 3, 3)
-        a = theta_gradient(state, *train_losses_and_grads(state, batch), meta, 0.1,
+        a = theta_gradient(state, *train_losses_and_matrix(state, batch), meta, 0.1,
                            LossKind.MAE)
-        b = theta_gradient(state, *train_losses_and_grads(state, doubled(batch)), meta,
+        b = theta_gradient(state, *train_losses_and_matrix(state, doubled(batch)), meta,
                            0.1, LossKind.MAE)
         assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(a))
 
@@ -227,14 +232,14 @@ class TestThetaUpdate:
 class TestClassifierUpdate:
     def test_plain_step_at_zero_momentum_decay(self):
         state, rng = tiny_state(16)
-        losses, grads = train_losses_and_grads(state, tiny_batch(rng, 4, 3, 3))
+        losses, grads = train_losses_and_matrix(state, tiny_batch(rng, 4, 3, 3))
         expect = state.params - 0.1 * (weights_of(state, losses) @ grads) / 4
         classifier_update(state, losses, grads, 0.1, momentum=0.0, weight_decay=0.0)
         assert np.allclose(state.params, expect, atol=1e-15)
 
     def test_fresh_weightnet_is_half_unweighted_step(self):
         state, rng = tiny_state(17, randomize_wn=False)  # fresh net: weight 0.5
-        losses, grads = train_losses_and_grads(state, tiny_batch(rng, 4, 3, 3))
+        losses, grads = train_losses_and_matrix(state, tiny_batch(rng, 4, 3, 3))
         before = state.params
         classifier_update(state, losses, grads, 0.1, momentum=0.0, weight_decay=0.0)
         step = before - state.params
@@ -244,7 +249,7 @@ class TestClassifierUpdate:
         # alpha = 0 freezes the classifier, so the same (losses, grads) feed
         # two updates and the buffer arithmetic can be tracked directly
         state, rng = tiny_state(18)
-        losses, grads = train_losses_and_grads(state, tiny_batch(rng, 3, 3, 3))
+        losses, grads = train_losses_and_matrix(state, tiny_batch(rng, 3, 3, 3))
         state.momentum_buffer = np.ones(state.classifier.num_params)
         w0 = state.params
         classifier_update(state, losses, grads, 0.0, momentum=0.9, weight_decay=0.0)
@@ -256,7 +261,7 @@ class TestClassifierUpdate:
 
     def test_nonfinite_result_rejected_and_named(self):
         state, rng = tiny_state(18)
-        losses, grads = train_losses_and_grads(state, tiny_batch(rng, 3, 3, 3))
+        losses, grads = train_losses_and_matrix(state, tiny_batch(rng, 3, 3, 3))
         params = state.params
         state.momentum_buffer = np.full(state.classifier.num_params, 1e300)
         with np.errstate(over="ignore"), pytest.raises(
@@ -283,10 +288,13 @@ class TestFusedStep:
 
         losses, grads = clf.losses_and_grads_batch(w, batch.features, batch.labels,
                                                    LossKind.CE)
+        grads = grads.matrix()
         weights, theta_grads = wn.forward_and_grads_batch(theta, losses)
+        theta_grads = theta_grads.matrix()
         w_hat = w - (alpha / 4) * (weights @ grads)
         _, meta_grads = clf.losses_and_grads_batch(w_hat, meta.features, meta.labels,
                                                    LossKind.MAE)
+        meta_grads = meta_grads.matrix()
         t_grad = -(alpha / 4) * ((grads @ meta_grads.mean(axis=0)) @ theta_grads)
         theta_new = theta - cfg.meta_lr * (t_grad + cfg.weight_decay * theta)
         v_new = cfg.momentum * v + ((wn.forward_batch(theta_new, losses) @ grads) / 4
@@ -332,21 +340,20 @@ class TestFactoredStep:
         A = np.abs
 
         losses, grads = train_forward_backward(state, batch)
-        ref_losses, ref_grads = train_losses_and_grads(state, batch)
-        assert np.array_equal(losses, ref_losses)
+        ref_grads = grads.matrix()
         c, g = rng.gaussians(n), rng.gaussians(clf.num_params)
         assert agree(c @ grads, c @ ref_grads, A(c) @ A(ref_grads))
         assert agree(alignments(grads, g), ref_grads @ g, A(ref_grads) @ A(g))
 
-        weights, theta_grads = wn.forward_and_factored_grads_batch(theta, losses)
-        ref_weights, ref_theta_grads = wn.forward_and_grads_batch(theta, losses)
-        assert np.array_equal(weights, ref_weights)
+        weights, theta_grads = wn.forward_and_grads_batch(theta, losses)
+        ref_theta_grads = theta_grads.matrix()
         assert agree(c @ theta_grads, c @ ref_theta_grads, A(c) @ A(ref_theta_grads))
 
         step_bound = (alpha / n) * (weights @ A(ref_grads))
         w_hat = w - (alpha / n) * (weights @ ref_grads)
         assert agree(virtual_step(state, weights, grads, alpha), w_hat, A(w) + step_bound)
         _, meta_grads = clf.losses_and_grads_batch(w_hat, meta.features, meta.labels, kind)
+        meta_grads = meta_grads.matrix()
         g_meta, g_meta_bound = meta_grads.mean(axis=0), A(meta_grads).mean(axis=0)
         assert agree(meta_gradient_at(clf, w_hat, meta, kind), g_meta, g_meta_bound)
         t_grad = -(alpha / n) * ((ref_grads @ g_meta) @ ref_theta_grads)
@@ -434,20 +441,45 @@ class TestTrainLoop:
                 ValueError, match=r"^epoch 0, step \d+: .*non-finite entries"):
             train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=1)
 
-    def test_training_builds_no_per_sample_gradient_matrix(self, monkeypatch):
-        from metareweight.nets import _Mlp
+    def test_three_backward_passes_per_step_and_no_gradient_matrix(self, monkeypatch):
+        # A step makes a classifier backward pass on the train batch, one
+        # weighting-net pass and a classifier pass on the meta batch.  Each
+        # returns a SampleGrads that holds only the layer inputs and deltas,
+        # and training never builds the per-sample gradient matrix.
+        calls = []
 
-        def materialized(*args, **kwargs):
+        def spy(method):
+            def wrapped(net, params, inputs, *rest):
+                out, grads = method(net, params, inputs, *rest)
+                sizes, n = net.layer_sizes, out.size
+                assert grads.nbytes == sum(a.nbytes for a in grads.inputs + grads.deltas)
+                assert grads.nbytes == 8 * n * (sum(sizes[:-1]) + sum(sizes[1:]))
+                calls.append((type(net), inputs, rest[1:]))
+                return out, grads
+            return wrapped
+
+        for cls, name in ((ClassifierNet, "losses_and_grads_batch"),
+                          (WeightNet, "forward_and_grads_batch")):
+            monkeypatch.setattr(cls, name, spy(getattr(cls, name)))
+        state, rng = tiny_state(20, hidden=(5, 4))
+        batch, meta = tiny_batch(rng, 4, 3, 3), tiny_batch(rng, 6, 3, 3)
+        cfg = TrainConfig(train_batch=4, meta_batch=6, epochs=1, lr_milestones=())
+        bilevel_step(state, batch, meta, cfg, 0.1, LossKind.MAE)
+        assert [net for net, _, _ in calls] == [ClassifierNet, WeightNet, ClassifierNet]
+        assert calls[0][1] is batch.features and calls[0][2] == (LossKind.CE,)
+        assert calls[2][1] is meta.features and calls[2][2] == (LossKind.MAE,)
+
+        def no_matrix(grads):
             raise AssertionError("training built a per-sample gradient matrix")
 
-        monkeypatch.setattr(ClassifierNet, "losses_and_grads_batch", materialized)
-        monkeypatch.setattr(WeightNet, "forward_and_grads_batch", materialized)
-        monkeypatch.setattr(_Mlp, "_per_sample_grads", materialized)
+        monkeypatch.setattr(SampleGrads, "matrix", no_matrix)
         train_split, meta_split, test = quick_splits(rate=0.3)
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=())
         for variant in Variant:
+            calls.clear()
             report = train(variant, train_split, meta_split, test, cfg, seed=1)
             assert len(report.epochs) == 2
+            assert len(calls) == 3 * 2 * (len(train_split) // 40)
 
     def test_metrics_failure_names_the_epoch(self, monkeypatch):
         import metareweight.bilevel as b

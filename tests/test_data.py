@@ -92,6 +92,17 @@ class TestStandardize:
         assert np.all(out.test.features.mean(axis=0) > 10.0)
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels", [[-1, 0, 1], [0, 1, 3]])
+    def test_labels_outside_the_classes_rejected(self, labels):
+        # a label of -1 would read the last class's row wherever it indexes
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got"):
+            LabeledDataset(np.zeros((3, 1)), labels, 3)
+
+    def test_empty_dataset_accepted(self):
+        assert len(LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 3)) == 0
+
+
 def load_dataset(path):
     """Reader for the ``save_dataset`` format; column count selects the container."""
     with open(path, newline="") as fh:

@@ -27,7 +27,7 @@ def probs_one(net, params, x):
 def loss_and_grad_one(net, params, x, label, kind):
     losses, grads = net.losses_and_grads_batch(
         params, np.asarray(x, dtype=np.float64)[None, :], [label], kind)
-    return losses[0], grads[0]
+    return losses[0], grads.matrix()[0]
 
 
 def weight_one(net, theta, loss_value):
@@ -35,7 +35,7 @@ def weight_one(net, theta, loss_value):
 
 
 def weight_grad_one(net, theta, loss_value):
-    return net.forward_and_grads_batch(theta, [loss_value])[1][0]
+    return net.forward_and_grads_batch(theta, [loss_value])[1].matrix()[0]
 
 
 class TestClassifierForward:
@@ -129,7 +129,24 @@ class TestClassifierGradients:
         for i in range(5):
             li, gi = loss_and_grad_one(net, params, x[i], labels[i], LossKind.MAE)
             assert losses[i] == pytest.approx(li, abs=1e-15)
-            assert np.allclose(grads[i], gi, atol=1e-15)
+            assert np.allclose(grads.matrix()[i], gi, atol=1e-15)
+
+
+class TestSampleGrads:
+    def test_coefficients_need_one_entry_per_sample(self):
+        # a length-1 vector must not be broadcast over the batch: the
+        # matrix the gradients stand for rejects it too
+        rng = Rng(40)
+        net = ClassifierNet([3, 4, 2])
+        x = rng.gaussians(15).reshape(5, 3)
+        _, grads = net.losses_and_grads_batch(net.init_params(rng), x, rng.randints(5, 2),
+                                              LossKind.CE)
+        for c in (np.ones(1), np.ones(6)):
+            with pytest.raises(ValueError, match=rf"\({c.size},\).* 5 per-sample"):
+                c @ grads
+            with pytest.raises(ValueError):
+                c @ grads.matrix()
+        assert np.allclose(np.ones(5) @ grads, np.ones(5) @ grads.matrix(), atol=1e-14)
 
 
 class TestFlatParams:
@@ -307,7 +324,7 @@ class TestWeightNetOracle:
         weights, grads, pre = weightnet_oracle(net, theta, v)
         got_weights, got_grads = net.forward_and_grads_batch(theta, v)
         assert np.array_equal(got_weights, weights)
-        assert np.array_equal(got_grads, grads)
+        assert np.array_equal(got_grads.matrix(), grads)
         assert np.array_equal(net.forward_batch(theta, v), weights)
         assert np.array_equal(net.hidden_preactivations(theta, v), pre)
 
@@ -371,10 +388,8 @@ class TestParameterStack:
         net, wn = ClassifierNet([2, 3, 2]), WeightNet(hidden=4)
         stack, theta_stack = np.zeros((2, net.num_params)), np.zeros((2, wn.num_params))
         with pytest.raises(ValueError, match="params"):
-            net.losses_and_factored_grads_batch(stack, np.zeros((1, 2)), [0], LossKind.CE)
+            net.losses_and_grads_batch(stack, np.zeros((1, 2)), [0], LossKind.CE)
         with pytest.raises(ValueError, match="params"):
             wn.forward_and_grads_batch(theta_stack, [1.0])
-        with pytest.raises(ValueError, match="params"):
-            wn.forward_and_factored_grads_batch(theta_stack, [1.0])
         with pytest.raises(ValueError, match="1-D"):
             wn.set_flat(theta_stack)

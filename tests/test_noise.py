@@ -169,6 +169,10 @@ class TestMajorityFeasibility:
         # the two targets carry rate/2 each, so the cutover is 2/3
         assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 0.5, 5)) == "ok"
         assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 0.67, 5)) == "warning"
+        # 0.667 leaves the true class 0.333 against 0.3335 for each target
+        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 0.667, 5)) == "warning"
+        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 2 / 3, 5)) == "warning"
+        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 0.666, 3)) == "ok"
 
     def test_uniform_never_warns(self):
         assert majority_feasibility(NoiseSpec(NoiseKind.UNIFORM, 0.7, 5)) == "ok"

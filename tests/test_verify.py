@@ -242,8 +242,9 @@ def loop_per_label_gradients(classifier, params, features, kind):
     n, k = features.shape[0], classifier.num_classes
     out = np.empty((n, k, classifier.num_params))
     for c in range(k):
-        _, out[:, c, :] = classifier.losses_and_grads_batch(
+        _, grads = classifier.losses_and_grads_batch(
             params, features, np.full(n, c, dtype=np.int64), kind)
+        out[:, c, :] = grads.matrix()
     return out
 
 
@@ -253,7 +254,7 @@ def loop_finite_diff_theta_grad(state, train_batch, meta_batch, alpha, kind,
     w0, theta0 = state.params, state.theta
     losses, grads = classifier.losses_and_grads_batch(
         w0, train_batch.features, train_batch.labels, LossKind.CE)
-    n = len(train_batch)
+    grads, n = grads.matrix(), len(train_batch)
 
     def objective(theta):
         weights = weightnet.forward_batch(theta, losses)
