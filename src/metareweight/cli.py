@@ -16,7 +16,6 @@ output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -28,7 +27,8 @@ from . import verify
 from .bilevel import RunReport, Variant, train
 from .config import (ConfigError, ExperimentConfig, parse_config, rate_label,
                      serialize_config)
-from .data import BlobSpec, dataclass_csv, make_blobs, save_dataset, standardize
+from .data import (BlobSpec, csv_text, dataclass_csv, make_blobs, save_dataset,
+                   standardize)
 from .noise import NoiseKind, NoiseSpec, build_transition, corrupt, majority_feasibility
 from .numkit import Rng
 
@@ -174,10 +174,8 @@ def _cmd_verify(args) -> int:
         print(f"[{'ok' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["property", "passed", "detail"])
-            for r in results:
-                writer.writerow([r.name, int(r.passed), r.detail])
+            fh.write(csv_text([["property", "passed", "detail"],
+                               *([r.name, int(r.passed), r.detail] for r in results)]))
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} properties passed")
     return 0 if not failed else 2

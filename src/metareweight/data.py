@@ -165,15 +165,17 @@ def format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def csv_text(rows) -> str:
+    """Rows of scalars as CSV text, every cell written by ``format_value``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([format_value(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def dataclass_csv(cls, rows) -> str:
     """A header of ``cls``'s field names in order, then one row per instance."""
     names = [f.name for f in fields(cls)]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(names)
-    for row in rows:
-        writer.writerow([format_value(getattr(row, name)) for name in names])
-    return buf.getvalue()
+    return csv_text([names] + [[getattr(row, name) for name in names] for row in rows])
 
 
 def save_dataset(ds, path) -> None:
@@ -182,15 +184,11 @@ def save_dataset(ds, path) -> None:
     Clean datasets write d features + true label; corrupted ones append
     the observed label and a 0/1 corruption flag.
     """
-    corrupted = isinstance(ds, CorruptedDataset)
+    if isinstance(ds, CorruptedDataset):
+        columns = (ds.true_labels, ds.observed_labels, ds.is_corrupted)
+    else:
+        columns = (ds.labels,)
+    labels = np.column_stack(columns).astype(np.int64).tolist()
+    rows = map(list.__add__, ds.features.tolist(), labels)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([ds.num_classes, ds.dim])
-        for i in range(len(ds)):
-            row = [repr(float(x)) for x in ds.features[i]]
-            if corrupted:
-                row += [int(ds.true_labels[i]), int(ds.observed_labels[i]),
-                        int(ds.is_corrupted[i])]
-            else:
-                row.append(int(ds.labels[i]))
-            writer.writerow(row)
+        fh.write(csv_text([[ds.num_classes, ds.dim], *rows]))

@@ -27,22 +27,32 @@ class LossKind(Enum):
     MAE = "mae"
 
 
-def as_prob_vec(u, name: str = "probs") -> np.ndarray:
-    v = as_vec(u, name)
-    if v.size == 0:
+def as_prob_rows(u, name: str = "probs") -> np.ndarray:
+    """Probability vectors as an (N, K) array; a 1-D input is one row.
+    Every row must be nonempty, lie in [0, 1] and sum to 1."""
+    v = np.asarray(u, dtype=np.float64)
+    if v.ndim not in (1, 2):
+        raise ValueError(f"{name} must be 1-D or 2-D, got shape {v.shape}")
+    rows = np.atleast_2d(as_vec(v.ravel(), name).reshape(v.shape))
+    if rows.shape[1] == 0:
         raise ValueError(f"{name} must be nonempty")
-    if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
+    if np.any(rows < -1e-12) or np.any(rows > 1.0 + 1e-12):
         raise ValueError(f"{name} entries must lie in [0, 1]")
-    if abs(v.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} must sum to 1 (got {v.sum():.12g})")
-    return v
+    sums = rows.sum(axis=1)
+    off = np.abs(sums - 1.0) > 1e-9
+    if np.any(off):
+        raise ValueError(f"{name} must sum to 1 (got {sums[off][0]:.12g})")
+    return rows
 
 
-def symmetry_sum(kind: LossKind, u) -> float:
-    """Sum of the loss over every possible class label at fixed prediction."""
-    v = as_prob_vec(u)
-    k = v.size
-    return float(loss_values_batch(kind, np.arange(k), np.tile(v, (k, 1))).sum())
+def symmetry_sum(kind: LossKind, u):
+    """Sum of the loss over every possible class label at fixed prediction:
+    a float for one probability vector, one sum per row of an (N, K) array."""
+    rows = as_prob_rows(u)
+    n, k = rows.shape
+    losses = loss_values_batch(kind, np.tile(np.arange(k), n), np.repeat(rows, k, axis=0))
+    sums = losses.reshape(n, k).sum(axis=1)
+    return float(sums[0]) if np.ndim(u) == 1 else sums
 
 
 def loss_values_batch(kind: LossKind, labels, probs: np.ndarray) -> np.ndarray:

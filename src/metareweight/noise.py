@@ -17,14 +17,12 @@ corrupted with the same spec share the same target map.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .data import CorruptedDataset, LabeledDataset
+from .data import CorruptedDataset, LabeledDataset, csv_text
 from .numkit import Rng
 
 _TARGET_STREAM = 0x7A17
@@ -77,12 +75,7 @@ class TransitionMatrix:
 
     def to_csv(self) -> str:
         """First row the class count, then the K x K probabilities."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow([self.num_classes])
-        for row in self.probs:
-            writer.writerow([repr(float(x)) for x in row])
-        return buf.getvalue()
+        return csv_text([[self.num_classes], *self.probs.tolist()])
 
 
 def _draw_targets(spec: NoiseSpec) -> np.ndarray:

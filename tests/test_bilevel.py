@@ -190,9 +190,9 @@ class TestThetaGradient:
         for i in range(5):
             kind = LossKind.MAE if i % 2 == 0 else LossKind.CE
             state, tb, mb, analytic = random_hypergrad_instance(rng, kind=kind)
-            before = composed_meta_objective(state, tb, mb, 0.1, kind)
+            before = composed_meta_objective(state, tb, mb, 0.1, kind, state.theta)
             theta_update(state, analytic, 1e-6)
-            after = composed_meta_objective(state, tb, mb, 0.1, kind)
+            after = composed_meta_objective(state, tb, mb, 0.1, kind, state.theta)
             assert after <= before + 1e-12 * max(1.0, abs(before))
 
 

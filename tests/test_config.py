@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -171,6 +172,11 @@ class TestSchema:
         for name in ("meta_loss", "meta_is_noisy", "seed"):
             with pytest.raises(TypeError):
                 TrainConfig(**{name: None})
+
+    def test_readme_config_block_is_the_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config_text(block, source="README.md") == ExperimentConfig()
 
 
 DEFAULT_CONFIG_TEXT = """\

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from metareweight.data import (BlobSpec, CorruptedDataset, LabeledDataset,
+from metareweight.data import (BlobSpec, CorruptedDataset, LabeledDataset, csv_text,
                                make_blobs, save_dataset, standardize)
 from metareweight.noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from metareweight.numkit import Rng
@@ -141,6 +141,23 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.observed_labels, corrupted.observed_labels)
         assert np.array_equal(loaded.true_labels, corrupted.true_labels)
         assert np.array_equal(loaded.is_corrupted, corrupted.is_corrupted)
+
+
+    def test_empty_dataset_writes_only_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        save_dataset(LabeledDataset(np.zeros((0, 3)), np.zeros(0), 4), path)
+        assert path.read_bytes() == b"4,3\r\n"
+
+
+class TestCsvText:
+    def test_cells_go_through_format_value(self):
+        text = csv_text([["name", "rate", "kind"], ["a,b", 0.1, NoiseKind.FLIP2], [7, 1e-17, 2]])
+        assert text == 'name,rate,kind\r\n"a,b",0.1,flip2\r\n7,1e-17,2\r\n'
+
+    def test_floats_round_trip_exactly(self):
+        values = Rng(4).gaussians(50).tolist()
+        row = next(csv.reader([csv_text([values])]))
+        assert [float(v) for v in row] == values
 
 
 class TestContainers:

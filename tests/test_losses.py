@@ -117,6 +117,24 @@ class TestSymmetrySum:
             by_label = sum(loss(kind, c, u) for c in range(4))
             assert symmetry_sum(kind, u) == pytest.approx(by_label, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    def test_rows_equal_the_one_vector_call(self, kind, k):
+        rng = Rng(20 + k)
+        rows = np.stack([random_simplex(rng, k) for _ in range(50)])
+        sums = symmetry_sum(kind, rows)
+        assert sums.shape == (50,)
+        assert all(sums[i] == symmetry_sum(kind, rows[i]) for i in range(50))
+        assert isinstance(symmetry_sum(kind, rows[0]), float)
+
+    def test_rejects_a_bad_row(self):
+        rows = np.full((3, 4), 0.25)
+        rows[1] = [0.5, 0.5, 0.5, 0.5]
+        with pytest.raises(ValueError, match="sum to 1"):
+            symmetry_sum(LossKind.MAE, rows)
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            symmetry_sum(LossKind.MAE, np.full((2, 2, 2), 0.5))
+
     def test_rejects_non_probability_vectors(self):
         with pytest.raises(ValueError, match="sum to 1"):
             symmetry_sum(LossKind.MAE, [0.5, 0.6])
