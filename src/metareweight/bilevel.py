@@ -37,6 +37,8 @@ The virtual step is deliberately plain SGD (no momentum, no decay): the
 closed-form weighting gradient is derived from that exact map, and the
 finite-difference oracle in ``verify`` checks it at 1e-4 relative error.
 
+The per-epoch metrics run the nets in row blocks, never on a whole split.
+
 Training variants differ only in what the meta set is and which meta
 loss drives step 2: clean meta with cross-entropy, noisy meta with
 cross-entropy, or noisy meta with mean absolute error (the robust one).
@@ -61,6 +63,7 @@ _INIT_WEIGHTNET_STREAM = 12
 _LOOP_STREAM = 13
 
 HIDDEN_SIZES = (32, 32)  # the classifier's hidden layer widths
+_METRIC_BLOCK = 2048  # rows; a (2048, 100) float64 block is 1.6 MB, inside L2
 
 # Per-sample gradients of a train batch: the step passes ``SampleGrads``,
 # the oracles its ``matrix()``.
@@ -275,18 +278,26 @@ def _scheduled_lr(cfg: TrainConfig, epoch: int) -> float:
     return cfg.classifier_lr / (10.0 ** drops)
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of ``range(n)`` starting at multiples of ``_METRIC_BLOCK``, a
+    tail under half a block joined to the one before: BLAS rounds a few or
+    misaligned rows differently, so each row gets the bits of one call."""
+    bounds = [b for b in range(_METRIC_BLOCK, n, _METRIC_BLOCK) if n - b >= _METRIC_BLOCK // 2]
+    return [slice(lo, hi) for lo, hi in zip([0, *bounds], [*bounds, n])]
+
+
 def _epoch_metrics(state: BilevelState, epoch: int, train: CorruptedDataset,
                    test: LabeledDataset) -> EpochMetrics:
-    params = state.params
-    test_acc = accuracy(state.classifier.predict_batch(params, test.features), test.labels)
-    losses = state.classifier.losses_batch(
-        params, train.features, train.observed_labels, LossKind.CE)
-    weights = state.weightnet.forward_batch(state.theta, losses)
+    params, classifier = state.params, state.classifier
+    test_acc = accuracy(np.concatenate([classifier.predict_batch(params, test.features[rows])
+                                        for rows in _row_blocks(len(test))]), test.labels)
+    weights = np.concatenate([
+        state.weightnet.forward_batch(state.theta, classifier.losses_batch(
+            params, train.features[rows], train.observed_labels[rows], LossKind.CE))
+        for rows in _row_blocks(len(train))])
     corrupted = train.is_corrupted
-    if corrupted.any() and not corrupted.all():
-        auc = auc_noisy_detection(weights, corrupted)
-    else:
-        auc = float("nan")
+    auc = (auc_noisy_detection(weights, corrupted)
+           if corrupted.any() and not corrupted.all() else float("nan"))
     mean_clean = float(weights[~corrupted].mean()) if (~corrupted).any() else float("nan")
     mean_corrupt = float(weights[corrupted].mean()) if corrupted.any() else float("nan")
     return EpochMetrics(epoch, test_acc, auc, mean_clean, mean_corrupt)

@@ -72,6 +72,9 @@ class ExperimentConfig:
             if not 0.0 <= rate < 1.0:
                 raise FieldError("noise_rates", f"noise rate must lie in [0, 1), got {rate}")
         _distinct(self.noise_kinds, "noise kind")
+        if NoiseKind.FLIP2 in self.noise_kinds and self.blob.num_classes < 3:
+            raise FieldError("noise_kinds", "flip2 needs at least 3 classes for two "
+                             f"distinct targets, got {self.blob.num_classes}")
         _distinct_rates(self.noise_rates)
         _distinct(self.variants, "variant")
         _check_output_dir(self.output_dir)

@@ -147,7 +147,9 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
     sigma = np.maximum(bundle.train.features.std(axis=0), STD_FLOOR)
 
     def apply(ds: LabeledDataset) -> LabeledDataset:
-        return LabeledDataset((ds.features - mu) / sigma, ds.labels.copy(), ds.num_classes)
+        features = ds.features - mu
+        features /= sigma
+        return LabeledDataset(features, ds.labels.copy(), ds.num_classes)
 
     return SplitBundle(
         apply(bundle.train), apply(bundle.meta), apply(bundle.test),

@@ -22,7 +22,8 @@ takes the vector to evaluate at as its first argument.  The training state
 one through ``set_flat``, which checks its size and finiteness;
 ``get_flat`` gives a checked copy for callers that write into it.  Both nets
 share one forward loop and one backward loop (``_backward``); they differ
-only in how the input is read and in the output-layer delta.
+only in how the input is read and in the output-layer delta.  The forward
+loop rectifies in place; the backward loop masks with ``max(z, 0) > 0``.
 
 Leading parameter axis: the forward-only methods (``ClassifierNet.
 forward_batch``/``predict_batch``/``losses_batch`` and ``WeightNet.
@@ -160,35 +161,35 @@ class _Mlp:
             off += fan_out
         return views
 
-    def _forward(self, layers, x: np.ndarray):
-        """Returns (activations per layer incl. input, pre-activations);
+    def _forward(self, layers, x: np.ndarray) -> list[np.ndarray]:
+        """Activations per layer from the input to the last pre-activations;
         ``(T, n, width)`` beyond the input for stacked layers."""
         acts = [x]
-        zs = []
-        a = x
-        last = len(layers) - 1
         for i, (w, b) in enumerate(layers):
-            z = np.matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]
-            zs.append(z)
-            a = z if i == last else np.maximum(z, 0.0)
-            acts.append(a)
-        return acts, zs
+            z = np.matmul(acts[-1], w.swapaxes(-1, -2))
+            z += b[..., None, :]
+            if i < len(layers) - 1:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        return acts
 
-    def _backward(self, layers, acts, zs, out_delta: np.ndarray) -> SampleGrads:
+    def _backward(self, layers, acts, out_delta: np.ndarray) -> SampleGrads:
         """Per-sample gradients of a forward pass's batch, given the gradient
         of each sample's objective w.r.t. the last pre-activations: the
         deltas of every layer, paired with the layer inputs."""
         deltas = [out_delta]
         for i in range(len(layers) - 1, 0, -1):
-            deltas.insert(0, (deltas[0] @ layers[i][0]) * (zs[i - 1] > 0.0))
+            deltas.insert(0, deltas[0] @ layers[i][0])
+            deltas[0] *= acts[i] > 0.0
         return SampleGrads(self, acts[:-1], deltas)
 
     def hidden_preactivations(self, params, x) -> np.ndarray:
-        """All rectifier pre-activations for a batch, flattened (kink check)."""
-        _, zs = self._forward(self._layers(params), self._inputs(x))
-        if len(zs) == 1:
-            return np.empty(0)
-        return np.concatenate([z.ravel() for z in zs[:-1]])
+        """All rectifier pre-activations for a batch, flattened (kink check),
+        each rebuilt from its layer's input as ``_forward`` computes it."""
+        layers = self._layers(params)
+        inputs = self._forward(layers, self._inputs(x))[:-2]
+        return np.concatenate([np.empty(0)] + [(np.matmul(a, w.T) + b).ravel()
+                                               for a, (w, b) in zip(inputs, layers)])
 
 
 class ClassifierNet(_Mlp):
@@ -213,8 +214,8 @@ class ClassifierNet(_Mlp):
     def forward_batch(self, params, x) -> np.ndarray:
         """Softmax probabilities at ``params``, one row per sample:
         ``(n, K)``, or ``(T, n, K)`` for a ``(T, num_params)`` stack."""
-        _, zs = self._forward(self._layers(params, stacked=True), self._inputs(x))
-        return _softmax_rows(zs[-1])
+        acts = self._forward(self._layers(params, stacked=True), self._inputs(x))
+        return _softmax_rows(acts[-1])
 
     def predict_batch(self, params, x) -> np.ndarray:
         return np.argmax(self.forward_batch(params, x), axis=-1)
@@ -234,10 +235,10 @@ class ClassifierNet(_Mlp):
         gradient of sample i's loss alone."""
         layers = self._layers(params)
         labels = np.asarray(labels, dtype=np.int64)
-        acts, zs = self._forward(layers, self._inputs(x))
-        probs = _softmax_rows(zs[-1])
+        acts = self._forward(layers, self._inputs(x))
+        probs = _softmax_rows(acts[-1])
         losses = loss_values_batch(kind, labels, probs)  # checks the labels
-        return losses, self._backward(layers, acts, zs, grad_logits_batch(kind, labels, probs))
+        return losses, self._backward(layers, acts, grad_logits_batch(kind, labels, probs))
 
 
 class WeightNet(_Mlp):
@@ -269,8 +270,8 @@ class WeightNet(_Mlp):
 
     def forward_batch(self, theta, loss_values) -> np.ndarray:
         """Weights ``(n,)``, or ``(T, n)`` for a ``(T, num_params)`` stack."""
-        _, zs = self._forward(self._layers(theta, stacked=True), self._inputs(loss_values))
-        out = 1.0 / (1.0 + np.exp(-zs[-1][..., 0]))
+        acts = self._forward(self._layers(theta, stacked=True), self._inputs(loss_values))
+        out = 1.0 / (1.0 + np.exp(-acts[-1][..., 0]))
         return np.clip(out, self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
 
     def forward_and_grads_batch(self, theta, loss_values):
@@ -279,7 +280,7 @@ class WeightNet(_Mlp):
         gradients with respect to the weighting network's own parameters
         only."""
         layers = self._layers(theta)
-        acts, zs = self._forward(layers, self._inputs(loss_values))
-        out = 1.0 / (1.0 + np.exp(-zs[-1]))
-        grads = self._backward(layers, acts, zs, out * (1.0 - out))
+        acts = self._forward(layers, self._inputs(loss_values))
+        out = 1.0 / (1.0 + np.exp(-acts[-1]))
+        grads = self._backward(layers, acts, out * (1.0 - out))
         return np.clip(out[:, 0], self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP), grads

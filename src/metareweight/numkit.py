@@ -31,6 +31,7 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 
 _INV_2_53 = 1.0 / float(1 << 53)
+_GAUSSIAN_CHUNK = 1 << 14  # normals per chunk, from 2**15 uniforms
 
 
 def mix64(z: int) -> int:
@@ -104,13 +105,15 @@ class Rng:
     # -- gaussians ---------------------------------------------------------
 
     def gaussians(self, size: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        """Box-Muller normals, drawn in chunks: the stream of one draw."""
         if std < 0:
             raise ValueError(f"std must be >= 0, got {std}")
-        raw = (self.next_u64s(2 * size) >> _S11).astype(np.float64) * _INV_2_53
-        u1 = 1.0 - raw[0::2]
-        u2 = raw[1::2]
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return mean + std * z
+        out = np.empty(size)
+        for lo in range(0, size, _GAUSSIAN_CHUNK):
+            u = self.uniforms(2 * min(_GAUSSIAN_CHUNK, size - lo))
+            z = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+            out[lo:lo + _GAUSSIAN_CHUNK] = mean + std * z
+        return out
 
     # -- integers and permutations -----------------------------------------
 

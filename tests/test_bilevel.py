@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metareweight.bilevel import (Batch, BilevelState, TrainConfig, Variant,
+from metareweight.bilevel import (_METRIC_BLOCK, Batch, BilevelState, EpochMetrics,
+                                  TrainConfig, Variant, _epoch_metrics, _row_blocks,
                                   alignments, bilevel_step, classifier_update,
                                   meta_gradient_at, theta_gradient, theta_update, train,
                                   train_forward_backward, virtual_step)
-from metareweight.data import BlobSpec, make_blobs, standardize
+from metareweight.data import (BlobSpec, CorruptedDataset, LabeledDataset, make_blobs,
+                               standardize)
 from metareweight.losses import LossKind
+from metareweight.metrics import accuracy, auc_noisy_detection
 from metareweight.nets import ClassifierNet, SampleGrads, WeightNet
 from metareweight.noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from metareweight.numkit import Rng
@@ -507,3 +512,73 @@ class TestTrainLoop:
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "epoch,test_accuracy,train_auc,mean_weight_clean,mean_weight_corrupt"
         assert len(lines) == 3
+
+
+def unblocked_metrics(state, epoch, train_split, test):
+    """The per-epoch metrics with each split evaluated in one call, and the
+    weights of every train sample."""
+    test_acc = accuracy(state.classifier.predict_batch(state.params, test.features),
+                        test.labels)
+    losses = state.classifier.losses_batch(state.params, train_split.features,
+                                           train_split.observed_labels, LossKind.CE)
+    weights = state.weightnet.forward_batch(state.theta, losses)
+    flags = train_split.is_corrupted
+    return EpochMetrics(epoch, test_acc, auc_noisy_detection(weights, flags),
+                        float(weights[~flags].mean()), float(weights[flags].mean())), weights
+
+
+def metric_splits(rng, n, dim=20, k=5):
+    """A train split of ``n`` rows with about a third mislabelled and a test
+    split of ``n`` rows, features off the training distribution."""
+    labels = rng.randints(n, k)
+    observed = np.where(rng.uniforms(n) < 0.3, (labels + 1) % k, labels)
+    train_split = CorruptedDataset(rng.gaussians(n * dim, 0.0, 3.0).reshape(n, dim),
+                                   observed, labels, observed != labels, k)
+    test = LabeledDataset(rng.gaussians(n * dim, 0.0, 3.0).reshape(n, dim),
+                          rng.randints(n, k), k)
+    return train_split, test
+
+
+class TestBlockedMetrics:
+    """The per-epoch metrics run the nets in row blocks; every field and
+    every weight equals one unblocked pass over each split."""
+
+    @pytest.mark.parametrize("n", [_METRIC_BLOCK - 1, _METRIC_BLOCK, _METRIC_BLOCK + 1,
+                                   2 * _METRIC_BLOCK + 1, 2 * _METRIC_BLOCK + 1500])
+    def test_equals_one_pass_over_each_split(self, n, monkeypatch):
+        import metareweight.bilevel as b
+
+        state, rng = tiny_state(seed=n, dim=20, k=5, hidden=(32, 32), wn_hidden=100)
+        state.theta = rng.gaussians(state.weightnet.num_params, 0.0, 0.5)
+        train_split, test = metric_splits(rng, n)
+        want, want_weights = unblocked_metrics(state, 7, train_split, test)
+        scores = []
+        monkeypatch.setattr(b, "auc_noisy_detection",
+                            lambda s, flags: scores.append(s) or auc_noisy_detection(s, flags))
+        got = _epoch_metrics(state, 7, train_split, test)
+        assert got == want
+        assert np.array_equal(scores[0], want_weights)
+        assert len(set(want_weights.tolist())) > n // 2  # the weights do vary
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 2047, 2048, 2049, 3071, 3072,
+                                   4097, 20000])
+    def test_row_blocks(self, n):
+        blocks = _row_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(s.start % _METRIC_BLOCK == 0 for s in blocks)
+        assert all(s.stop - s.start < 1.5 * _METRIC_BLOCK for s in blocks)
+        assert n < _METRIC_BLOCK or min(s.stop - s.start for s in blocks) >= _METRIC_BLOCK // 2
+
+    def test_peak_memory_of_a_wide_split(self):
+        state, rng = tiny_state(seed=2, dim=20, k=5, hidden=(32, 32), wn_hidden=100)
+        train_split, test = metric_splits(rng, 20000)
+        _epoch_metrics(state, 0, train_split, test)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            _epoch_metrics(state, 0, train_split, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (2048, 100) float64 block is 1.6 MB; the whole split's is 16 MB
+        assert peak < 6e6

@@ -196,6 +196,15 @@ class TestCliCommands:
         assert err == [f"config error: {cfg_path}: num_classes must be >= 2, got 1 "
                        f"(at {cfg_path}:5: classes = 1)"]
 
+    def test_flip2_with_two_classes_names_the_kinds_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("[blob]\nclasses = 2\n\n[noise]\nkinds = flip2\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {cfg_path}: flip2 needs at least 3 classes for two "
+                       f"distinct targets, got 2 (at {cfg_path}:5: kinds = flip2)"]
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["no-such-command"]) == 1
 

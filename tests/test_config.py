@@ -286,6 +286,17 @@ class TestGridEntries:
             parse_config_text("[experiment]\nnum_seeds = 1\n"
                               "variants = noisy-mae, clean-ce, noisy-mae\n")
 
+    @pytest.mark.parametrize("kinds", ["flip2", "uniform, flip2"])
+    def test_flip2_needs_three_classes_and_names_the_kinds_line(self, kinds):
+        with pytest.raises(ConfigError, match=r"^<config>: flip2 needs at least 3 classes "
+                                              r"for two distinct targets, got 2$") as info:
+            parse_config_text(f"[blob]\nclasses = 2\n\n[noise]\nkinds = {kinds}\n")
+        assert info.value.location == f"<config>:5: kinds = {kinds}"
+        with pytest.raises(ValueError, match="flip2 needs at least 3 classes"):
+            ExperimentConfig(blob=BlobSpec(num_classes=2), noise_kinds=(NoiseKind.FLIP2,))
+        cfg = parse_config_text("[blob]\nclasses = 3\n[noise]\nkinds = flip2\n")
+        assert cfg.noise_kinds == (NoiseKind.FLIP2,)
+
     def test_programmatic_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate noise rate"):
             ExperimentConfig(noise_rates=(0.2, 0.2))

@@ -3,8 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from metareweight.data import (BlobSpec, CorruptedDataset, LabeledDataset, csv_text,
-                               make_blobs, save_dataset, standardize)
+from metareweight.data import (_SPLIT_STREAMS, BlobSpec, CorruptedDataset, LabeledDataset,
+                               csv_text, make_blobs, save_dataset, standardize)
 from metareweight.noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from metareweight.numkit import Rng
 
@@ -63,6 +63,28 @@ class TestMakeBlobs:
             BlobSpec(separation=0.0)
         with pytest.raises(ValueError):
             BlobSpec(n_meta=0)
+
+
+class TestSplitArithmetic:
+    """Each split is ``means[labels] + cluster_std * noise``, and
+    ``standardize``, which works in place on its one new array, gives the
+    bits of ``(features - mu) / sigma``."""
+
+    @pytest.mark.parametrize("spec", [BlobSpec(seed=3),
+                                      BlobSpec(num_classes=3, dim=7, n_train=1001, n_meta=13,
+                                               n_test=5, cluster_std=0.7, seed=4)])
+    def test_equal_the_out_of_place_expressions(self, spec):
+        bundle = make_blobs(spec)
+        scaled = standardize(bundle)
+        mu = bundle.train.features.mean(axis=0)
+        sigma = np.maximum(bundle.train.features.std(axis=0), 1e-8)
+        for name, count in (("train", spec.n_train), ("meta", spec.n_meta),
+                            ("test", spec.n_test)):
+            split = getattr(bundle, name)
+            noise = Rng(spec.seed).spawn(_SPLIT_STREAMS[name]).gaussians(count * spec.dim)
+            want = bundle.means[split.labels] + spec.cluster_std * noise.reshape(count, -1)
+            assert np.array_equal(split.features, want)
+            assert np.array_equal(getattr(scaled, name).features, (want - mu) / sigma)
 
 
 class TestStandardize:

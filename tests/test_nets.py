@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metareweight.losses import LossKind
-from metareweight.nets import ClassifierNet, WeightNet
+from metareweight.losses import LossKind, grad_logits_batch, loss_values_batch
+from metareweight.nets import ClassifierNet, SampleGrads, WeightNet, _softmax_rows
 from metareweight.numkit import Rng
 
 
@@ -393,3 +393,93 @@ class TestParameterStack:
             wn.forward_and_grads_batch(theta_stack, [1.0])
         with pytest.raises(ValueError, match="1-D"):
             wn.set_flat(theta_stack)
+
+
+def stored_z_forward(layers, x):
+    """The forward loop that keeps every pre-activation and rectifies a
+    copy of it: ``(activations, pre-activations)``."""
+    acts, zs = [x], []
+    for i, (w, b) in enumerate(layers):
+        z = np.matmul(acts[-1], w.swapaxes(-1, -2)) + b[..., None, :]
+        zs.append(z)
+        acts.append(z if i == len(layers) - 1 else np.maximum(z, 0.0))
+    return acts, zs
+
+
+def stored_z_backward(net, layers, acts, zs, out_delta):
+    """The backward loop that masks each delta with ``z > 0``."""
+    deltas = [out_delta]
+    for i in range(len(layers) - 1, 0, -1):
+        deltas.insert(0, (deltas[0] @ layers[i][0]) * (zs[i - 1] > 0.0))
+    return SampleGrads(net, acts[:-1], deltas)
+
+
+def draw_values(rng, size, on_grid):
+    """Gaussians, or values in {-1, 0, 1} that put many pre-activations at
+    exactly 0 (integer sums are exact)."""
+    if on_grid:
+        return (rng.randints(size, 3) - 1).astype(np.float64)
+    return rng.gaussians(size)
+
+
+class TestInPlaceRectifierOracle:
+    """Rectifying in place and masking with the activations give the bits
+    of the loop that stores every pre-activation and masks with it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 8), max_size=3),
+           dim=st.integers(1, 5), classes=st.integers(2, 5), n=st.integers(1, 12),
+           t=st.integers(1, 4), on_grid=st.booleans(), kind=st.sampled_from(list(LossKind)))
+    def test_classifier(self, seed, hidden, dim, classes, n, t, on_grid, kind):
+        rng = Rng(seed)
+        net = ClassifierNet([dim, *hidden, classes])
+        params = draw_values(rng, net.num_params, on_grid)
+        x = draw_values(rng, n * dim, on_grid).reshape(n, dim)
+        labels = rng.randints(n, classes)
+        layers = net._layers(params)
+        acts, zs = stored_z_forward(layers, x)
+        probs = _softmax_rows(zs[-1])
+        grads = stored_z_backward(net, layers, acts, zs,
+                                  grad_logits_batch(kind, labels, probs))
+        got_losses, got_grads = net.losses_and_grads_batch(params, x, labels, kind)
+        assert np.array_equal(got_losses, loss_values_batch(kind, labels, probs))
+        assert np.array_equal(got_grads.matrix(), grads.matrix())
+        pre = np.concatenate([z.ravel() for z in zs[:-1]]) if hidden else np.empty(0)
+        assert np.array_equal(net.hidden_preactivations(params, x), pre)
+
+        stack = draw_values(rng, t * net.num_params, on_grid).reshape(t, net.num_params)
+        _, stack_zs = stored_z_forward(net._layers(stack, stacked=True), x)
+        assert np.array_equal(net.forward_batch(stack, x), _softmax_rows(stack_zs[-1]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 120),
+           n=st.integers(1, 50), t=st.integers(1, 4), on_grid=st.booleans())
+    def test_weightnet(self, seed, hidden, n, t, on_grid):
+        rng = Rng(seed)
+        net = WeightNet(hidden=hidden)
+        theta = draw_values(rng, net.num_params, on_grid)
+        v = np.abs(draw_values(rng, n, on_grid))
+        layers = net._layers(theta)
+        acts, zs = stored_z_forward(layers, v[:, None])
+        out = 1.0 / (1.0 + np.exp(-zs[-1]))
+        grads = stored_z_backward(net, layers, acts, zs, out * (1.0 - out))
+        weights = np.clip(out[:, 0], net._OUTPUT_CLIP, 1.0 - net._OUTPUT_CLIP)
+        got_weights, got_grads = net.forward_and_grads_batch(theta, v)
+        assert np.array_equal(got_weights, weights)
+        assert np.array_equal(net.forward_batch(theta, v), weights)
+        assert np.array_equal(got_grads.matrix(), grads.matrix())
+        assert np.array_equal(net.hidden_preactivations(theta, v), zs[0].ravel())
+
+        stack = draw_values(rng, t * net.num_params, on_grid).reshape(t, net.num_params)
+        _, stack_zs = stored_z_forward(net._layers(stack, stacked=True), v[:, None])
+        want = np.clip(1.0 / (1.0 + np.exp(-stack_zs[-1][..., 0])),
+                       net._OUTPUT_CLIP, 1.0 - net._OUTPUT_CLIP)
+        assert np.array_equal(net.forward_batch(stack, v), want)
+
+    def test_grid_values_hit_the_kink(self):
+        # the on-grid draws do reach z == 0, where the two masks could differ
+        rng = Rng(3)
+        net = ClassifierNet([3, 6, 6, 2])
+        params = draw_values(rng, net.num_params, True)
+        x = draw_values(rng, 30, True).reshape(10, 3)
+        assert np.any(net.hidden_preactivations(params, x) == 0.0)

@@ -1,7 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from metareweight.numkit import Rng, as_vec, mix64
+from metareweight.numkit import _GAUSSIAN_CHUNK, Rng, as_vec, mix64
+
+
+def one_shot_gaussians(rng, size, mean, std):
+    """Box-Muller on one draw of all ``2 * size`` uniforms."""
+    raw = (rng.next_u64s(2 * size) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    u1, u2 = 1.0 - raw[0::2], raw[1::2]
+    return mean + std * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
 
 
 class TestAsVec:
@@ -62,6 +71,27 @@ class TestRng:
     def test_gaussian_negative_std_error(self):
         with pytest.raises(ValueError):
             Rng(2).gaussians(3, 0.0, -1.0)
+
+    @pytest.mark.parametrize("size", [0, 1, _GAUSSIAN_CHUNK - 1, _GAUSSIAN_CHUNK,
+                                      _GAUSSIAN_CHUNK + 1, 2 * _GAUSSIAN_CHUNK + 3,
+                                      5 * _GAUSSIAN_CHUNK])
+    def test_chunked_gaussians_equal_one_draw(self, size):
+        chunked, one_shot = Rng(17), Rng(17)
+        assert np.array_equal(chunked.gaussians(size, 0.25, 1.5),
+                              one_shot_gaussians(one_shot, size, 0.25, 1.5))
+        # both leave the stream at the same position
+        assert np.array_equal(chunked.gaussians(7), one_shot_gaussians(one_shot, 7, 0.0, 1.0))
+
+    def test_gaussians_peak_memory(self):
+        rng = Rng(3)
+        rng.gaussians(10)
+        tracemalloc.start()
+        try:
+            rng.gaussians(400_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2e6 + 2e6  # the output, and chunk temporaries
 
     def test_randints_in_range(self):
         draws = Rng(8).randints(10_000, 7)
