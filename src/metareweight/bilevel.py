@@ -39,6 +39,14 @@ finite-difference oracle in ``verify`` checks it at 1e-4 relative error.
 
 The per-epoch metrics run the nets in row blocks, never on a whole split.
 
+Run axis: ``BilevelState`` may hold ``(R, num_params)`` stacks in place of
+vectors, R runs that share their features and minibatch draws but differ
+in labels and meta loss.  A batch's labels are then ``(R, n)``, the meta
+loss one ``LossKind`` per run, and every phase above runs on the stack
+unchanged, each row getting the bits of the same step taken alone.
+``train`` steps a group of runs that way; the per-epoch metrics run per
+run, on its row.
+
 Training variants differ only in what the meta set is and which meta
 loss drives step 2: clean meta with cross-entropy, noisy meta with
 cross-entropy, or noisy meta with mean absolute error (the robust one).
@@ -47,7 +55,7 @@ cross-entropy, or noisy meta with mean absolute error (the robust one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -114,17 +122,18 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    features: np.ndarray
-    labels: np.ndarray
+    features: np.ndarray  # (n, d), shared by every run
+    labels: np.ndarray    # (n,), or (R, n) with one row per run
 
     def __len__(self) -> int:
-        return self.labels.size
+        return self.labels.shape[-1]
 
 
 @dataclass
 class BilevelState:
     """The two nets and the vectors training moves: classifier parameters,
-    weighting parameters and the classifier's momentum buffer."""
+    weighting parameters and the classifier's momentum buffer, each a
+    vector or an ``(R, size)`` stack with one row per run."""
 
     classifier: ClassifierNet
     weightnet: WeightNet
@@ -133,7 +142,7 @@ class BilevelState:
     momentum_buffer: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.momentum_buffer = np.zeros(self.classifier.num_params)
+        self.momentum_buffer = np.zeros(np.shape(self.params))
 
 
 def _require_nonempty(batch: Batch, what: str) -> None:
@@ -150,7 +159,7 @@ def train_forward_backward(state: BilevelState, train_batch: Batch):
     _require_nonempty(train_batch, "train")
     losses, grads = state.classifier.losses_and_grads_batch(
         state.params, train_batch.features, train_batch.labels, LossKind.CE)
-    return as_vec(losses, "classifier train-loss vector"), grads
+    return as_vec(losses, "classifier train-loss vector", stacked=True), grads
 
 
 def virtual_step(state: BilevelState, weights: np.ndarray, grads: Grads,
@@ -160,11 +169,11 @@ def virtual_step(state: BilevelState, weights: np.ndarray, grads: Grads,
     w_hat = w - (alpha/n) * sum_i weight_i * grad_i, with the per-sample
     gradients taken at the current parameters w.
     """
-    return state.params - (alpha / weights.size) * (weights @ grads)
+    return state.params - (alpha / weights.shape[-1]) * (weights @ grads)
 
 
 def meta_gradient_at(classifier: ClassifierNet, params: np.ndarray,
-                     meta_batch: Batch, kind: LossKind) -> np.ndarray:
+                     meta_batch: Batch, kind) -> np.ndarray:
     """Average meta-loss gradient w.r.t. classifier params, at ``params``:
     one backward pass with every sample's delta scaled by 1/m."""
     _require_nonempty(meta_batch, "meta")
@@ -180,7 +189,7 @@ def alignments(grads: Grads, g_meta: np.ndarray) -> np.ndarray:
 
 
 def theta_gradient(state: BilevelState, losses: np.ndarray, grads: Grads,
-                   meta_batch: Batch, alpha: float, kind: LossKind) -> np.ndarray:
+                   meta_batch: Batch, alpha: float, kind) -> np.ndarray:
     """Exact gradient of the mean meta loss after one virtual step,
     with respect to the weighting-network parameters.
 
@@ -196,7 +205,7 @@ def theta_gradient(state: BilevelState, losses: np.ndarray, grads: Grads,
     weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
     w_hat = virtual_step(state, weights, grads, alpha)
     g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, kind)
-    return (-(alpha / losses.size) * alignments(grads, g_meta)) @ theta_grads
+    return (-(alpha / losses.shape[-1]) * alignments(grads, g_meta)) @ theta_grads
 
 
 def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
@@ -220,13 +229,13 @@ def classifier_update(state: BilevelState, losses: np.ndarray, grads: Grads,
     weights = state.weightnet.forward_batch(state.theta, losses)
     w = state.params
     state.momentum_buffer = (momentum * state.momentum_buffer
-                             + ((weights @ grads) / losses.size + weight_decay * w))
+                             + ((weights @ grads) / losses.shape[-1] + weight_decay * w))
     state.params = state.classifier.set_flat(w - alpha * state.momentum_buffer,
                                              "classifier parameter vector")
 
 
 def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,
-                 cfg: TrainConfig, alpha: float, meta_loss: LossKind) -> None:
+                 cfg: TrainConfig, alpha: float, meta_loss) -> None:
     """One alternation step: weighting gradient through the virtual step,
     weighting update, then the real classifier update, all from a single
     forward/backward pass over the train batch."""
@@ -315,26 +324,44 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
     parameter vector non-finite, raises a ``ValueError`` naming the epoch
     and the step within it; a failure in the per-epoch metrics names the
     epoch.
+
+    ``variant``, ``train_data`` and ``meta_data`` may instead be sequences
+    with one entry per run, runs whose splits share their features.  The
+    runs then train in lockstep as one stack, each with the bits of its
+    own call, and a list of their reports comes back.  A failure stops
+    them all and names no run.
     """
-    if train_data.dim != meta_data.dim or train_data.dim != test_data.dim:
-        raise ValueError("feature dimensions differ across splits")
-    if train_data.num_classes != meta_data.num_classes \
-            or train_data.num_classes != test_data.num_classes:
-        raise ValueError("class counts differ across splits")
+    group = not isinstance(variant, Variant)
+    variants, trains, metas = ((list(variant), list(train_data), list(meta_data)) if group
+                               else ([variant], [train_data], [meta_data]))
+    for split in (*trains, *metas):
+        if split.dim != test_data.dim:
+            raise ValueError("feature dimensions differ across splits")
+        if split.num_classes != test_data.num_classes:
+            raise ValueError("class counts differ across splits")
+    for splits in (trains, metas):
+        if not all(np.array_equal(s.features, splits[0].features) for s in splits[1:]):
+            raise ValueError("the runs of a group must share their features")
+
+    def per_run(arrays):
+        """One row per run for a group, the single run's array otherwise."""
+        return np.stack(arrays) if group else arrays[0]
 
     root = Rng(seed)
-    classifier = ClassifierNet([train_data.dim, *HIDDEN_SIZES, train_data.num_classes])
+    classifier = ClassifierNet([test_data.dim, *HIDDEN_SIZES, test_data.num_classes])
     weightnet = WeightNet()
-    state = BilevelState(classifier, weightnet,
-                         classifier.init_params(root.spawn(_INIT_CLASSIFIER_STREAM)),
-                         weightnet.init_params(root.spawn(_INIT_WEIGHTNET_STREAM)))
+    state = BilevelState(
+        classifier, weightnet,
+        per_run([classifier.init_params(root.spawn(_INIT_CLASSIFIER_STREAM))] * len(trains)),
+        per_run([weightnet.init_params(root.spawn(_INIT_WEIGHTNET_STREAM))] * len(trains)))
     loop_rng = root.spawn(_LOOP_STREAM)
 
-    x_train, y_train = train_data.features, train_data.observed_labels
-    x_meta, y_meta = meta_data.features, meta_data.labels
-    n_train, n_meta = len(train_data), len(meta_data)
+    x_train, y_train = trains[0].features, per_run([d.observed_labels for d in trains])
+    x_meta, y_meta = metas[0].features, per_run([d.labels for d in metas])
+    meta_loss = tuple(v.meta_loss for v in variants) if group else variant.meta_loss
+    n_train, n_meta = len(trains[0]), len(metas[0])
 
-    report = RunReport()
+    reports = [RunReport() for _ in variants]
     # A diverging run overflows before anything is non-finite; numpy's
     # warnings about that are silenced so that the first check to fail
     # (``set_flat`` on an update, ``as_vec`` on the losses) is the one report.
@@ -348,13 +375,16 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
                 try:
                     bilevel_step(
                         state,
-                        Batch(x_train[idx], y_train[idx]),
-                        Batch(x_meta[meta_idx], y_meta[meta_idx]),
-                        cfg, alpha, variant.meta_loss)
+                        Batch(x_train[idx], y_train[..., idx]),
+                        Batch(x_meta[meta_idx], y_meta[..., meta_idx]),
+                        cfg, alpha, meta_loss)
                 except ValueError as exc:
                     raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
             try:
-                report.epochs.append(_epoch_metrics(state, epoch, train_data, test_data))
+                for r, (report, split) in enumerate(zip(reports, trains)):
+                    run = replace(state, params=state.params[r], theta=state.theta[r]) \
+                        if group else state
+                    report.epochs.append(_epoch_metrics(run, epoch, split, test_data))
             except ValueError as exc:
                 raise ValueError(f"epoch {epoch}, metrics: {exc}") from exc
-    return report
+    return reports if group else reports[0]

@@ -71,6 +71,31 @@ class ResultTable:
         return dataclass_csv(ResultRow, self.rows)
 
 
+def _splits(cfg: ExperimentConfig, seed_index: int, runs):
+    """The test split and each run's (train, meta) splits, for ``runs`` of
+    one seed index given as ``(variant, kind, rate, cell_index)``: the data
+    is drawn and standardized once."""
+    blob = replace(cfg.blob,
+                   seed=_stream(cfg.seed, _PURPOSE_DATA, seed_index).seed)
+    bundle = standardize(make_blobs(blob))
+    splits = []
+    for variant, kind, rate, cell_index in runs:
+        spec = NoiseSpec(kind, rate, blob.num_classes,
+                         seed=_stream(cfg.seed, _PURPOSE_NOISE_MODEL,
+                                      seed_index, cell_index).seed)
+        matrix = build_transition(spec)
+        train_split = corrupt(bundle.train, matrix,
+                              _stream(cfg.seed, _PURPOSE_TRAIN_CORRUPT,
+                                      seed_index, cell_index))
+        meta_split = bundle.meta
+        if variant.meta_is_noisy:
+            meta_split = corrupt(bundle.meta, matrix,
+                                 _stream(cfg.seed, _PURPOSE_META_CORRUPT,
+                                         seed_index, cell_index))
+        splits.append((train_split, meta_split))
+    return bundle.test, splits
+
+
 def run_single(cfg: ExperimentConfig, variant: Variant, kind: NoiseKind,
                rate: float, cell_index: int, seed_index: int) -> RunReport:
     """One fully deterministic training run of a grid cell.
@@ -78,60 +103,65 @@ def run_single(cfg: ExperimentConfig, variant: Variant, kind: NoiseKind,
     Data generation and corruption seeds depend only on the experiment
     seed, the seed index, and the noise cell -- never on the variant -- so
     all variants of a cell see identical data, identical corruption, and
-    identical network initialization (paired comparison).
+    identical network initialization (paired comparison).  A grid trains
+    every run of a seed index together; each gets the bits of this call.
     """
-    blob = replace(cfg.blob,
-                   seed=_stream(cfg.seed, _PURPOSE_DATA, seed_index).seed)
-    bundle = standardize(make_blobs(blob))
-
-    spec = NoiseSpec(kind, rate, blob.num_classes,
-                     seed=_stream(cfg.seed, _PURPOSE_NOISE_MODEL,
-                                  seed_index, cell_index).seed)
-    matrix = build_transition(spec)
-    train_split = corrupt(bundle.train, matrix,
-                          _stream(cfg.seed, _PURPOSE_TRAIN_CORRUPT,
-                                  seed_index, cell_index))
-    meta_split = bundle.meta
-    if variant.meta_is_noisy:
-        meta_split = corrupt(bundle.meta, matrix,
-                             _stream(cfg.seed, _PURPOSE_META_CORRUPT,
-                                     seed_index, cell_index))
-    return train(variant, train_split, meta_split, bundle.test, cfg.train,
+    test, [(train_split, meta_split)] = _splits(cfg, seed_index,
+                                                [(variant, kind, rate, cell_index)])
+    return train(variant, train_split, meta_split, test, cfg.train,
                  seed=_stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed)
 
 
-def _run_cell(args):
-    cfg, variant, kind, rate, cell_index, seed_index = args
+def _run_seed(args):
+    """Every run of one seed index, trained in lockstep: ``(reports, None)``
+    with the reports in job order, or ``(None, (job key, error))`` for the
+    first run in job order that fails.  The job key orders (variant, cell,
+    seed index) as the grid lists its jobs."""
+    cfg, cells, seed_index = args
+    runs = [(variant, kind, rate, ci) for variant in cfg.variants
+            for ci, (kind, rate) in enumerate(cells)]
+    test, splits = _splits(cfg, seed_index, runs)
+    seed = _stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed
     try:
-        report = run_single(cfg, variant, kind, rate, cell_index, seed_index)
+        return train([r[0] for r in runs], *zip(*splits), test, cfg.train, seed=seed), None
     except Exception as exc:
-        raise RuntimeError(
-            f"run failed for variant={variant.value}, "
-            f"noise={kind.value}@{rate}, seed={seed_index}: {exc}") from exc
-    return (variant, kind, rate, seed_index), report
+        error, failed = exc, runs[0]
+    # A failure stops the whole stack; the runs alone, in job order, say
+    # which one fails first and at which step.
+    for run, (train_split, meta_split) in zip(runs, splits):
+        try:
+            train(run[0], train_split, meta_split, test, cfg.train, seed=seed)
+        except Exception as exc:
+            error, failed = exc, run
+            break
+    variant, kind, rate, ci = failed
+    return None, ((cfg.variants.index(variant), ci, seed_index), RuntimeError(
+        f"run failed for variant={variant.value}, "
+        f"noise={kind.value}@{rate}, seed={seed_index}: {error}"))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
-    """Execute the full grid, aggregate over seeds, and write CSV reports."""
+    """Execute the full grid, aggregate over seeds, and write CSV reports.
+    One job per seed index trains all of its runs in lockstep."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     cells = [(kind, rate) for kind in cfg.noise_kinds for rate in cfg.noise_rates]
-    jobs = [(cfg, variant, kind, rate, ci, si)
-            for variant in cfg.variants
-            for ci, (kind, rate) in enumerate(cells)
-            for si in range(cfg.num_seeds)]
+    jobs = [(cfg, cells, si) for si in range(cfg.num_seeds)]
 
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            finished = dict(pool.map(_run_cell, jobs))
+            outcomes = list(pool.map(_run_seed, jobs))
     else:
-        finished = dict(map(_run_cell, jobs))
+        outcomes = list(map(_run_seed, jobs))
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     table = ResultTable()
-    for variant in cfg.variants:
-        for kind, rate in cells:
-            reports = [finished[(variant, kind, rate, si)] for si in range(cfg.num_seeds)]
+    for vi, variant in enumerate(cfg.variants):
+        for ci, (kind, rate) in enumerate(cells):
+            reports = [seed_reports[vi * len(cells) + ci] for seed_reports, _ in outcomes]
             for si, rep in enumerate(reports):
                 name = f"{variant.value}_{kind.value}_{rate_label(rate)}_{si}.csv"
                 rep.save_csv(runs_dir / name)
@@ -276,8 +306,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:
+        print(f"runtime failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

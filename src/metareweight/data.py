@@ -123,10 +123,15 @@ def _draw_means(spec: BlobSpec, rng: Rng) -> np.ndarray:
 
 
 def _draw_split(spec: BlobSpec, means: np.ndarray, rng: Rng, count: int) -> LabeledDataset:
-    labels = np.arange(count, dtype=np.int64) % spec.num_classes  # balanced +-1
-    noise = rng.gaussians(count * spec.dim).reshape(count, spec.dim)
-    features = means[labels] + spec.cluster_std * noise
-    return LabeledDataset(features, labels, spec.num_classes)
+    """``means[labels] + cluster_std * noise``, built in the draw's array:
+    row i has label ``i % K``, so class c owns the strided rows ``c::K``."""
+    k = spec.num_classes
+    labels = np.arange(count, dtype=np.int64) % k  # balanced +-1
+    features = rng.gaussians(count * spec.dim).reshape(count, spec.dim)
+    features *= spec.cluster_std
+    for c in range(min(k, count)):
+        features[c::k] += means[c]
+    return LabeledDataset(features, labels, k)
 
 
 def make_blobs(spec: BlobSpec) -> SplitBundle:
@@ -142,9 +147,14 @@ def make_blobs(spec: BlobSpec) -> SplitBundle:
 
 
 def standardize(bundle: SplitBundle) -> SplitBundle:
-    """Center/scale all splits with statistics fitted on train only."""
-    mu = bundle.train.features.mean(axis=0)
-    sigma = np.maximum(bundle.train.features.std(axis=0), STD_FLOOR)
+    """Center/scale all splits with statistics fitted on train only.
+    Features too large for float64 statistics are an error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = bundle.train.features.mean(axis=0)
+        sigma = np.maximum(bundle.train.features.std(axis=0), STD_FLOOR)
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise ValueError("train features overflow float64 in their mean or standard "
+                         "deviation; reduce separation or cluster_std")
 
     def apply(ds: LabeledDataset) -> LabeledDataset:
         features = ds.features - mu

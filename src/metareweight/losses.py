@@ -55,25 +55,42 @@ def symmetry_sum(kind: LossKind, u):
     return float(sums[0]) if np.ndim(u) == 1 else sums
 
 
-def loss_values_batch(kind: LossKind, labels, probs: np.ndarray) -> np.ndarray:
-    """Per-sample losses from a (n, K) probability matrix and n class indices."""
+def _picked(labels, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked label indices shaped ``(..., n, 1)`` like ``probs`` and each
+    sample's probability of its label at them."""
     labels = np.asarray(labels, dtype=np.int64)
-    n, k = probs.shape
-    if labels.shape != (n,):
+    n, k = probs.shape[-2:]
+    if labels.shape[-1:] != (n,):
         raise ValueError("labels must be one class index per sample")
     if n and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
-    picked = probs[np.arange(n), labels]
-    if kind is LossKind.CE:
-        return -np.log(np.maximum(picked, PROB_FLOOR))
-    return 2.0 * (1.0 - picked)
+    idx = np.broadcast_to(labels, probs.shape[:-1])[..., None]
+    return idx, np.take_along_axis(probs, idx, axis=-1)
 
 
-def grad_logits_batch(kind: LossKind, labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Per-sample logit gradients, one row per sample."""
-    n = probs.shape[0]
+def _is_mae(kind, probs: np.ndarray) -> np.ndarray:
+    """Per leading row of ``probs``, whether its loss is MAE, shaped to
+    broadcast over a row's ``(n, 1)`` picks."""
+    kinds = np.asarray(kind is LossKind.MAE if isinstance(kind, LossKind)
+                       else [k is LossKind.MAE for k in kind])
+    return np.broadcast_to(kinds, probs.shape[:-2])[..., None, None]
+
+
+def loss_values_batch(kind, labels, probs: np.ndarray) -> np.ndarray:
+    """Per-sample losses from ``(..., n, K)`` probabilities and class indices
+    ``(n,)``, shared, or ``(..., n)``.  ``kind`` is one ``LossKind`` or a
+    sequence of them, one per leading row."""
+    _, picked = _picked(labels, probs)
+    losses = np.where(_is_mae(kind, probs), 2.0 * (1.0 - picked),
+                      -np.log(np.maximum(picked, PROB_FLOOR)))
+    return losses[..., 0]
+
+
+def grad_logits_batch(kind, labels, probs: np.ndarray) -> np.ndarray:
+    """Per-sample logit gradients, one row per sample; arguments as for
+    ``loss_values_batch``."""
+    idx, picked = _picked(labels, probs)
     g = probs.copy()
-    g[np.arange(n), labels] -= 1.0
-    if kind is LossKind.MAE:
-        g *= 2.0 * probs[np.arange(n), labels][:, None]
+    np.put_along_axis(g, idx, picked - 1.0, axis=-1)
+    g *= np.where(_is_mae(kind, probs), 2.0 * picked, 1.0)  # x * 1.0 is x, bit for bit
     return g

@@ -25,13 +25,14 @@ share one forward loop and one backward loop (``_backward``); they differ
 only in how the input is read and in the output-layer delta.  The forward
 loop rectifies in place; the backward loop masks with ``max(z, 0) > 0``.
 
-Leading parameter axis: the forward-only methods (``ClassifierNet.
-forward_batch``/``predict_batch``/``losses_batch`` and ``WeightNet.
-forward_batch``) also take a ``(T, num_params)`` stack of parameter
-vectors and evaluate the one input batch at each of them, returning
-``(T, n, ...)`` in place of ``(n, ...)``.  Row t equals the call at
-``params[t]`` bit for bit.  The gradient methods and ``set_flat`` take a
-single vector only.
+Leading parameter axis: every method, and ``set_flat``, also takes a
+``(T, num_params)`` stack of parameter vectors and returns ``(T, n, ...)``
+in place of ``(n, ...)``.  The classifier's features are one ``(n, d)``
+batch shared by every row; labels and the weighting net's loss values are
+either shared, ``(n,)``, or paired with the rows, ``(T, n)``; a loss kind
+is one ``LossKind`` or one per row.  ``SampleGrads`` of a stack carries the
+axis through its contractions.  Row t equals the call at ``params[t]``
+(with row t of the paired inputs) bit for bit.
 
 Flat parameter layout (both networks): layers in input-to-output order,
 each layer contributing W.ravel() (row-major, shape out x in) followed by
@@ -67,8 +68,11 @@ class SampleGrads:
       ``rowsum((delta @ G) * a) + delta @ g_b`` with ``G, g_b`` the layer's
       blocks of ``g``;
 
-    so the step never builds it.  ``matrix()`` does, for the verification
-    oracles, which keep their own arithmetic on the rows.
+    so the step never builds it.  Gradients of a ``(T, P)`` stack take
+    ``(T, n)`` coefficients and ``(T, P)`` vectors, one per row; a 1-D
+    ``c`` or ``g`` is shared by the rows.  ``matrix()`` builds the matrix
+    of a single vector's gradients, for the verification oracles, which
+    keep their own arithmetic on the rows.
     """
 
     __array_ufunc__ = None  # makes ``ndarray @ grads`` call ``__rmatmul__``
@@ -77,7 +81,7 @@ class SampleGrads:
         self.net, self.inputs, self.deltas = net, inputs, deltas
 
     def __len__(self) -> int:
-        return self.deltas[0].shape[0]
+        return self.deltas[0].shape[-2]
 
     @property
     def nbytes(self) -> int:
@@ -88,7 +92,7 @@ class SampleGrads:
         """The ``(n, num_params)`` per-sample gradient matrix."""
         grads = np.empty((len(self), self.net.num_params))
         # ``_layers`` returns views, so each layer's blocks fill in place.
-        for (w, b), a, d in zip(self.net._layers(grads, stacked=True),
+        for (w, b), a, d in zip(self.net._layers(grads),
                                 self.inputs, self.deltas):
             np.einsum("no,ni->noi", d, a, out=w)
             b[:] = d
@@ -96,19 +100,20 @@ class SampleGrads:
 
     def __rmatmul__(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=np.float64)
-        if c.shape != (len(self),):
+        if c.shape[-1:] != (len(self),):
             raise ValueError(f"coefficients of shape {c.shape} do not match "
                              f"the {len(self)} per-sample gradients")
         parts = []
         for a, d in zip(self.inputs, self.deltas):
-            cd = d.T * c  # (out, n)
-            parts += [(cd @ a).ravel(), cd.sum(axis=1)]
-        return np.concatenate(parts)
+            cd = (d * c[..., None]).swapaxes(-1, -2)  # (..., out, n)
+            parts += [cd @ a, cd.sum(axis=-1)]
+        lead = parts[-1].shape[:-1]
+        return np.concatenate([p.reshape(*lead, -1) for p in parts], axis=-1)
 
     def __matmul__(self, g) -> np.ndarray:
         dots = 0.0
         for a, d, (w, b) in zip(self.inputs, self.deltas, self.net._layers(g)):
-            dots = dots + ((d @ w) * a).sum(axis=1) + d @ b
+            dots = dots + ((d @ w) * a).sum(axis=-1) + (d @ b[..., None])[..., 0]
         return dots
 
 
@@ -132,24 +137,24 @@ class _Mlp:
         return params
 
     def set_flat(self, flat, name: str = "params") -> np.ndarray:
-        """``flat`` checked as a parameter vector of this net: 1-D float64
-        with ``num_params`` finite entries.  The error names ``name``."""
-        v = as_vec(flat, name)
-        if v.size != self.num_params:
-            raise ValueError(f"{name} must have {self.num_params} entries, got {v.size}")
+        """``flat`` checked as a parameter vector of this net, or a stack of
+        them: float64 with ``num_params`` finite entries per row.  The error
+        names ``name``."""
+        v = as_vec(flat, name, stacked=True)
+        if v.shape[-1] != self.num_params:
+            raise ValueError(f"{name} must have {self.num_params} entries, got {v.shape[-1]}")
         return v
 
     def get_flat(self, params, name: str = "params") -> np.ndarray:
         """A checked copy of ``params`` that the caller may write into."""
         return self.set_flat(params, name).copy()
 
-    def _layers(self, params, stacked: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer ``(W (out, in), b (out,))`` views into ``params``; with
-        ``stacked``, a ``(T, num_params)`` stack is also accepted and gives
-        ``(T, out, in)`` and ``(T, out)`` views."""
+    def _layers(self, params) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(W (out, in), b (out,))`` views into ``params``; a
+        ``(T, num_params)`` stack gives ``(T, out, in)`` and ``(T, out)``
+        views."""
         params = np.asarray(params, dtype=np.float64)
-        if not (params.ndim == 1 or stacked and params.ndim == 2) \
-                or params.shape[-1] != self.num_params:
+        if params.ndim not in (1, 2) or params.shape[-1] != self.num_params:
             raise ValueError(f"expected {self.num_params} params, got shape {params.shape}")
         lead = params.shape[:-1]
         views = []
@@ -214,25 +219,21 @@ class ClassifierNet(_Mlp):
     def forward_batch(self, params, x) -> np.ndarray:
         """Softmax probabilities at ``params``, one row per sample:
         ``(n, K)``, or ``(T, n, K)`` for a ``(T, num_params)`` stack."""
-        acts = self._forward(self._layers(params, stacked=True), self._inputs(x))
+        acts = self._forward(self._layers(params), self._inputs(x))
         return _softmax_rows(acts[-1])
 
     def predict_batch(self, params, x) -> np.ndarray:
         return np.argmax(self.forward_batch(params, x), axis=-1)
 
-    def losses_batch(self, params, x, labels, kind: LossKind) -> np.ndarray:
+    def losses_batch(self, params, x, labels, kind) -> np.ndarray:
         """Per-sample losses: ``(n,)``, or ``(T, n)`` for a stack."""
-        probs = self.forward_batch(params, x)
-        if probs.ndim == 2:
-            return loss_values_batch(kind, labels, probs)
-        t, n, k = probs.shape
-        labels = np.tile(np.asarray(labels, dtype=np.int64), t)
-        return loss_values_batch(kind, labels, probs.reshape(t * n, k)).reshape(t, n)
+        return loss_values_batch(kind, labels, self.forward_batch(params, x))
 
-    def losses_and_grads_batch(self, params, x, labels, kind: LossKind):
+    def losses_and_grads_batch(self, params, x, labels, kind):
         """Per-sample losses ``(n,)`` and per-sample parameter gradients
         (``SampleGrads``) at ``params``; row i of the gradients is the
-        gradient of sample i's loss alone."""
+        gradient of sample i's loss alone.  A stack gives ``(T, n)``
+        losses."""
         layers = self._layers(params)
         labels = np.asarray(labels, dtype=np.int64)
         acts = self._forward(layers, self._inputs(x))
@@ -266,21 +267,21 @@ class WeightNet(_Mlp):
         return theta
 
     def _inputs(self, loss_values) -> np.ndarray:
-        return as_vec(loss_values, "loss values")[:, None]
+        return as_vec(loss_values, "loss values", stacked=True)[..., None]
 
     def forward_batch(self, theta, loss_values) -> np.ndarray:
         """Weights ``(n,)``, or ``(T, n)`` for a ``(T, num_params)`` stack."""
-        acts = self._forward(self._layers(theta, stacked=True), self._inputs(loss_values))
+        acts = self._forward(self._layers(theta), self._inputs(loss_values))
         out = 1.0 / (1.0 + np.exp(-acts[-1][..., 0]))
         return np.clip(out, self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
 
     def forward_and_grads_batch(self, theta, loss_values):
-        """Weights ``(n,)`` and their gradients d weight / d theta
-        (``SampleGrads``).  The input is treated as a constant: these are
-        gradients with respect to the weighting network's own parameters
-        only."""
+        """Weights ``(n,)``, or ``(T, n)`` for a stack, and their gradients
+        d weight / d theta (``SampleGrads``).  The input is treated as a
+        constant: these are gradients with respect to the weighting
+        network's own parameters only."""
         layers = self._layers(theta)
         acts = self._forward(layers, self._inputs(loss_values))
         out = 1.0 / (1.0 + np.exp(-acts[-1]))
         grads = self._backward(layers, acts, out * (1.0 - out))
-        return np.clip(out[:, 0], self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP), grads
+        return np.clip(out[..., 0], self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP), grads

@@ -153,10 +153,12 @@ def check_fields(obj, names, ok, rule: str) -> None:
             raise FieldError(name, f"{name} must {rule}, got {value}")
 
 
-def as_vec(x, name: str = "vector") -> np.ndarray:
+def as_vec(x, name: str = "vector", stacked: bool = False) -> np.ndarray:
+    """``x`` as a finite float64 vector; with ``stacked``, a 2-D stack of
+    vectors (one per row) is also accepted."""
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
+    if not (v.ndim == 1 or stacked and v.ndim == 2):
+        raise ValueError(f"{name} must be 1-D{' or 2-D' if stacked else ''}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v

@@ -110,6 +110,32 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"variant=clean-ce.*uniform@0\.0.*seed=0"):
             run_experiment(tiny_cfg(), out_dir=tmp_path)
 
+    def test_first_failing_job_in_job_order_is_reported(self, tmp_path, monkeypatch):
+        # Jobs run variant by variant, then cell by cell, then seed by seed.
+        # Seed 0 fails at (noisy-mae, rate 0.0) and seed 1 at (clean-ce,
+        # rate 0.3); the second comes first in that order, although its
+        # seed group comes second.
+        import metareweight.cli as cli_mod
+        real_train = cli_mod.train
+        cfg = tiny_cfg()
+        seeds = [cli_mod._stream(cfg.seed, cli_mod._PURPOSE_TRAIN_SEED, si).seed
+                 for si in range(cfg.num_seeds)]
+        planted = {(Variant.NOISY_MAE, False, seeds[0]), (Variant.CLEAN_CE, True, seeds[1])}
+
+        def flaky(variant, train_split, meta_split, test, train_cfg, seed):
+            runs = zip(variant, train_split) if isinstance(variant, list) \
+                else [(variant, train_split)]
+            if any((v, bool(s.is_corrupted.any()), seed) in planted for v, s in runs):
+                raise ValueError("epoch 0, step 0: planted")
+            return real_train(variant, train_split, meta_split, test, train_cfg, seed)
+
+        monkeypatch.setattr(cli_mod, "train", flaky)
+        with pytest.raises(RuntimeError) as caught:
+            run_experiment(cfg, out_dir=tmp_path)
+        assert str(caught.value) == ("run failed for variant=clean-ce, noise=uniform@0.3, "
+                                     "seed=1: epoch 0, step 0: planted")
+        assert not (tmp_path / "results.csv").exists()
+
 
 class TestResultCsv:
     def test_bytes_of_a_table(self):
@@ -129,6 +155,19 @@ class TestRunSingle:
         a = run_single(cfg, Variant.CLEAN_CE, NoiseKind.UNIFORM, 0.0, 0, 1)
         b = run_single(cfg, Variant.NOISY_CE, NoiseKind.UNIFORM, 0.0, 0, 1)
         assert a.to_csv() == b.to_csv()
+
+    def test_each_run_of_a_seed_group_writes_its_single_run_bytes(self, tmp_path):
+        # the grid trains all runs of a seed index as one stack; every
+        # member's file equals the report of its run trained alone
+        cfg = tiny_cfg(variants=tuple(Variant), noise_kinds=(NoiseKind.UNIFORM, NoiseKind.FLIP2))
+        run_experiment(cfg, out_dir=tmp_path)
+        cells = [(kind, rate) for kind in cfg.noise_kinds for rate in cfg.noise_rates]
+        for variant in cfg.variants:
+            for ci, (kind, rate) in enumerate(cells):
+                for si in range(cfg.num_seeds):
+                    path = tmp_path / "runs" / f"{variant.value}_{kind.value}_{rate:g}_{si}.csv"
+                    alone = run_single(cfg, variant, kind, rate, ci, si)
+                    assert path.read_bytes() == alone.to_csv().encode(), path.name
 
 
 class TestCliCommands:
@@ -287,6 +326,37 @@ class TestCliCommands:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("runtime failure: ")
+
+    def test_overflowing_features_exit_one_without_warning(self, tmp_path, capsys):
+        # features near 1e300 overflow the train split's standard deviation;
+        # that must stop the run, not standardize every feature to 0
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT.replace("separation = 5.0", "separation = 1e300"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: train features overflow")
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_out_of_memory_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        # a huge class count makes the dense K x K transition matrix fail to
+        # allocate; that allocation is replaced here by its MemoryError
+        import metareweight.noise as noise_mod
+
+        def no_memory(spec):
+            raise MemoryError(f"Unable to allocate the {spec.num_classes}-class matrix")
+
+        monkeypatch.setattr(noise_mod, "build_transition", no_memory)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["runtime failure: Unable to allocate the 3-class matrix"]
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_runtime_failure_exit_three(self, tmp_path, monkeypatch, capsys):
         import metareweight.cli as cli_mod

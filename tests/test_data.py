@@ -1,10 +1,12 @@
 import csv
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from metareweight.data import (_SPLIT_STREAMS, BlobSpec, CorruptedDataset, LabeledDataset,
-                               csv_text, make_blobs, save_dataset, standardize)
+                               _draw_split, csv_text, make_blobs, save_dataset, standardize)
 from metareweight.noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from metareweight.numkit import Rng
 
@@ -66,13 +68,16 @@ class TestMakeBlobs:
 
 
 class TestSplitArithmetic:
-    """Each split is ``means[labels] + cluster_std * noise``, and
-    ``standardize``, which works in place on its one new array, gives the
-    bits of ``(features - mu) / sigma``."""
+    """Each split, built in place in the draw's array, gives the bits of
+    ``means[labels] + cluster_std * noise``, and ``standardize``, which
+    works in place on its one new array, gives the bits of
+    ``(features - mu) / sigma``."""
 
     @pytest.mark.parametrize("spec", [BlobSpec(seed=3),
                                       BlobSpec(num_classes=3, dim=7, n_train=1001, n_meta=13,
-                                               n_test=5, cluster_std=0.7, seed=4)])
+                                               n_test=5, cluster_std=0.7, seed=4),
+                                      BlobSpec(num_classes=7, dim=2, n_train=30, n_meta=3,
+                                               n_test=6, cluster_std=2.5, seed=5)])
     def test_equal_the_out_of_place_expressions(self, spec):
         bundle = make_blobs(spec)
         scaled = standardize(bundle)
@@ -86,8 +91,27 @@ class TestSplitArithmetic:
             assert np.array_equal(split.features, want)
             assert np.array_equal(getattr(scaled, name).features, (want - mu) / sigma)
 
+    def test_a_split_allocates_little_beyond_its_features(self):
+        # the draw is scaled and shifted in place: no full-split temporaries
+        spec = BlobSpec(n_train=20_000, seed=6)
+        means = make_blobs(BlobSpec(n_train=1, n_meta=1, n_test=1, seed=6)).means
+        tracemalloc.start()
+        try:
+            split = _draw_split(spec, means, Rng(7), spec.n_train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < split.features.nbytes + 2 * 2**20
+
 
 class TestStandardize:
+    def test_overflowing_statistics_rejected_without_warning(self):
+        bundle = make_blobs(BlobSpec(separation=1e300, n_train=10, n_meta=2, n_test=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow float64"):
+                standardize(bundle)
+
     def test_train_moments(self):
         bundle = standardize(make_blobs(BlobSpec(seed=4)))
         mu = bundle.train.features.mean(axis=0)

@@ -154,12 +154,10 @@ class TestFlatParams:
         net = ClassifierNet([2, 2])
         x = np.zeros((1, 2))
         p = net.num_params
-        # the forward pass also takes a (T, P) stack, never a deeper one
+        # every method also takes a (T, P) stack, never a deeper one
         for params in (np.zeros(p + 1), np.zeros((1, p + 1)), np.zeros((1, 1, p))):
             with pytest.raises(ValueError, match="params"):
                 net.forward_batch(params, x)
-        # the gradient methods take one vector only
-        for params in (np.zeros(p + 1), np.zeros((1, p))):
             with pytest.raises(ValueError, match="params"):
                 net.losses_and_grads_batch(params, x, [0], LossKind.CE)
 
@@ -172,10 +170,14 @@ class TestFlatParams:
         net = ClassifierNet([2, 2])
         with pytest.raises(ValueError, match="^theta must have 6 entries, got 7$"):
             net.set_flat(np.zeros(net.num_params + 1), "theta")
-        with pytest.raises(ValueError, match="must be 1-D"):
-            net.set_flat(np.zeros((1, net.num_params)))
+        with pytest.raises(ValueError, match="must be 1-D or 2-D"):
+            net.set_flat(np.zeros((1, 1, net.num_params)))
         with pytest.raises(ValueError, match="^theta contains non-finite"):
             net.set_flat(np.full(net.num_params, np.nan), "theta")
+        stack = np.zeros((3, net.num_params))
+        stack[1, 2] = np.inf
+        with pytest.raises(ValueError, match="^theta contains non-finite"):
+            net.set_flat(stack, "theta")
         with pytest.raises(ValueError, match="non-finite"):
             net.get_flat(np.full(net.num_params, np.inf))
 
@@ -384,15 +386,43 @@ class TestParameterStack:
         for row, theta in enumerate(stack):
             assert np.array_equal(weights[row], net.forward_batch(theta, v))
 
-    def test_gradient_methods_reject_a_stack(self):
-        net, wn = ClassifierNet([2, 3, 2]), WeightNet(hidden=4)
-        stack, theta_stack = np.zeros((2, net.num_params)), np.zeros((2, wn.num_params))
-        with pytest.raises(ValueError, match="params"):
-            net.losses_and_grads_batch(stack, np.zeros((1, 2)), [0], LossKind.CE)
-        with pytest.raises(ValueError, match="params"):
-            wn.forward_and_grads_batch(theta_stack, [1.0])
-        with pytest.raises(ValueError, match="1-D"):
-            wn.set_flat(theta_stack)
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 8), max_size=3),
+           dim=st.integers(1, 5), classes=st.integers(2, 5), n=st.integers(1, 12),
+           t=st.integers(1, 6), wn_hidden=st.integers(1, 120), shared=st.booleans())
+    def test_gradient_methods_and_contractions_of_a_stack(self, seed, hidden, dim, classes,
+                                                          n, t, wn_hidden, shared):
+        # A stack with paired (T, n) labels, one loss kind per row, paired
+        # loss values, (T, n) coefficients and (T, P) vectors gives, row for
+        # row, the bits of the single-vector calls; a shared (n,) input or
+        # a single kind is used by every row.
+        rng = Rng(seed)
+        net, wn = ClassifierNet([dim, *hidden, classes]), WeightNet(hidden=wn_hidden)
+        stack = rng.gaussians(t * net.num_params).reshape(t, net.num_params)
+        theta = rng.gaussians(t * wn.num_params, 0.0, 2.0).reshape(t, wn.num_params)
+        x = rng.gaussians(n * dim).reshape(n, dim)
+        labels = rng.randints(t * n, classes).reshape(t, n)
+        kinds = [list(LossKind)[i] for i in rng.randints(t, 2)]
+        values = rng.uniforms(t * n, 0.0, 8.0).reshape(t, n)
+        c, g = rng.gaussians(t * n).reshape(t, n), rng.gaussians(t * net.num_params)
+        g = g.reshape(t, net.num_params)
+        if shared:
+            labels, kinds, values, c = labels[0], kinds[0], values[0], c[0]
+        losses, grads = net.losses_and_grads_batch(stack, x, labels, kinds)
+        weights, wn_grads = wn.forward_and_grads_batch(theta, values)
+        assert losses.shape == weights.shape == (t, n)
+        assert np.array_equal(net.set_flat(stack), stack)
+        for row in range(t):
+            pick = (lambda a: a) if shared else (lambda a: a[row])
+            one_losses, one_grads = net.losses_and_grads_batch(stack[row], x, pick(labels),
+                                                               pick(kinds))
+            one_weights, one_wn_grads = wn.forward_and_grads_batch(theta[row], pick(values))
+            assert np.array_equal(losses[row], one_losses)
+            assert np.array_equal(weights[row], one_weights)
+            assert np.array_equal((c @ grads)[row], pick(c) @ one_grads)
+            assert np.array_equal((c @ wn_grads)[row], pick(c) @ one_wn_grads)
+            assert np.array_equal((grads @ g)[row], one_grads @ g[row])
+            assert np.array_equal((grads @ g[0])[row], one_grads @ g[0])
 
 
 def stored_z_forward(layers, x):
@@ -448,7 +478,7 @@ class TestInPlaceRectifierOracle:
         assert np.array_equal(net.hidden_preactivations(params, x), pre)
 
         stack = draw_values(rng, t * net.num_params, on_grid).reshape(t, net.num_params)
-        _, stack_zs = stored_z_forward(net._layers(stack, stacked=True), x)
+        _, stack_zs = stored_z_forward(net._layers(stack), x)
         assert np.array_equal(net.forward_batch(stack, x), _softmax_rows(stack_zs[-1]))
 
     @settings(max_examples=150, deadline=None)
@@ -471,7 +501,7 @@ class TestInPlaceRectifierOracle:
         assert np.array_equal(net.hidden_preactivations(theta, v), zs[0].ravel())
 
         stack = draw_values(rng, t * net.num_params, on_grid).reshape(t, net.num_params)
-        _, stack_zs = stored_z_forward(net._layers(stack, stacked=True), v[:, None])
+        _, stack_zs = stored_z_forward(net._layers(stack), v[:, None])
         want = np.clip(1.0 / (1.0 + np.exp(-stack_zs[-1][..., 0])),
                        net._OUTPUT_CLIP, 1.0 - net._OUTPUT_CLIP)
         assert np.array_equal(net.forward_batch(stack, v), want)
