@@ -55,42 +55,46 @@ def symmetry_sum(kind: LossKind, u):
     return float(sums[0]) if np.ndim(u) == 1 else sums
 
 
-def _picked(labels, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked label indices shaped ``(..., n, 1)`` like ``probs`` and each
-    sample's probability of its label at them."""
+def _label_index(labels, probs: np.ndarray) -> tuple:
+    """The fancy index of each sample's label in ``(n, K)`` probabilities
+    or a ``(T, n, K)`` stack of them."""
+    index = (np.arange(probs.shape[-2]), np.asarray(labels, dtype=np.int64))
+    return index if probs.ndim == 2 else (np.arange(len(probs))[:, None], *index)
+
+
+def _is_mae(kind):
+    """Whether the loss is MAE: a bool for one ``LossKind``, a ``(T, 1)``
+    column for a sequence of them, one per row of a stack."""
+    if isinstance(kind, LossKind):
+        return kind is LossKind.MAE
+    return np.array([k is LossKind.MAE for k in kind])[:, None]
+
+
+def loss_values_batch(kind, labels, probs: np.ndarray) -> np.ndarray:
+    """Per-sample losses from ``(n, K)`` probabilities, or a ``(T, n, K)``
+    stack, and class indices ``(n,)``, shared by the rows of a stack, or
+    ``(T, n)``.  ``kind`` is one ``LossKind`` or one per row of a stack."""
     labels = np.asarray(labels, dtype=np.int64)
     n, k = probs.shape[-2:]
     if labels.shape[-1:] != (n,):
         raise ValueError("labels must be one class index per sample")
     if n and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
-    idx = np.broadcast_to(labels, probs.shape[:-1])[..., None]
-    return idx, np.take_along_axis(probs, idx, axis=-1)
-
-
-def _is_mae(kind, probs: np.ndarray) -> np.ndarray:
-    """Per leading row of ``probs``, whether its loss is MAE, shaped to
-    broadcast over a row's ``(n, 1)`` picks."""
-    kinds = np.asarray(kind is LossKind.MAE if isinstance(kind, LossKind)
-                       else [k is LossKind.MAE for k in kind])
-    return np.broadcast_to(kinds, probs.shape[:-2])[..., None, None]
-
-
-def loss_values_batch(kind, labels, probs: np.ndarray) -> np.ndarray:
-    """Per-sample losses from ``(..., n, K)`` probabilities and class indices
-    ``(n,)``, shared, or ``(..., n)``.  ``kind`` is one ``LossKind`` or a
-    sequence of them, one per leading row."""
-    _, picked = _picked(labels, probs)
-    losses = np.where(_is_mae(kind, probs), 2.0 * (1.0 - picked),
-                      -np.log(np.maximum(picked, PROB_FLOOR)))
-    return losses[..., 0]
+    picked = probs[_label_index(labels, probs)]
+    mae = _is_mae(kind)
+    if mae is True:
+        return 2.0 * (1.0 - picked)
+    ce = -np.log(np.maximum(picked, PROB_FLOOR))
+    return ce if mae is False else np.where(mae, 2.0 * (1.0 - picked), ce)
 
 
 def grad_logits_batch(kind, labels, probs: np.ndarray) -> np.ndarray:
     """Per-sample logit gradients, one row per sample; arguments as for
     ``loss_values_batch``."""
-    idx, picked = _picked(labels, probs)
+    index = _label_index(labels, probs)
     g = probs.copy()
-    np.put_along_axis(g, idx, picked - 1.0, axis=-1)
-    g *= np.where(_is_mae(kind, probs), 2.0 * picked, 1.0)  # x * 1.0 is x, bit for bit
+    g[index] -= 1.0
+    mae = _is_mae(kind)
+    if mae is not False:
+        g *= np.where(mae, 2.0 * probs[index], 1.0)[..., None]  # x * 1.0 is x
     return g
