@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -116,14 +117,25 @@ def _run_seed(args):
     """Every run of one seed index, trained in lockstep: ``(reports, None)``
     with the reports in job order, or ``(None, (job key, error))`` for the
     first run in job order that fails.  The job key orders (variant, cell,
-    seed index) as the grid lists its jobs."""
+    seed index) as the grid lists its jobs.
+
+    Runs with the same meta loss, train labels and meta labels are one
+    computation (at rate 0, noisy-ce is clean-ce and every noise kind is
+    the identity): the first of them in job order trains, and all of them
+    get its report."""
     cfg, cells, seed_index = args
     runs = [(variant, kind, rate, ci) for variant in cfg.variants
             for ci, (kind, rate) in enumerate(cells)]
     test, splits = _splits(cfg, seed_index, runs)
     seed = _stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed
+    keys = [(run[0].meta_loss, train_split.observed_labels.tobytes(), meta_split.labels.tobytes())
+            for run, (train_split, meta_split) in zip(runs, splits)]
+    firsts = [keys.index(key) for key in keys]
+    distinct = sorted(set(firsts))
     try:
-        return train([r[0] for r in runs], *zip(*splits), test, cfg.train, seed=seed), None
+        reports = train([runs[i][0] for i in distinct], *zip(*(splits[i] for i in distinct)),
+                        test, cfg.train, seed=seed)
+        return [reports[distinct.index(i)] for i in firsts], None
     except Exception as exc:
         error, failed = exc, runs[0]
     # A failure stops the whole stack; the runs alone, in job order, say
@@ -142,8 +154,10 @@ def _run_seed(args):
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
     """Execute the full grid, aggregate over seeds, and write CSV reports.
-    One job per seed index trains all of its runs in lockstep."""
+    One job per seed index trains its distinct runs in lockstep."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    runs_dir = out / "runs"
+    runs_dir.mkdir(parents=True, exist_ok=True)  # before training: a bad path fails fast
     cells = [(kind, rate) for kind in cfg.noise_kinds for rate in cfg.noise_rates]
     jobs = [(cfg, cells, si) for si in range(cfg.num_seeds)]
 
@@ -156,8 +170,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
 
-    runs_dir = out / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
     table = ResultTable()
     for vi, variant in enumerate(cfg.variants):
         for ci, (kind, rate) in enumerate(cells):
@@ -199,11 +211,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_all(args.seed)
-    for r in results:
-        print(f"[{'ok' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+    # The CSV opens first, so that a path that cannot be written fails fast.
+    with open(args.csv, "w", newline="") if args.csv else nullcontext() as fh:
+        results = verify.run_all(args.seed)
+        for r in results:
+            print(f"[{'ok' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
+        if fh:
             fh.write(csv_text([["property", "passed", "detail"],
                                *([r.name, int(r.passed), r.detail] for r in results)]))
     failed = [r for r in results if not r.passed]
@@ -226,6 +239,10 @@ def _cmd_noise_matrix(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.noise_kind is None and args.noise_rate != 0.0:
+        raise ValueError("--noise-rate needs --noise-kind")
+    noise_spec = (NoiseSpec(NoiseKind(args.noise_kind), args.noise_rate, args.classes,
+                            seed=args.seed) if args.noise_kind is not None else None)
     spec = BlobSpec(num_classes=args.classes, dim=args.dim, n_train=args.n_train,
                     n_meta=args.n_meta, n_test=args.n_test,
                     separation=args.separation, cluster_std=args.cluster_std,
@@ -236,9 +253,7 @@ def _cmd_gen_data(args) -> int:
     save_dataset(bundle.train, out / "train.csv")
     save_dataset(bundle.meta, out / "meta.csv")
     save_dataset(bundle.test, out / "test.csv")
-    if args.noise_kind is not None:
-        noise_spec = NoiseSpec(NoiseKind(args.noise_kind), args.noise_rate,
-                               args.classes, seed=args.seed)
+    if noise_spec is not None:
         matrix = build_transition(noise_spec)
         rng = Rng(args.seed)
         save_dataset(corrupt(bundle.train, matrix, rng.spawn(1)),

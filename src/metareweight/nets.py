@@ -24,6 +24,10 @@ one through ``set_flat``, which checks its size and finiteness;
 share one forward loop and one backward loop (``_backward``); they differ
 only in how the input is read and in the output-layer delta.  The forward
 loop rectifies in place; the backward loop masks with ``max(z, 0) > 0``.
+Every layer product goes through ``_matmul``: a product whose contraction
+length is 1 (the weighting net's fan-in-1 layer, the delta back from its
+1-wide output) is an outer product, with the bits of the ``np.matmul``
+it replaces and without BLAS's slow path for that shape.
 
 Leading parameter axis: every method, and ``set_flat``, also takes a
 ``(T, num_params)`` stack of parameter vectors and returns ``(T, n, ...)``
@@ -46,6 +50,13 @@ import numpy as np
 
 from .losses import LossKind, grad_logits_batch, loss_values_batch
 from .numkit import Rng, as_vec
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of matrices.  With a contraction length of 1 it
+    is the broadcast outer product ``a * b``: that rounds each entry once,
+    as BLAS does, and is faster."""
+    return a * b if a.shape[-1] == 1 else np.matmul(a, b)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -106,14 +117,14 @@ class SampleGrads:
         parts = []
         for a, d in zip(self.inputs, self.deltas):
             cd = (d * c[..., None]).swapaxes(-1, -2)  # (..., out, n)
-            parts += [cd @ a, cd.sum(axis=-1)]
+            parts += [_matmul(cd, a), cd.sum(axis=-1)]
         lead = parts[-1].shape[:-1]
         return np.concatenate([p.reshape(*lead, -1) for p in parts], axis=-1)
 
     def __matmul__(self, g) -> np.ndarray:
         dots = 0.0
         for a, d, (w, b) in zip(self.inputs, self.deltas, self.net._layers(g)):
-            dots = dots + ((d @ w) * a).sum(axis=-1) + (d @ b[..., None])[..., 0]
+            dots = dots + (_matmul(d, w) * a).sum(axis=-1) + _matmul(d, b[..., None])[..., 0]
         return dots
 
 
@@ -171,7 +182,7 @@ class _Mlp:
         ``(T, n, width)`` beyond the input for stacked layers."""
         acts = [x]
         for i, (w, b) in enumerate(layers):
-            z = np.matmul(acts[-1], w.swapaxes(-1, -2))
+            z = _matmul(acts[-1], w.swapaxes(-1, -2))
             z += b[..., None, :]
             if i < len(layers) - 1:
                 np.maximum(z, 0.0, out=z)
@@ -184,7 +195,7 @@ class _Mlp:
         deltas of every layer, paired with the layer inputs."""
         deltas = [out_delta]
         for i in range(len(layers) - 1, 0, -1):
-            deltas.insert(0, deltas[0] @ layers[i][0])
+            deltas.insert(0, _matmul(deltas[0], layers[i][0]))
             deltas[0] *= acts[i] > 0.0
         return SampleGrads(self, acts[:-1], deltas)
 
@@ -193,7 +204,7 @@ class _Mlp:
         each rebuilt from its layer's input as ``_forward`` computes it."""
         layers = self._layers(params)
         inputs = self._forward(layers, self._inputs(x))[:-2]
-        return np.concatenate([np.empty(0)] + [(np.matmul(a, w.T) + b).ravel()
+        return np.concatenate([np.empty(0)] + [(_matmul(a, w.T) + b).ravel()
                                                for a, (w, b) in zip(inputs, layers)])
 
 

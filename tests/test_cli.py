@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ def tiny_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def stack_sizes(cfg, out_dir, monkeypatch):
+    """Runs the grid and returns how many runs each ``train`` call got."""
+    import metareweight.cli as cli_mod
+    real_train, sizes = cli_mod.train, []
+
+    def spy(variant, *args, **kwargs):
+        sizes.append(len(variant) if isinstance(variant, list) else 1)
+        return real_train(variant, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "train", spy)
+    run_experiment(cfg, out_dir=out_dir)
+    return sizes
 
 
 class TestRunExperiment:
@@ -137,6 +152,24 @@ class TestRunExperiment:
         assert not (tmp_path / "results.csv").exists()
 
 
+class TestDistinctRuns:
+    def test_default_variants_train_five_runs_per_seed_group(self, tmp_path, monkeypatch):
+        # noisy-ce at rate 0.0 is clean-ce at rate 0.0
+        cfg = tiny_cfg(variants=tuple(Variant), noise_rates=(0.0, 0.4))
+        assert stack_sizes(cfg, tmp_path, monkeypatch) == [5] * cfg.num_seeds
+        for si in range(cfg.num_seeds):
+            assert (tmp_path / f"runs/noisy-ce_uniform_0_{si}.csv").read_bytes() == \
+                   (tmp_path / f"runs/clean-ce_uniform_0_{si}.csv").read_bytes()
+
+    def test_a_diverging_shared_run_is_named_by_its_first_job(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(variants=(Variant.NOISY_CE, Variant.CLEAN_CE), noise_rates=(0.0,),
+                       num_seeds=1, train=replace(tiny_cfg().train, classifier_lr=1e100))
+        with pytest.raises(RuntimeError) as caught:
+            stack_sizes(cfg, tmp_path, monkeypatch)
+        assert str(caught.value).startswith(
+            "run failed for variant=noisy-ce, noise=uniform@0.0, seed=0: epoch 0, step ")
+
+
 class TestResultCsv:
     def test_bytes_of_a_table(self):
         # header = field names in order; enums by value, floats by repr
@@ -156,11 +189,12 @@ class TestRunSingle:
         b = run_single(cfg, Variant.NOISY_CE, NoiseKind.UNIFORM, 0.0, 0, 1)
         assert a.to_csv() == b.to_csv()
 
-    def test_each_run_of_a_seed_group_writes_its_single_run_bytes(self, tmp_path):
-        # the grid trains all runs of a seed index as one stack; every
-        # member's file equals the report of its run trained alone
+    def test_each_run_of_a_seed_group_writes_its_single_run_bytes(self, tmp_path, monkeypatch):
+        # the grid trains the distinct runs of a seed index as one stack; at
+        # rate 0, noisy-ce is clean-ce and both kinds are the identity, so 8
+        # of the 12 runs train; every file equals its run trained alone
         cfg = tiny_cfg(variants=tuple(Variant), noise_kinds=(NoiseKind.UNIFORM, NoiseKind.FLIP2))
-        run_experiment(cfg, out_dir=tmp_path)
+        assert stack_sizes(cfg, tmp_path, monkeypatch) == [8] * cfg.num_seeds
         cells = [(kind, rate) for kind in cfg.noise_kinds for rate in cfg.noise_rates]
         for variant in cfg.variants:
             for ci, (kind, rate) in enumerate(cells):
@@ -282,6 +316,45 @@ class TestCliCommands:
         rows = (out / "train_corrupted.csv").read_text().splitlines()
         assert rows[0] == "3,20" and len(rows) == 1 + 30
         assert all(len(r.split(",")) == 20 + 3 for r in rows[1:])
+
+    def test_unusable_run_output_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        import metareweight.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(cli_mod, "train", never)
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "file" / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_unusable_verify_csv_fails_before_the_suite(self, tmp_path, monkeypatch, capsys):
+        import metareweight.cli as cli_mod
+
+        def never(seed):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli_mod.verify, "run_all", never)
+        (tmp_path / "file").write_text("")
+        assert main(["verify", "--csv", str(tmp_path / "file" / "v.csv")]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("noise, message", [
+        (["--noise-rate", "0.4"], "--noise-rate needs --noise-kind"),
+        (["--noise-kind", "uniform", "--noise-rate", "1.5"],
+         "noise rate must lie in [0, 1), got 1.5")])
+    def test_gen_data_bad_noise_writes_nothing(self, tmp_path, capsys, noise, message):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), *noise]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_verify_failure_exit_two(self, monkeypatch, capsys):
         import metareweight.cli as cli_mod

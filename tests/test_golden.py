@@ -1,18 +1,28 @@
-"""Golden digests: the exact bytes of a tiny ``metareweight run``.
+"""Golden digests: the exact bytes of a tiny ``metareweight run`` and of the
+other subcommands.
 
 The grid below covers both noise kinds the paper's experiments use, a clean
 and a noisy rate, all three variants and two seeds.  Every file the run
-writes is compared by sha256 with ``DIGESTS``, recorded on the numpy and
-BLAS build named in ``RECORDED_WITH``: BLAS kernels round differently from
-build to build, so a mismatch on another build is not by itself a defect.
-A change that moves numbers on purpose re-records the table and says so.
+writes is compared by sha256 with ``DIGESTS``; ``verify --seed 1 --csv``,
+a noisy ``gen-data`` and ``noise-matrix`` (file and stdout) with the tables
+after it.  All were recorded on the numpy and BLAS build named in
+``RECORDED_WITH``: BLAS kernels round differently from build to build, so a
+mismatch on another build is not by itself a defect.  A change that moves
+numbers on purpose re-records the table and says so.  The run must also
+write the same files with one or two BLAS threads and with one or two
+workers.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metareweight
 from metareweight.cli import main
 
 CONFIG = """\
@@ -96,19 +106,64 @@ DIGESTS = {
 }
 
 
+VERIFY_DIGESTS = {
+    "verify.csv": "994602bf35aca02d5b66db9e505578a180170b1b5a9bb3eba01caba7d8033cca",
+}
+
+GEN_DATA_ARGS = ["--classes", "3", "--dim", "4", "--n-train", "40", "--n-meta", "12",
+                 "--n-test", "20", "--seed", "5", "--standardize",
+                 "--noise-kind", "flip2", "--noise-rate", "0.3"]
+
+GEN_DATA_DIGESTS = {
+    "meta.csv": "54503c547bad1dab0d4e973ff7c09352d60a6b1a9496fa71a3c525beeb5ba546",
+    "meta_corrupted.csv": "3f41d4a2681a84d6426f4f56effc22dcf304a808f3acea34993c64a4f98e3827",
+    "test.csv": "5259ec6a3a09f49fb007a8e21ffbf6bd29ff2d8c98303c30f759e5af897cc7cd",
+    "train.csv": "2edc44670bfd09b64535a168eee3c686f08a5ff6e5cdcd787e850935449280a1",
+    "train_corrupted.csv": "ec95c289720457b66f6ebcc2067aa84a5bd7f3273c093bb0045a19648c42344b",
+}
+
+NOISE_MATRIX_ARGS = ["--kind", "flip2", "--rate", "0.3", "--classes", "5", "--seed", "7"]
+
+NOISE_MATRIX_DIGESTS = {
+    "matrix.csv": "5256bc07800298260fe7541c6c7b44fcf714b19c0a30d9583ae14714cbef1b16",
+    "stdout": "5256bc07800298260fe7541c6c7b44fcf714b19c0a30d9583ae14714cbef1b16",
+}
+
+
 def blas_build() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{blas['name']} {blas['version']}"
 
 
-def run_grid(tmp_path, workers: int) -> dict[str, bytes]:
-    """Every file one run writes, by path relative to its output directory."""
-    cfg_path = tmp_path / f"golden_{workers}.cfg"
-    cfg_path.write_text(CONFIG.format(workers=workers))
-    out = tmp_path / f"out_{workers}"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+def files_under(out: Path) -> dict[str, bytes]:
+    """Every file below ``out``, by its path relative to ``out``."""
     return {p.relative_to(out).as_posix(): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def check_digests(files: dict[str, bytes], table: dict[str, str]) -> None:
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    moved = [f"{name}: {digest}" for name, digest in got.items()
+             if table.get(name) != digest]
+    missing = sorted(set(table) - set(got))
+    assert not moved and not missing, (
+        f"outputs differ from the digests recorded with {RECORDED_WITH} "
+        f"(this build: numpy {np.__version__}, {blas_build()}); new digests:\n"
+        + "\n".join(moved) + "".join(f"\nno longer written: {name}" for name in missing))
+
+
+def write_config(tmp_path, workers: int) -> Path:
+    cfg_path = tmp_path / f"golden_{workers}.cfg"
+    cfg_path.write_text(CONFIG.format(workers=workers))
+    return cfg_path
+
+
+def run_grid(tmp_path, workers: int) -> dict[str, bytes]:
+    """Every file one run writes, by path relative to its output directory."""
+    out = tmp_path / f"out_{workers}"
+    assert main(["run", "--config", str(write_config(tmp_path, workers)),
+                 "--out", str(out)]) == 0
+    return files_under(out)
 
 
 @pytest.fixture(scope="module")
@@ -117,14 +172,7 @@ def serial_files(tmp_path_factory):
 
 
 def test_every_file_matches_its_recorded_digest(serial_files):
-    got = {name: hashlib.sha256(data).hexdigest() for name, data in serial_files.items()}
-    moved = [f"{name}: {digest}" for name, digest in got.items()
-             if DIGESTS.get(name) != digest]
-    missing = sorted(set(DIGESTS) - set(got))
-    assert not moved and not missing, (
-        f"outputs differ from the digests recorded with {RECORDED_WITH} "
-        f"(this build: numpy {np.__version__}, {blas_build()}); new digests:\n"
-        + "\n".join(moved) + "".join(f"\nno longer written: {name}" for name in missing))
+    check_digests(serial_files, DIGESTS)
 
 
 def test_two_workers_write_the_same_files(serial_files, tmp_path):
@@ -135,3 +183,44 @@ def test_two_workers_write_the_same_files(serial_files, tmp_path):
             assert data.replace(b"workers = 1", b"workers = 2") == parallel[name]
         else:
             assert data == parallel[name], name
+
+
+def test_blas_threads_write_the_same_files(tmp_path):
+    cfg_path = write_config(tmp_path, workers=1)
+    # OPENBLAS_NUM_THREADS and MKL_NUM_THREADS would override OMP_NUM_THREADS.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(metareweight.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    procs = {threads: subprocess.Popen(
+        [sys.executable, "-c", "import sys; from metareweight.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))",
+         "run", "--config", str(cfg_path), "--out", str(tmp_path / f"threads_{threads}")],
+        env={**env, "OMP_NUM_THREADS": str(threads)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE) for threads in (1, 2)}
+    for proc in procs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode()
+    one, two = (files_under(tmp_path / f"threads_{threads}") for threads in (1, 2))
+    assert one.keys() == two.keys()
+    for name, data in one.items():
+        assert data == two[name], name
+
+
+def test_verify_csv_matches_its_recorded_digest(tmp_path, capsys):
+    path = tmp_path / "verify.csv"
+    assert main(["verify", "--seed", "1", "--csv", str(path)]) == 0
+    check_digests({"verify.csv": path.read_bytes()}, VERIFY_DIGESTS)
+
+
+def test_noisy_gen_data_matches_its_recorded_digests(tmp_path, capsys):
+    assert main(["gen-data", "--out", str(tmp_path), *GEN_DATA_ARGS]) == 0
+    check_digests(files_under(tmp_path), GEN_DATA_DIGESTS)
+
+
+def test_noise_matrix_matches_its_recorded_digests(tmp_path, capsys):
+    assert main(["noise-matrix", *NOISE_MATRIX_ARGS]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert main(["noise-matrix", *NOISE_MATRIX_ARGS, "--out", str(tmp_path / "matrix.csv")]) == 0
+    check_digests({"matrix.csv": (tmp_path / "matrix.csv").read_bytes(), "stdout": stdout},
+                  NOISE_MATRIX_DIGESTS)

@@ -513,3 +513,91 @@ class TestInPlaceRectifierOracle:
         params = draw_values(rng, net.num_params, True)
         x = draw_values(rng, 30, True).reshape(10, 3)
         assert np.any(net.hidden_preactivations(params, x) == 0.0)
+
+
+def matmul_matrix(grads):
+    """``SampleGrads.matrix()`` with each outer product as an ``np.matmul``."""
+    blocks = []
+    for a, d in zip(grads.inputs, grads.deltas):
+        blocks += [np.matmul(d[:, :, None], a[:, None, :]).reshape(len(d), -1), d]
+    return np.concatenate(blocks, axis=1)
+
+
+def matmul_weighted_sum(c, grads):
+    """``c @ grads`` with every product through ``np.matmul``."""
+    parts = []
+    for a, d in zip(grads.inputs, grads.deltas):
+        cd = (d * c[..., None]).swapaxes(-1, -2)
+        parts += [np.matmul(cd, a), cd.sum(axis=-1)]
+    lead = parts[-1].shape[:-1]
+    return np.concatenate([p.reshape(*lead, -1) for p in parts], axis=-1)
+
+
+def matmul_dots(grads, g):
+    """``grads @ g`` with every product through ``np.matmul``."""
+    dots = 0.0
+    for a, d, (w, b) in zip(grads.inputs, grads.deltas, grads.net._layers(g)):
+        dots = dots + (np.matmul(d, w) * a).sum(axis=-1) + np.matmul(d, b[..., None])[..., 0]
+    return dots
+
+
+class TestOuterProducts:
+    """A product whose contraction length is 1 (a fan-in-1 layer, the delta
+    back from a 1-wide layer, the weighted sum over a batch of one) is an
+    outer product in ``nets``.  Every result equals the loops above, whose
+    products all go through ``np.matmul``, bit for bit: single vectors and
+    ``(T, P)`` stacks, losses of exactly 0, the zero output layer."""
+
+    def check_grads(self, got, want, c, g):
+        for got_arr, want_arr in zip(got.inputs + got.deltas, want.inputs + want.deltas):
+            assert np.array_equal(got_arr, want_arr)
+        if got.deltas[0].ndim == 2:
+            assert np.array_equal(got.matrix(), matmul_matrix(want))
+        assert np.array_equal(c @ got, matmul_weighted_sum(c, want))
+        assert np.array_equal(got @ g, matmul_dots(want, g))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 3), max_size=2),
+           dim=st.integers(1, 3), classes=st.integers(2, 4), n=st.integers(1, 4),
+           t=st.sampled_from([None, 1, 3]), kind=st.sampled_from(list(LossKind)))
+    def test_classifier(self, seed, hidden, dim, classes, n, t, kind):
+        rng = Rng(seed)
+        net = ClassifierNet([dim, *hidden, classes])
+        shape = (net.num_params,) if t is None else (t, net.num_params)
+        params = rng.gaussians(net.num_params * (t or 1)).reshape(shape)
+        x = rng.gaussians(n * dim).reshape(n, dim)
+        labels = rng.randints(n, classes)
+        layers = net._layers(params)
+        acts, zs = stored_z_forward(layers, x)
+        probs = _softmax_rows(zs[-1])
+        want = stored_z_backward(net, layers, acts, zs, grad_logits_batch(kind, labels, probs))
+        losses, grads = net.losses_and_grads_batch(params, x, labels, kind)
+        assert np.array_equal(net.forward_batch(params, x), probs)
+        assert np.array_equal(losses, loss_values_batch(kind, labels, probs))
+        self.check_grads(grads, want, rng.gaussians(n), rng.gaussians(net.num_params))
+        if t is None and hidden:
+            pre = np.concatenate([z.ravel() for z in zs[:-1]])
+            assert np.array_equal(net.hidden_preactivations(params, x), pre)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 120), n=st.integers(1, 30),
+           t=st.sampled_from([None, 1, 3]), zero_output=st.booleans())
+    def test_weightnet(self, seed, hidden, n, t, zero_output):
+        rng = Rng(seed)
+        net = WeightNet(hidden=hidden)
+        theta = np.stack([net.init_params(rng) if zero_output
+                          else rng.gaussians(net.num_params) for _ in range(t or 1)])
+        theta = theta[0] if t is None else theta
+        v = rng.uniforms(n, 0.0, 8.0)
+        v[rng.randints(1 + n // 3, n)] = 0.0  # losses of exactly 0
+        layers = net._layers(theta)
+        acts, zs = stored_z_forward(layers, v[:, None])
+        out = 1.0 / (1.0 + np.exp(-zs[-1]))
+        want = stored_z_backward(net, layers, acts, zs, out * (1.0 - out))
+        weights = np.clip(out[..., 0], net._OUTPUT_CLIP, 1.0 - net._OUTPUT_CLIP)
+        got_weights, grads = net.forward_and_grads_batch(theta, v)
+        assert np.array_equal(got_weights, weights)
+        assert np.array_equal(net.forward_batch(theta, v), weights)
+        self.check_grads(grads, want, rng.gaussians(n), rng.gaussians(net.num_params))
+        if t is None:
+            assert np.array_equal(net.hidden_preactivations(theta, v), zs[0].ravel())
