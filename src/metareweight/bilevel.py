@@ -44,8 +44,8 @@ vectors, R runs that share their features and minibatch draws but differ
 in labels and meta loss.  A batch's labels are then ``(R, n)``, the meta
 loss one ``LossKind`` per run, and every phase above runs on the stack
 unchanged, each row getting the bits of the same step taken alone.
-``train`` steps a group of runs that way; the per-epoch metrics run per
-run, on its row.
+``train`` steps every group of runs that way, a single run as a group of
+one; the per-epoch metrics run per run, on its row.
 
 Training variants differ only in what the meta set is and which meta
 loss drives step 2: clean meta with cross-entropy, noisy meta with
@@ -312,54 +312,46 @@ def _epoch_metrics(state: BilevelState, epoch: int, train: CorruptedDataset,
     return EpochMetrics(epoch, test_acc, auc, mean_clean, mean_corrupt)
 
 
-def train(variant: Variant, train_data: CorruptedDataset, meta_data,
-          test_data: LabeledDataset, cfg: TrainConfig, seed: int) -> RunReport:
-    """Run the full alternating loop and report per-epoch metrics.
+def train(variants, train_splits, meta_splits, test_data: LabeledDataset,
+          cfg: TrainConfig, seed: int) -> list[RunReport]:
+    """Run the full alternating loop for a group of runs, one entry per run
+    in ``variants``, ``train_splits`` and ``meta_splits``, and return one
+    ``RunReport`` of per-epoch metrics per run.
 
-    ``meta_data`` may be clean (``LabeledDataset``) or corrupted; training
-    reads only its ``features`` and ``labels``.  The caller decides from
-    ``variant.meta_is_noisy`` whether to corrupt it; the meta loss is
-    ``variant.meta_loss``.  ``seed`` fixes the network initialization and
-    the minibatch order.  A step that fails, e.g. because an update made a
+    The splits of the runs share their features.  A meta split may be clean
+    (``LabeledDataset``) or corrupted; training reads only its ``features``
+    and ``labels``.  The caller decides from ``variant.meta_is_noisy``
+    whether to corrupt it; the meta loss is ``variant.meta_loss``.  ``seed``
+    fixes the network initialization and the minibatch order.  The runs
+    train in lockstep as one stack, each with the bits of its run alone (a
+    group of one).  A step that fails, e.g. because an update made a
     parameter vector non-finite, raises a ``ValueError`` naming the epoch
-    and the step within it; a failure in the per-epoch metrics names the
-    epoch.
-
-    ``variant``, ``train_data`` and ``meta_data`` may instead be sequences
-    with one entry per run, runs whose splits share their features.  The
-    runs then train in lockstep as one stack, each with the bits of its
-    own call, and a list of their reports comes back.  A failure stops
-    them all and names no run.
+    and the step within it, and a failure in the per-epoch metrics names
+    the epoch; either stops every run and names none.
     """
-    group = not isinstance(variant, Variant)
-    variants, trains, metas = ((list(variant), list(train_data), list(meta_data)) if group
-                               else ([variant], [train_data], [meta_data]))
-    for split in (*trains, *metas):
+    for split in (*train_splits, *meta_splits):
         if split.dim != test_data.dim:
             raise ValueError("feature dimensions differ across splits")
         if split.num_classes != test_data.num_classes:
             raise ValueError("class counts differ across splits")
-    for splits in (trains, metas):
+    for splits in (train_splits, meta_splits):
         if not all(np.array_equal(s.features, splits[0].features) for s in splits[1:]):
             raise ValueError("the runs of a group must share their features")
-
-    def per_run(arrays):
-        """One row per run for a group, the single run's array otherwise."""
-        return np.stack(arrays) if group else arrays[0]
 
     root = Rng(seed)
     classifier = ClassifierNet([test_data.dim, *HIDDEN_SIZES, test_data.num_classes])
     weightnet = WeightNet()
     state = BilevelState(
         classifier, weightnet,
-        per_run([classifier.init_params(root.spawn(_INIT_CLASSIFIER_STREAM))] * len(trains)),
-        per_run([weightnet.init_params(root.spawn(_INIT_WEIGHTNET_STREAM))] * len(trains)))
+        np.stack([classifier.init_params(root.spawn(_INIT_CLASSIFIER_STREAM))] * len(variants)),
+        np.stack([weightnet.init_params(root.spawn(_INIT_WEIGHTNET_STREAM))] * len(variants)))
     loop_rng = root.spawn(_LOOP_STREAM)
 
-    x_train, y_train = trains[0].features, per_run([d.observed_labels for d in trains])
-    x_meta, y_meta = metas[0].features, per_run([d.labels for d in metas])
-    meta_loss = tuple(v.meta_loss for v in variants) if group else variant.meta_loss
-    n_train, n_meta = len(trains[0]), len(metas[0])
+    x_train, x_meta = train_splits[0].features, meta_splits[0].features
+    y_train = np.stack([d.observed_labels for d in train_splits])
+    y_meta = np.stack([d.labels for d in meta_splits])
+    kinds = tuple(v.meta_loss for v in variants)
+    meta_loss = kinds[0] if len(set(kinds)) == 1 else kinds  # one kind: single-kind path
 
     reports = [RunReport() for _ in variants]
     # A diverging run overflows before anything is non-finite; numpy's
@@ -368,10 +360,10 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
             alpha = _scheduled_lr(cfg, epoch)
-            order = loop_rng.permutation(n_train)
-            for step, start in enumerate(range(0, n_train, cfg.train_batch)):
+            order = loop_rng.permutation(len(x_train))
+            for step, start in enumerate(range(0, len(x_train), cfg.train_batch)):
                 idx = order[start:start + cfg.train_batch]
-                meta_idx = loop_rng.randints(cfg.meta_batch, n_meta)
+                meta_idx = loop_rng.randints(cfg.meta_batch, len(x_meta))
                 try:
                     bilevel_step(
                         state,
@@ -381,10 +373,9 @@ def train(variant: Variant, train_data: CorruptedDataset, meta_data,
                 except ValueError as exc:
                     raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
             try:
-                for r, (report, split) in enumerate(zip(reports, trains)):
-                    run = replace(state, params=state.params[r], theta=state.theta[r]) \
-                        if group else state
+                for r, (report, split) in enumerate(zip(reports, train_splits)):
+                    run = replace(state, params=state.params[r], theta=state.theta[r])
                     report.epochs.append(_epoch_metrics(run, epoch, split, test_data))
             except ValueError as exc:
                 raise ValueError(f"epoch {epoch}, metrics: {exc}") from exc
-    return reports if group else reports[0]
+    return reports

@@ -109,8 +109,8 @@ def run_single(cfg: ExperimentConfig, variant: Variant, kind: NoiseKind,
     """
     test, [(train_split, meta_split)] = _splits(cfg, seed_index,
                                                 [(variant, kind, rate, cell_index)])
-    return train(variant, train_split, meta_split, test, cfg.train,
-                 seed=_stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed)
+    return train([variant], [train_split], [meta_split], test, cfg.train,
+                 seed=_stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed)[0]
 
 
 def _run_seed(args):
@@ -122,7 +122,8 @@ def _run_seed(args):
     Runs with the same meta loss, train labels and meta labels are one
     computation (at rate 0, noisy-ce is clean-ce and every noise kind is
     the identity): the first of them in job order trains, and all of them
-    get its report."""
+    get its report.  A failure stops the whole stack, so the distinct runs
+    then train alone, in job order, up to the first that fails."""
     cfg, cells, seed_index = args
     runs = [(variant, kind, rate, ci) for variant in cfg.variants
             for ci, (kind, rate) in enumerate(cells)]
@@ -138,13 +139,11 @@ def _run_seed(args):
         return [reports[distinct.index(i)] for i in firsts], None
     except Exception as exc:
         error, failed = exc, runs[0]
-    # A failure stops the whole stack; the runs alone, in job order, say
-    # which one fails first and at which step.
-    for run, (train_split, meta_split) in zip(runs, splits):
+    for i in distinct:
         try:
-            train(run[0], train_split, meta_split, test, cfg.train, seed=seed)
+            train([runs[i][0]], [splits[i][0]], [splits[i][1]], test, cfg.train, seed=seed)
         except Exception as exc:
-            error, failed = exc, run
+            error, failed = exc, runs[i]
             break
     variant, kind, rate, ci = failed
     return None, ((cfg.variants.index(variant), ci, seed_index), RuntimeError(

@@ -60,8 +60,18 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    # The row max as an exact fold over the columns: a short-axis reduce is slow.
+    top = z[..., 0]
+    for k in range(1, z.shape[-1]):
+        top = np.maximum(top, z[..., k])
+    e = np.exp(z - top[..., None])
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))``, without a warning where ``exp`` overflows and it is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 class SampleGrads:
@@ -283,8 +293,7 @@ class WeightNet(_Mlp):
     def forward_batch(self, theta, loss_values) -> np.ndarray:
         """Weights ``(n,)``, or ``(T, n)`` for a ``(T, num_params)`` stack."""
         acts = self._forward(self._layers(theta), self._inputs(loss_values))
-        out = 1.0 / (1.0 + np.exp(-acts[-1][..., 0]))
-        return np.clip(out, self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
+        return np.clip(_logistic(acts[-1][..., 0]), self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
 
     def forward_and_grads_batch(self, theta, loss_values):
         """Weights ``(n,)``, or ``(T, n)`` for a stack, and their gradients
@@ -293,6 +302,6 @@ class WeightNet(_Mlp):
         network's own parameters only."""
         layers = self._layers(theta)
         acts = self._forward(layers, self._inputs(loss_values))
-        out = 1.0 / (1.0 + np.exp(-acts[-1]))
+        out = _logistic(acts[-1])
         grads = self._backward(layers, acts, out * (1.0 - out))
         return np.clip(out[..., 0], self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP), grads

@@ -400,14 +400,14 @@ class TestTrainLoop:
     def test_separable_data_reaches_high_accuracy(self):
         train_split, meta_split, test = quick_splits(rate=0.0)
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=12, lr_milestones=(8, 10))
-        report = train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=3)
+        [report] = train([Variant.NOISY_MAE], [train_split], [meta_split], test, cfg, seed=3)
         assert report.final_accuracy >= 0.98
 
     def test_identical_seeds_identical_reports(self):
         train_split, meta_split, test = quick_splits(rate=0.3)
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=3, lr_milestones=())
-        a = train(Variant.NOISY_CE, train_split, meta_split, test, cfg, seed=5)
-        b = train(Variant.NOISY_CE, train_split, meta_split, test, cfg, seed=5)
+        [a] = train([Variant.NOISY_CE], [train_split], [meta_split], test, cfg, seed=5)
+        [b] = train([Variant.NOISY_CE], [train_split], [meta_split], test, cfg, seed=5)
         assert a.to_csv() == b.to_csv()
 
     def test_meta_loss_comes_from_variant(self, monkeypatch):
@@ -426,7 +426,7 @@ class TestTrainLoop:
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=1, lr_milestones=())
         for variant in Variant:
             seen.clear()
-            train(variant, train_split, meta_split, test, cfg, seed=2)
+            train([variant], [train_split], [meta_split], test, cfg, seed=2)
             assert set(seen) == {variant.meta_loss}
 
     def test_clean_meta_path_equals_noisy_path_at_rate_zero(self):
@@ -434,8 +434,8 @@ class TestTrainLoop:
         # rate-0 "noisy" CE run must produce identical trajectories
         train_split, meta_split, test = quick_splits(rate=0.0)
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=4, lr_milestones=())
-        a = train(Variant.CLEAN_CE, train_split, meta_split, test, cfg, seed=7)
-        b = train(Variant.NOISY_CE, train_split, meta_split, test, cfg, seed=7)
+        [a] = train([Variant.CLEAN_CE], [train_split], [meta_split], test, cfg, seed=7)
+        [b] = train([Variant.NOISY_CE], [train_split], [meta_split], test, cfg, seed=7)
         assert a.to_csv() == b.to_csv()
 
     @pytest.mark.parametrize("lrs", [dict(classifier_lr=1e100), dict(meta_lr=1e200)])
@@ -444,7 +444,7 @@ class TestTrainLoop:
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=(), **lrs)
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match=r"^epoch 0, step \d+: .*non-finite entries"):
-            train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=1)
+            train([Variant.NOISY_MAE], [train_split], [meta_split], test, cfg, seed=1)
 
     def test_three_backward_passes_per_step_and_no_gradient_matrix(self, monkeypatch):
         # A step makes a classifier backward pass on the train batch, one
@@ -482,7 +482,7 @@ class TestTrainLoop:
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=())
         for variant in Variant:
             calls.clear()
-            report = train(variant, train_split, meta_split, test, cfg, seed=1)
+            [report] = train([variant], [train_split], [meta_split], test, cfg, seed=1)
             assert len(report.epochs) == 2
             assert len(calls) == 3 * 2 * (len(train_split) // 40)
 
@@ -496,7 +496,7 @@ class TestTrainLoop:
         train_split, meta_split, test = quick_splits(rate=0.3)
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=())
         with pytest.raises(ValueError, match=r"^epoch 0, metrics: loss values contains"):
-            train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=1)
+            train([Variant.NOISY_MAE], [train_split], [meta_split], test, cfg, seed=1)
 
     def test_lr_schedule_divides_by_ten(self):
         from metareweight.bilevel import _scheduled_lr
@@ -508,7 +508,7 @@ class TestTrainLoop:
     def test_report_csv_columns(self):
         train_split, meta_split, test = quick_splits(rate=0.3)
         cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=2, lr_milestones=())
-        report = train(Variant.NOISY_MAE, train_split, meta_split, test, cfg, seed=1)
+        [report] = train([Variant.NOISY_MAE], [train_split], [meta_split], test, cfg, seed=1)
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "epoch,test_accuracy,train_auc,mean_weight_clean,mean_weight_corrupt"
         assert len(lines) == 3

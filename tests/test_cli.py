@@ -63,9 +63,9 @@ def stack_sizes(cfg, out_dir, monkeypatch):
     import metareweight.cli as cli_mod
     real_train, sizes = cli_mod.train, []
 
-    def spy(variant, *args, **kwargs):
-        sizes.append(len(variant) if isinstance(variant, list) else 1)
-        return real_train(variant, *args, **kwargs)
+    def spy(variants, *args, **kwargs):
+        sizes.append(len(variants))
+        return real_train(variants, *args, **kwargs)
 
     monkeypatch.setattr(cli_mod, "train", spy)
     run_experiment(cfg, out_dir=out_dir)
@@ -137,12 +137,11 @@ class TestRunExperiment:
                  for si in range(cfg.num_seeds)]
         planted = {(Variant.NOISY_MAE, False, seeds[0]), (Variant.CLEAN_CE, True, seeds[1])}
 
-        def flaky(variant, train_split, meta_split, test, train_cfg, seed):
-            runs = zip(variant, train_split) if isinstance(variant, list) \
-                else [(variant, train_split)]
+        def flaky(variants, train_splits, meta_splits, test, train_cfg, seed):
+            runs = zip(variants, train_splits)
             if any((v, bool(s.is_corrupted.any()), seed) in planted for v, s in runs):
                 raise ValueError("epoch 0, step 0: planted")
-            return real_train(variant, train_split, meta_split, test, train_cfg, seed)
+            return real_train(variants, train_splits, meta_splits, test, train_cfg, seed)
 
         monkeypatch.setattr(cli_mod, "train", flaky)
         with pytest.raises(RuntimeError) as caught:
@@ -168,6 +167,29 @@ class TestDistinctRuns:
             stack_sizes(cfg, tmp_path, monkeypatch)
         assert str(caught.value).startswith(
             "run failed for variant=noisy-ce, noise=uniform@0.0, seed=0: epoch 0, step ")
+
+    def test_failure_search_trains_each_distinct_run_alone_once(self, tmp_path, monkeypatch):
+        # after the stack fails, the runs alone train in job order up to the
+        # first that fails, noisy-mae@0.0; noisy-ce@0.0 is clean-ce@0.0
+        import metareweight.cli as cli_mod
+        real_train, calls = cli_mod.train, []
+
+        def spy(variants, train_splits, *args, **kwargs):
+            calls.append([f"{v.value}@{0.3 if s.is_corrupted.any() else 0.0}"
+                          for v, s in zip(variants, train_splits)])
+            return real_train(variants, train_splits, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "train", spy)
+        cfg = tiny_cfg(variants=tuple(Variant), num_seeds=1,
+                       train=replace(tiny_cfg().train, classifier_lr=1e5))
+        with pytest.raises(RuntimeError) as caught:
+            run_experiment(cfg, out_dir=tmp_path)
+        assert str(caught.value) == (
+            "run failed for variant=noisy-mae, noise=uniform@0.0, seed=0: epoch 1, step 3: "
+            "classifier train-loss vector contains non-finite entries")
+        assert calls == [
+            ["clean-ce@0.0", "clean-ce@0.3", "noisy-ce@0.3", "noisy-mae@0.0", "noisy-mae@0.3"],
+            ["clean-ce@0.0"], ["clean-ce@0.3"], ["noisy-ce@0.3"], ["noisy-mae@0.0"]]
 
 
 class TestResultCsv:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,33 @@ class TestClassifierForward:
         wn.forward_batch(theta, [0.5, 2.0])
         wn.hidden_preactivations(theta, [0.5, 2.0])
         assert np.array_equal(params, stored[0]) and np.array_equal(theta, stored[1])
+
+
+def reduce_max_softmax(z):
+    """The softmax with the row max as numpy's reduce, the form
+    ``_softmax_rows`` replaces with a fold over the columns."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmaxRows:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           lead=st.sampled_from([(), (5,), (3, 4)]), share=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_row_max_fold_equals_the_reduce(self, seed, k, lead, share):
+        # Ties, signed zeros, infinities and NaN of both signs.  A row with
+        # NaNs of both signs may give its NaNs either sign: no output reads
+        # it, since a NaN probability fails the loss check.
+        rng = Rng(seed)
+        special = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, -np.nan])
+        z = rng.gaussians(int(np.prod(lead, dtype=int)) * k, 0.0, 100.0).reshape(*lead, k)
+        picked = rng.uniforms(z.size).reshape(z.shape) < share
+        z[picked] = special[rng.randints(int(picked.sum()), len(special))]
+        with np.errstate(all="ignore"):
+            got, want = _softmax_rows(z), reduce_max_softmax(z)
+        assert np.array_equal(got, want, equal_nan=True)
+        numbers = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got)[numbers], np.signbit(want)[numbers])
 
 
 class TestClassifierGradients:
@@ -291,6 +320,19 @@ class TestWeightNet:
         g = weight_grad_one(net, theta, 2.0)
         assert g[0] == 0.0 and g[2] == 0.0  # W1 and b1 entries of the dead unit
         assert g[1] != 0.0 and g[3] != 0.0
+
+    def test_saturated_logistic_raises_no_warning(self):
+        # a logit below -709 overflows exp(-z); the weight is the clip
+        net = WeightNet(hidden=4)
+        theta = np.zeros(net.num_params)
+        theta[-1] = -800.0  # output bias
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = net.forward_batch(theta, [0.5, 1.0])
+            clipped, grads = net.forward_and_grads_batch(theta, [0.5, 1.0])
+        assert np.array_equal(weights, [net._OUTPUT_CLIP] * 2)
+        assert np.array_equal(clipped, weights)
+        assert not np.any(grads.matrix())
 
     def test_nonfinite_input_rejected(self):
         net = WeightNet(hidden=4)
