@@ -15,18 +15,19 @@ pair:
 3. *classifier update* -- the real SGD-with-momentum step using the
    freshly updated sample weights.
 
-``bilevel_step`` runs them as one function per phase:
+``bilevel_step`` runs them as one call per phase, in this order:
 
 * ``train_forward_backward`` -- losses and per-sample gradients of the
   train batch at the current classifier, as the nets return every
   backward pass: a ``nets.SampleGrads``, never an ``(n, num_params)``
   matrix;
-* ``virtual_step`` -- their weighted sum;
+* ``WeightNet.forward_and_grads_batch`` -- the sample weights and their
+  gradients in the weighting parameters, one weighting-net backward pass;
+* ``virtual_step`` -- the weighted sum of the per-sample gradients;
 * ``meta_gradient_at`` -- the mean meta-loss gradient at the virtual point,
   one backward pass;
-* ``alignments`` -- each sample's gradient dotted with it;
-* ``theta_gradient`` (the three above, then one weighting-net backward
-  pass) and ``theta_update`` -- the weighting update;
+* ``theta_gradient`` and ``theta_update`` -- the weighting update, the
+  gradient a contraction of the three results above;
 * ``classifier_update``.
 
 The pieces read per-sample gradients only through ``weights @ grads`` and
@@ -55,7 +56,7 @@ cross-entropy, or noisy meta with mean absolute error (the robust one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -183,29 +184,21 @@ def meta_gradient_at(classifier: ClassifierNet, params: np.ndarray,
     return np.full(m, 1.0 / m) @ grads
 
 
-def alignments(grads: Grads, g_meta: np.ndarray) -> np.ndarray:
-    """Each train sample's gradient dotted with the meta-gradient."""
-    return grads @ g_meta
-
-
-def theta_gradient(state: BilevelState, losses: np.ndarray, grads: Grads,
-                   meta_batch: Batch, alpha: float, kind) -> np.ndarray:
+def theta_gradient(grads: Grads, g_meta: np.ndarray, theta_grads: Grads,
+                   alpha: float) -> np.ndarray:
     """Exact gradient of the mean meta loss after one virtual step,
     with respect to the weighting-network parameters.
 
-    Equals -(alpha/n) * sum_i (meta_grad . grad_i) * d weight_i / d theta,
+    Equals -(alpha/n) * sum_i (g_meta . grad_i) * d weight_i / d theta,
     where grad_i are the per-sample training gradients at the current
-    classifier and the meta-gradient is evaluated at the virtual point.
-    The sum is one weighting-net backward pass whose output deltas are
-    scaled by those coefficients.  The weighting-net input loss_i depends
-    only on the classifier, so it is a constant here; samples whose
-    training gradient aligns with the average meta-gradient get their
-    weights pushed up.
+    classifier, g_meta the mean meta-gradient at the virtual point and
+    ``theta_grads`` the weight gradients d weight_i / d theta.  The
+    weighting-net input loss_i depends only on the classifier, so it is a
+    constant here; samples whose training gradient aligns with the
+    meta-gradient get their weights pushed up.  The result is linear in
+    ``g_meta``.
     """
-    weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
-    w_hat = virtual_step(state, weights, grads, alpha)
-    g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, kind)
-    return (-(alpha / losses.shape[-1]) * alignments(grads, g_meta)) @ theta_grads
+    return (-(alpha / len(grads)) * (grads @ g_meta)) @ theta_grads
 
 
 def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
@@ -240,7 +233,11 @@ def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,
     weighting update, then the real classifier update, all from a single
     forward/backward pass over the train batch."""
     losses, grads = train_forward_backward(state, train_batch)
-    t_grad = theta_gradient(state, losses, grads, meta_batch, alpha, meta_loss)
+    weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
+    w_hat = virtual_step(state, weights, grads, alpha)
+    g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, meta_loss)
+    t_grad = theta_gradient(grads, g_meta, theta_grads, alpha)
+    del weights, theta_grads, w_hat, g_meta  # freed before the updates allocate: peak RSS
     theta_update(state, t_grad, cfg.meta_lr, cfg.weight_decay)
     classifier_update(state, losses, grads, alpha, cfg.momentum, cfg.weight_decay)
 
@@ -295,13 +292,15 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0, *bounds], [*bounds, n])]
 
 
-def _epoch_metrics(state: BilevelState, epoch: int, train: CorruptedDataset,
+def _epoch_metrics(classifier: ClassifierNet, weightnet: WeightNet, params: np.ndarray,
+                   theta: np.ndarray, epoch: int, train: CorruptedDataset,
                    test: LabeledDataset) -> EpochMetrics:
-    params, classifier = state.params, state.classifier
+    """One run's metrics at its classifier vector ``params`` and weighting
+    vector ``theta``."""
     test_acc = accuracy(np.concatenate([classifier.predict_batch(params, test.features[rows])
                                         for rows in _row_blocks(len(test))]), test.labels)
     weights = np.concatenate([
-        state.weightnet.forward_batch(state.theta, classifier.losses_batch(
+        weightnet.forward_batch(theta, classifier.losses_batch(
             params, train.features[rows], train.observed_labels[rows], LossKind.CE))
         for rows in _row_blocks(len(train))])
     corrupted = train.is_corrupted
@@ -350,8 +349,7 @@ def train(variants, train_splits, meta_splits, test_data: LabeledDataset,
     x_train, x_meta = train_splits[0].features, meta_splits[0].features
     y_train = np.stack([d.observed_labels for d in train_splits])
     y_meta = np.stack([d.labels for d in meta_splits])
-    kinds = tuple(v.meta_loss for v in variants)
-    meta_loss = kinds[0] if len(set(kinds)) == 1 else kinds  # one kind: single-kind path
+    meta_loss = tuple(v.meta_loss for v in variants)
 
     reports = [RunReport() for _ in variants]
     # A diverging run overflows before anything is non-finite; numpy's
@@ -373,9 +371,10 @@ def train(variants, train_splits, meta_splits, test_data: LabeledDataset,
                 except ValueError as exc:
                     raise ValueError(f"epoch {epoch}, step {step}: {exc}") from exc
             try:
-                for r, (report, split) in enumerate(zip(reports, train_splits)):
-                    run = replace(state, params=state.params[r], theta=state.theta[r])
-                    report.epochs.append(_epoch_metrics(run, epoch, split, test_data))
+                for report, split, params, theta in zip(reports, train_splits,
+                                                        state.params, state.theta):
+                    report.epochs.append(_epoch_metrics(classifier, weightnet, params, theta,
+                                                        epoch, split, test_data))
             except ValueError as exc:
                 raise ValueError(f"epoch {epoch}, metrics: {exc}") from exc
     return reports

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -123,7 +123,9 @@ def _run_seed(args):
     computation (at rate 0, noisy-ce is clean-ce and every noise kind is
     the identity): the first of them in job order trains, and all of them
     get its report.  A failure stops the whole stack, so the distinct runs
-    then train alone, in job order, up to the first that fails."""
+    then train alone, in job order, up to the first that fails; when none
+    fails alone (the stack alone failed, e.g. out of memory), their
+    reports are the result."""
     cfg, cells, seed_index = args
     runs = [(variant, kind, rate, ci) for variant in cfg.variants
             for ci, (kind, rate) in enumerate(cells)]
@@ -133,19 +135,20 @@ def _run_seed(args):
             for run, (train_split, meta_split) in zip(runs, splits)]
     firsts = [keys.index(key) for key in keys]
     distinct = sorted(set(firsts))
-    try:
+    with suppress(Exception):
         reports = train([runs[i][0] for i in distinct], *zip(*(splits[i] for i in distinct)),
                         test, cfg.train, seed=seed)
         return [reports[distinct.index(i)] for i in firsts], None
-    except Exception as exc:
-        error, failed = exc, runs[0]
+    solo = {}
     for i in distinct:
         try:
-            train([runs[i][0]], [splits[i][0]], [splits[i][1]], test, cfg.train, seed=seed)
+            [solo[i]] = train([runs[i][0]], [splits[i][0]], [splits[i][1]], test, cfg.train,
+                              seed=seed)
         except Exception as exc:
-            error, failed = exc, runs[i]
+            error, (variant, kind, rate, ci) = exc, runs[i]
             break
-    variant, kind, rate, ci = failed
+    else:
+        return [solo[i] for i in firsts], None
     return None, ((cfg.variants.index(variant), ci, seed_index), RuntimeError(
         f"run failed for variant={variant.value}, "
         f"noise={kind.value}@{rate}, seed={seed_index}: {error}"))

@@ -63,11 +63,13 @@ def _label_index(labels, probs: np.ndarray) -> tuple:
 
 
 def _is_mae(kind):
-    """Whether the loss is MAE: a bool for one ``LossKind``, a ``(T, 1)``
-    column for a sequence of them, one per row of a stack."""
+    """Whether the loss is MAE: a bool for one ``LossKind`` or for a
+    sequence of them, one per row of a stack, that all agree, else a
+    ``(T, 1)`` column.  The bool takes the single-kind path."""
     if isinstance(kind, LossKind):
         return kind is LossKind.MAE
-    return np.array([k is LossKind.MAE for k in kind])[:, None]
+    mae = [k is LossKind.MAE for k in kind]
+    return mae[0] if len(set(mae)) == 1 else np.array(mae)[:, None]
 
 
 def loss_values_batch(kind, labels, probs: np.ndarray) -> np.ndarray:

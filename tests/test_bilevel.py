@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from metareweight.bilevel import (_METRIC_BLOCK, Batch, BilevelState, EpochMetrics,
                                   TrainConfig, Variant, _epoch_metrics, _row_blocks,
-                                  alignments, bilevel_step, classifier_update,
+                                  bilevel_step, classifier_update,
                                   meta_gradient_at, theta_gradient, theta_update, train,
                                   train_forward_backward, virtual_step)
 from metareweight.data import (BlobSpec, CorruptedDataset, LabeledDataset, make_blobs,
@@ -47,9 +47,20 @@ def train_losses_and_matrix(state, batch):
 
 
 def lookahead(state, batch, alpha):
-    """Virtual step of ``batch`` at the state's current weighting params."""
+    """Virtual step of ``batch`` at the state's current weighting params,
+    with the per-sample gradient matrix and the weight gradients of the
+    step: ``(w_hat, grads, theta_grads)``."""
     losses, grads = train_losses_and_matrix(state, batch)
-    return virtual_step(state, weights_of(state, losses), grads, alpha)
+    weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
+    return virtual_step(state, weights, grads, alpha), grads, theta_grads
+
+
+def hypergradient(state, batch, meta, alpha, kind):
+    """The weighting gradient of one step, phase by phase as ``bilevel_step``
+    takes it, on the per-sample gradient matrix."""
+    w_hat, grads, theta_grads = lookahead(state, batch, alpha)
+    g_meta = meta_gradient_at(state.classifier, w_hat, meta, kind)
+    return theta_gradient(grads, g_meta, theta_grads, alpha)
 
 
 def sample_grad(state, params, batch, i, kind):
@@ -75,7 +86,7 @@ def doubled(batch):
 class TestVirtualStep:
     def test_zero_lr_is_identity(self):
         state, rng = tiny_state()
-        w_hat = lookahead(state, tiny_batch(rng, 4, 3, 3), 0.0)
+        w_hat, _, _ = lookahead(state, tiny_batch(rng, 4, 3, 3), 0.0)
         assert np.array_equal(w_hat, state.params)
 
     def test_single_sample_hand_formula(self):
@@ -85,7 +96,7 @@ class TestVirtualStep:
         loss, g = sample_grad(state, w, batch, 0, LossKind.CE)
         weight = weights_of(state, [loss])[0]
         expect = w - 0.1 * weight * g
-        assert np.allclose(lookahead(state, batch, 0.1), expect, atol=1e-15)
+        assert np.allclose(lookahead(state, batch, 0.1)[0], expect, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         state, _ = tiny_state()
@@ -99,8 +110,8 @@ class TestVirtualStep:
     def test_duplicating_batch_is_invariant(self):
         state, rng = tiny_state(2)
         batch = tiny_batch(rng, 4, 3, 3)
-        a = lookahead(state, batch, 0.1)
-        b = lookahead(state, doubled(batch), 0.1)
+        a = lookahead(state, batch, 0.1)[0]
+        b = lookahead(state, doubled(batch), 0.1)[0]
         assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(a))
 
 
@@ -150,11 +161,10 @@ class TestThetaGradient:
         batch = tiny_batch(rng, 4, 3, 3)
         x = rng.gaussians(3)
         meta = Batch(np.tile(x, (3, 1)), np.arange(3, dtype=np.int64))
-        g_meta = meta_gradient_at(state.classifier, lookahead(state, batch, 0.1), meta,
-                                  LossKind.MAE)
+        w_hat, grads, theta_grads = lookahead(state, batch, 0.1)
+        g_meta = meta_gradient_at(state.classifier, w_hat, meta, LossKind.MAE)
         assert np.linalg.norm(g_meta) <= 1e-14
-        losses, grads = train_losses_and_matrix(state, batch)
-        g = theta_gradient(state, losses, grads, meta, 0.1, LossKind.MAE)
+        g = theta_gradient(grads, g_meta, theta_grads, 0.1)
         assert np.linalg.norm(g) <= 1e-14
 
     def test_sign_property_single_sample(self):
@@ -165,13 +175,13 @@ class TestThetaGradient:
             state, rng2 = tiny_state(rng.randint(10_000), hidden=(6,))
             batch = tiny_batch(rng2, 1, 3, 3)
             meta = Batch(batch.features.copy(), batch.labels.copy())  # aligned
-            losses, grads = train_losses_and_matrix(state, batch)
-            w_hat = lookahead(state, batch, 0.1)
+            losses, _ = train_forward_backward(state, batch)
+            w_hat, grads, theta_grads = lookahead(state, batch, 0.1)
             g_meta = meta_gradient_at(state.classifier, w_hat, meta, LossKind.CE)
             align = float(grads[0] @ g_meta)
             if abs(align) < 1e-8:
                 continue
-            t_grad = theta_gradient(state, losses, grads, meta, 0.1, LossKind.CE)
+            t_grad = theta_gradient(grads, g_meta, theta_grads, 0.1)
             before = weights_of(state, losses)[0]
             theta_update(state, t_grad, 1e-3)
             after = weights_of(state, losses)[0]
@@ -184,11 +194,28 @@ class TestThetaGradient:
         state, rng = tiny_state(10)
         batch = tiny_batch(rng, 4, 3, 3)
         meta = tiny_batch(rng, 4, 3, 3)
-        a = theta_gradient(state, *train_losses_and_matrix(state, batch), meta, 0.1,
-                           LossKind.MAE)
-        b = theta_gradient(state, *train_losses_and_matrix(state, doubled(batch)), meta,
-                           0.1, LossKind.MAE)
+        a = hypergradient(state, batch, meta, 0.1, LossKind.MAE)
+        b = hypergradient(state, doubled(batch), meta, 0.1, LossKind.MAE)
         assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(a))
+
+    @pytest.mark.parametrize("eta", [0.2, 0.4, 0.8])
+    def test_linear_in_the_meta_gradient(self, eta):
+        # a noisy MAE meta set scales the expected meta-gradient by 1 - eta;
+        # the weighting gradient must scale with it, to 1e-15 of the same
+        # sums over absolute values (its terms may cancel)
+        rng = Rng(24)
+        for kind in (*LossKind, *LossKind):
+            state, rng2 = tiny_state(rng.randint(10_000), hidden=(5, 4))
+            batch, meta = tiny_batch(rng2, 6, 3, 3), tiny_batch(rng2, 5, 3, 3)
+            losses, grads = train_forward_backward(state, batch)
+            weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
+            g_meta = meta_gradient_at(state.classifier,
+                                      virtual_step(state, weights, grads, 0.1), meta, kind)
+            want = (1.0 - eta) * theta_gradient(grads, g_meta, theta_grads, 0.1)
+            got = theta_gradient(grads, (1.0 - eta) * g_meta, theta_grads, 0.1)
+            bound = (0.1 / 6) * ((np.abs(grads.matrix()) @ np.abs(g_meta))
+                                 @ np.abs(theta_grads.matrix()))
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(bound)
 
     def test_descent_does_not_increase_objective(self):
         rng = Rng(11)
@@ -348,7 +375,7 @@ class TestFactoredStep:
         ref_grads = grads.matrix()
         c, g = rng.gaussians(n), rng.gaussians(clf.num_params)
         assert agree(c @ grads, c @ ref_grads, A(c) @ A(ref_grads))
-        assert agree(alignments(grads, g), ref_grads @ g, A(ref_grads) @ A(g))
+        assert agree(grads @ g, ref_grads @ g, A(ref_grads) @ A(g))
 
         weights, theta_grads = wn.forward_and_grads_batch(theta, losses)
         ref_theta_grads = theta_grads.matrix()
@@ -360,10 +387,13 @@ class TestFactoredStep:
         _, meta_grads = clf.losses_and_grads_batch(w_hat, meta.features, meta.labels, kind)
         meta_grads = meta_grads.matrix()
         g_meta, g_meta_bound = meta_grads.mean(axis=0), A(meta_grads).mean(axis=0)
-        assert agree(meta_gradient_at(clf, w_hat, meta, kind), g_meta, g_meta_bound)
+        factored_g_meta = meta_gradient_at(clf, virtual_step(state, weights, grads, alpha),
+                                           meta, kind)
+        assert agree(factored_g_meta, g_meta, g_meta_bound)
         t_grad = -(alpha / n) * ((ref_grads @ g_meta) @ ref_theta_grads)
         t_bound = (alpha / n) * ((A(ref_grads) @ g_meta_bound) @ A(ref_theta_grads))
-        assert agree(theta_gradient(state, losses, grads, meta, alpha, kind), t_grad, t_bound)
+        assert agree(theta_gradient(grads, factored_g_meta, theta_grads, alpha), t_grad,
+                     t_bound)
 
         cfg = TrainConfig(meta_lr=1e-3, momentum=0.9, weight_decay=5e-4)
         theta_new = theta - cfg.meta_lr * (t_grad + cfg.weight_decay * theta)
@@ -427,7 +457,7 @@ class TestTrainLoop:
         for variant in Variant:
             seen.clear()
             train([variant], [train_split], [meta_split], test, cfg, seed=2)
-            assert set(seen) == {variant.meta_loss}
+            assert set(seen) == {(variant.meta_loss,)}
 
     def test_clean_meta_path_equals_noisy_path_at_rate_zero(self):
         # corrupting with rate 0 is a no-op, so the clean-meta variant and a
@@ -527,6 +557,11 @@ def unblocked_metrics(state, epoch, train_split, test):
                         float(weights[~flags].mean()), float(weights[flags].mean())), weights
 
 
+def run_of(state):
+    """The nets and vectors of one run, as ``_epoch_metrics`` takes them."""
+    return state.classifier, state.weightnet, state.params, state.theta
+
+
 def metric_splits(rng, n, dim=20, k=5):
     """A train split of ``n`` rows with about a third mislabelled and a test
     split of ``n`` rows, features off the training distribution."""
@@ -555,7 +590,7 @@ class TestBlockedMetrics:
         scores = []
         monkeypatch.setattr(b, "auc_noisy_detection",
                             lambda s, flags: scores.append(s) or auc_noisy_detection(s, flags))
-        got = _epoch_metrics(state, 7, train_split, test)
+        got = _epoch_metrics(*run_of(state), 7, train_split, test)
         assert got == want
         assert np.array_equal(scores[0], want_weights)
         assert len(set(want_weights.tolist())) > n // 2  # the weights do vary
@@ -573,10 +608,10 @@ class TestBlockedMetrics:
     def test_peak_memory_of_a_wide_split(self):
         state, rng = tiny_state(seed=2, dim=20, k=5, hidden=(32, 32), wn_hidden=100)
         train_split, test = metric_splits(rng, 20000)
-        _epoch_metrics(state, 0, train_split, test)  # warm caches outside the trace
+        _epoch_metrics(*run_of(state), 0, train_split, test)  # warm caches outside the trace
         tracemalloc.start()
         try:
-            _epoch_metrics(state, 0, train_split, test)
+            _epoch_metrics(*run_of(state), 0, train_split, test)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -191,6 +191,34 @@ class TestDistinctRuns:
             ["clean-ce@0.0", "clean-ce@0.3", "noisy-ce@0.3", "noisy-mae@0.0", "noisy-mae@0.3"],
             ["clean-ce@0.0"], ["clean-ce@0.3"], ["noisy-ce@0.3"], ["noisy-mae@0.0"]]
 
+    def test_a_stack_that_fails_where_each_run_alone_trains_gives_the_solo_reports(
+            self, tmp_path, monkeypatch, capsys):
+        # a stacked group can fail where its runs alone do not, e.g. when its
+        # R-row temporaries do not fit in memory; the runs alone are then
+        # the result, with the bytes of an unpatched run
+        import metareweight.cli as cli_mod
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT.replace("clean-ce, noisy-mae", ", ".join(
+            v.value for v in Variant)).replace("num_seeds = 2", "num_seeds = 1"))
+        run = ["run", "--config", str(cfg_path), "--out"]
+        assert main([*run, str(tmp_path / "unpatched")]) == 0
+        real_train, sizes = cli_mod.train, []
+
+        def no_memory_for_a_stack(variants, *args, **kwargs):
+            sizes.append(len(variants))
+            if len(variants) > 1:
+                raise MemoryError("Unable to allocate the stack")
+            return real_train(variants, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "train", no_memory_for_a_stack)
+        assert main([*run, str(tmp_path / "solo")]) == 0
+        assert sizes == [5, 1, 1, 1, 1, 1]
+        files = {name: {p.relative_to(tmp_path / name): p.read_bytes()
+                        for p in (tmp_path / name).rglob("*") if p.is_file()}
+                 for name in ("unpatched", "solo")}
+        assert len(files["solo"]) == 3 * 2 + 2  # runs, results.csv, config_resolved.cfg
+        assert files["solo"] == files["unpatched"]
+
 
 class TestResultCsv:
     def test_bytes_of_a_table(self):

@@ -1,0 +1,42 @@
+"""Every function, class and method of the package has a caller outside the
+tests: a name defined in ``src/metareweight`` must be used somewhere in
+``src/`` or in the benchmark's non-test files, so that no code lives on
+for the tests alone."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "metareweight").glob("*.py"))
+BENCHMARK = sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                   if not p.name.startswith("test_"))
+# A tracer target names a function or method as a dotted string.
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def definitions(tree) -> list[str]:
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def used_names(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_in_the_package_is_used_outside_the_tests():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE + BENCHMARK}
+    defined = [(path.name, name) for path in PACKAGE for name in definitions(trees[path])]
+    used = set().union(*map(used_names, trees.values()))
+    assert len(defined) > 100  # the parse found the package
+    assert [f"{file}: {name}" for file, name in defined if name not in used] == []
