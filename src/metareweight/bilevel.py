@@ -61,7 +61,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import CorruptedDataset, LabeledDataset, dataclass_csv
+from .data import LabeledDataset, dataclass_csv
 from .losses import LossKind
 from .metrics import accuracy, auc_noisy_detection
 from .nets import ClassifierNet, SampleGrads, WeightNet
@@ -293,7 +293,7 @@ def _row_blocks(n: int) -> list[slice]:
 
 
 def _epoch_metrics(classifier: ClassifierNet, weightnet: WeightNet, params: np.ndarray,
-                   theta: np.ndarray, epoch: int, train: CorruptedDataset,
+                   theta: np.ndarray, epoch: int, train: LabeledDataset,
                    test: LabeledDataset) -> EpochMetrics:
     """One run's metrics at its classifier vector ``params`` and weighting
     vector ``theta``."""
@@ -301,7 +301,7 @@ def _epoch_metrics(classifier: ClassifierNet, weightnet: WeightNet, params: np.n
                                         for rows in _row_blocks(len(test))]), test.labels)
     weights = np.concatenate([
         weightnet.forward_batch(theta, classifier.losses_batch(
-            params, train.features[rows], train.observed_labels[rows], LossKind.CE))
+            params, train.features[rows], train.labels[rows], LossKind.CE))
         for rows in _row_blocks(len(train))])
     corrupted = train.is_corrupted
     auc = (auc_noisy_detection(weights, corrupted)
@@ -318,9 +318,10 @@ def train(variants, train_splits, meta_splits, test_data: LabeledDataset,
     ``RunReport`` of per-epoch metrics per run.
 
     The splits of the runs share their features.  A meta split may be clean
-    (``LabeledDataset``) or corrupted; training reads only its ``features``
-    and ``labels``.  The caller decides from ``variant.meta_is_noisy``
-    whether to corrupt it; the meta loss is ``variant.meta_loss``.  ``seed``
+    or corrupted: training reads only the ``features`` and ``labels`` of a
+    split, and the metrics read a train split's ``is_corrupted``.  The
+    caller decides from ``variant.meta_is_noisy`` whether to corrupt the
+    meta split; the meta loss is ``variant.meta_loss``.  ``seed``
     fixes the network initialization and the minibatch order.  The runs
     train in lockstep as one stack, each with the bits of its run alone (a
     group of one).  A step that fails, e.g. because an update made a
@@ -347,7 +348,7 @@ def train(variants, train_splits, meta_splits, test_data: LabeledDataset,
     loop_rng = root.spawn(_LOOP_STREAM)
 
     x_train, x_meta = train_splits[0].features, meta_splits[0].features
-    y_train = np.stack([d.observed_labels for d in train_splits])
+    y_train = np.stack([d.labels for d in train_splits])
     y_meta = np.stack([d.labels for d in meta_splits])
     meta_loss = tuple(v.meta_loss for v in variants)
 

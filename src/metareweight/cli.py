@@ -122,20 +122,21 @@ def _run_seed(args):
     Runs with the same meta loss, train labels and meta labels are one
     computation (at rate 0, noisy-ce is clean-ce and every noise kind is
     the identity): the first of them in job order trains, and all of them
-    get its report.  A failure stops the whole stack, so the distinct runs
-    then train alone, in job order, up to the first that fails; when none
-    fails alone (the stack alone failed, e.g. out of memory), their
-    reports are the result."""
+    get its report.  A divergence (``ValueError``) or ``MemoryError`` stops
+    the whole stack, so the distinct runs then train alone, in job order,
+    up to the first that fails; when none fails alone (the stack alone
+    failed, e.g. out of memory), their reports are the result.  Any other
+    exception is a bug and propagates."""
     cfg, cells, seed_index = args
     runs = [(variant, kind, rate, ci) for variant in cfg.variants
             for ci, (kind, rate) in enumerate(cells)]
     test, splits = _splits(cfg, seed_index, runs)
     seed = _stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed
-    keys = [(run[0].meta_loss, train_split.observed_labels.tobytes(), meta_split.labels.tobytes())
+    keys = [(run[0].meta_loss, train_split.labels.tobytes(), meta_split.labels.tobytes())
             for run, (train_split, meta_split) in zip(runs, splits)]
     firsts = [keys.index(key) for key in keys]
     distinct = sorted(set(firsts))
-    with suppress(Exception):
+    with suppress(ValueError, MemoryError):
         reports = train([runs[i][0] for i in distinct], *zip(*(splits[i] for i in distinct)),
                         test, cfg.train, seed=seed)
         return [reports[distinct.index(i)] for i in firsts], None
@@ -144,7 +145,7 @@ def _run_seed(args):
         try:
             [solo[i]] = train([runs[i][0]], [splits[i][0]], [splits[i][1]], test, cfg.train,
                               seed=seed)
-        except Exception as exc:
+        except (ValueError, MemoryError) as exc:
             error, (variant, kind, rate, ci) = exc, runs[i]
             break
     else:

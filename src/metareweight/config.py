@@ -67,6 +67,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self, ("num_seeds", "workers"), lambda v: v >= 1, "be >= 1")
+        check_fields(self, ("seed",), lambda v: 0 <= v < 2**64, "lie in [0, 2**64)")
         check_fields(self, ("noise_kinds", "noise_rates", "variants"), len, "be nonempty")
         for rate in self.noise_rates:
             if not 0.0 <= rate < 1.0:

@@ -5,7 +5,10 @@ configuration so the *minimum* pairwise distance equals ``separation``,
 and then samples balanced, disjoint train/meta/test splits around them.
 Scaling the same seeded configuration keeps difficulty monotone in
 ``separation``.  The meta split is drawn from the same distribution as
-train; the test split stays clean throughout the package.
+train; the test split stays clean throughout the package.  Every split is
+a ``LabeledDataset``, clean or corrupted alike: training reads its
+``labels``, and only a split that ``noise.corrupt`` made has the
+``true_labels`` that evaluation reads.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -28,19 +31,24 @@ STD_FLOOR = 1e-8
 
 @dataclass
 class LabeledDataset:
-    features: np.ndarray      # (n, d) float64
-    labels: np.ndarray        # (n,) int64, true labels
+    features: np.ndarray                   # (n, d) float64
+    labels: np.ndarray                     # (n,) int64, the labels training sees
     num_classes: int
+    true_labels: np.ndarray | None = None  # (n,) int64, set by ``noise.corrupt``
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
-            raise ValueError("features must be (n, d) with one label per row")
-        labels = self.labels
-        if labels.size and not 0 <= labels.min() <= labels.max() < self.num_classes:
-            raise ValueError(f"labels must lie in [0, {self.num_classes}), got values in "
-                             f"[{labels.min()}, {labels.max()}]")
+        if self.true_labels is not None:
+            self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
+        for labels in (self.labels, self.true_labels):
+            if labels is None:
+                continue
+            if self.features.ndim != 2 or labels.shape != (self.features.shape[0],):
+                raise ValueError("features must be (n, d) with one label per row")
+            if labels.size and not 0 <= labels.min() <= labels.max() < self.num_classes:
+                raise ValueError(f"labels must lie in [0, {self.num_classes}), got values in "
+                                 f"[{labels.min()}, {labels.max()}]")
 
     def __len__(self) -> int:
         return self.labels.size
@@ -49,38 +57,12 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-
-@dataclass
-class CorruptedDataset:
-    features: np.ndarray
-    observed_labels: np.ndarray
-    true_labels: np.ndarray
-    is_corrupted: np.ndarray  # observed != true, the effective mislabels
-    num_classes: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.observed_labels = np.asarray(self.observed_labels, dtype=np.int64)
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
-        self.is_corrupted = np.asarray(self.is_corrupted, dtype=bool)
-        n = self.features.shape[0]
-        if not (self.observed_labels.shape == self.true_labels.shape
-                == self.is_corrupted.shape == (n,)):
-            raise ValueError("label arrays must align with the feature rows")
-        if np.any(self.is_corrupted != (self.observed_labels != self.true_labels)):
-            raise ValueError("corruption flags must equal (observed != true)")
-
-    def __len__(self) -> int:
-        return self.observed_labels.size
-
     @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Labels as seen by training code: the observed ones."""
-        return self.observed_labels
+    def is_corrupted(self) -> np.ndarray:
+        """``labels != true_labels``; all False without true labels."""
+        if self.true_labels is None:
+            return np.zeros(len(self), dtype=bool)
+        return self.labels != self.true_labels
 
 
 @dataclass(frozen=True)
@@ -107,7 +89,6 @@ class SplitBundle:
     train: LabeledDataset
     meta: LabeledDataset
     test: LabeledDataset
-    means: np.ndarray  # (K, d) class means actually used
 
 
 def _draw_means(spec: BlobSpec, rng: Rng) -> np.ndarray:
@@ -143,7 +124,7 @@ def make_blobs(spec: BlobSpec) -> SplitBundle:
             _SPLIT_STREAMS.items(), (spec.n_train, spec.n_meta, spec.n_test)
         )
     }
-    return SplitBundle(splits["train"], splits["meta"], splits["test"], means)
+    return SplitBundle(splits["train"], splits["meta"], splits["test"])
 
 
 def standardize(bundle: SplitBundle) -> SplitBundle:
@@ -159,12 +140,9 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
     def apply(ds: LabeledDataset) -> LabeledDataset:
         features = ds.features - mu
         features /= sigma
-        return LabeledDataset(features, ds.labels.copy(), ds.num_classes)
+        return replace(ds, features=features)
 
-    return SplitBundle(
-        apply(bundle.train), apply(bundle.meta), apply(bundle.test),
-        (bundle.means - mu) / sigma,
-    )
+    return SplitBundle(apply(bundle.train), apply(bundle.meta), apply(bundle.test))
 
 
 # -- CSV export -------------------------------------------------------------
@@ -190,14 +168,15 @@ def dataclass_csv(cls, rows) -> str:
     return csv_text([names] + [[getattr(row, name) for name in names] for row in rows])
 
 
-def save_dataset(ds, path) -> None:
+def save_dataset(ds: LabeledDataset, path) -> None:
     """Header row "K,d", then one row per sample.
 
-    Clean datasets write d features + true label; corrupted ones append
-    the observed label and a 0/1 corruption flag.
+    A dataset without true labels writes d features + its label; one that
+    ``noise.corrupt`` made writes d features + true label + the label
+    training sees + a 0/1 corruption flag.
     """
-    if isinstance(ds, CorruptedDataset):
-        columns = (ds.true_labels, ds.observed_labels, ds.is_corrupted)
+    if ds.true_labels is not None:
+        columns = (ds.true_labels, ds.labels, ds.is_corrupted)
     else:
         columns = (ds.labels,)
     labels = np.column_stack(columns).astype(np.int64).tolist()

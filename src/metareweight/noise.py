@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import CorruptedDataset, LabeledDataset, csv_text
+from .data import LabeledDataset, csv_text
 from .numkit import Rng
 
 _TARGET_STREAM = 0x7A17
@@ -56,7 +56,6 @@ class TransitionMatrix:
 
     num_classes: int
     probs: np.ndarray
-    targets: np.ndarray | None = None  # (K,) for flip, (K, 2) for flip2
     _cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -107,17 +106,17 @@ def build_transition(spec: NoiseSpec) -> TransitionMatrix:
     else:
         p[np.arange(k), targets[:, 0]] += eta / 2.0
         p[np.arange(k), targets[:, 1]] += eta / 2.0
-    return TransitionMatrix(k, p, targets=targets)
+    return TransitionMatrix(k, p)
 
 
-def corrupt(dataset: LabeledDataset, t: TransitionMatrix, rng: Rng) -> CorruptedDataset:
-    """Draw an observed label per sample from its true label's transition row.
+def corrupt(dataset: LabeledDataset, t: TransitionMatrix, rng: Rng) -> LabeledDataset:
+    """A split whose labels are drawn, one per sample, from the transition
+    row of ``dataset``'s label, which becomes its ``true_labels``.
 
-    Consumes exactly one uniform per sample, in dataset order.  Features
-    and true labels pass through untouched; the corruption flag marks
-    *effective* mislabels (observed != true) -- a uniform-noise redraw that
-    lands back on the true class is indistinguishable from clean and is
-    not flagged.
+    Consumes exactly one uniform per sample, in dataset order.  The result
+    shares ``dataset``'s feature array; its ``is_corrupted`` marks the
+    *effective* mislabels, so a uniform-noise redraw that lands back on the
+    true class is indistinguishable from clean and is not flagged.
     """
     labels = dataset.labels
     if labels.size and labels.max() >= t.num_classes:
@@ -127,13 +126,8 @@ def corrupt(dataset: LabeledDataset, t: TransitionMatrix, rng: Rng) -> Corrupted
     for y in np.unique(labels):
         idx = np.nonzero(labels == y)[0]
         observed[idx] = np.searchsorted(t._cum[y], u[idx], side="right")
-    return CorruptedDataset(
-        features=dataset.features,
-        observed_labels=observed,
-        true_labels=labels.copy(),
-        is_corrupted=observed != labels,
-        num_classes=dataset.num_classes,
-    )
+    return LabeledDataset(dataset.features, observed, dataset.num_classes,
+                          true_labels=labels.copy())
 
 
 def majority_feasibility(spec: NoiseSpec) -> str:

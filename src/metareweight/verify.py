@@ -374,7 +374,7 @@ def corruption_frequency_check(rng: Rng, sample_rate: float = 0.4) -> PropertyRe
         p = build_transition(NoiseSpec(kind, 0.4, k, seed=7)).probs
         out = corrupt(ds, build_transition(NoiseSpec(kind, sample_rate, k, seed=7)),
                       rng.spawn(stream))
-        counts = np.bincount(labels * k + out.observed_labels, minlength=k * k).reshape(k, k)
+        counts = np.bincount(labels * k + out.labels, minlength=k * k).reshape(k, k)
         n_y = counts.sum(axis=1, keepdims=True)
         freq = counts / n_y
         inner = (p > 0) & (p < 1)

@@ -128,7 +128,7 @@ class TestNoiseModelFidelity:
             for y in range(5):
                 mask = labels == y
                 n_y = int(mask.sum())
-                freq = np.bincount(out.observed_labels[mask], minlength=5) / n_y
+                freq = np.bincount(out.labels[mask], minlength=5) / n_y
                 for c in range(5):
                     p = tm.probs[y, c]
                     se = np.sqrt(p * (1 - p) / n_y)

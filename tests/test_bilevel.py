@@ -10,8 +10,7 @@ from metareweight.bilevel import (_METRIC_BLOCK, Batch, BilevelState, EpochMetri
                                   bilevel_step, classifier_update,
                                   meta_gradient_at, theta_gradient, theta_update, train,
                                   train_forward_backward, virtual_step)
-from metareweight.data import (BlobSpec, CorruptedDataset, LabeledDataset, make_blobs,
-                               standardize)
+from metareweight.data import BlobSpec, LabeledDataset, make_blobs, standardize
 from metareweight.losses import LossKind
 from metareweight.metrics import accuracy, auc_noisy_detection
 from metareweight.nets import ClassifierNet, SampleGrads, WeightNet
@@ -550,7 +549,7 @@ def unblocked_metrics(state, epoch, train_split, test):
     test_acc = accuracy(state.classifier.predict_batch(state.params, test.features),
                         test.labels)
     losses = state.classifier.losses_batch(state.params, train_split.features,
-                                           train_split.observed_labels, LossKind.CE)
+                                           train_split.labels, LossKind.CE)
     weights = state.weightnet.forward_batch(state.theta, losses)
     flags = train_split.is_corrupted
     return EpochMetrics(epoch, test_acc, auc_noisy_detection(weights, flags),
@@ -567,8 +566,8 @@ def metric_splits(rng, n, dim=20, k=5):
     split of ``n`` rows, features off the training distribution."""
     labels = rng.randints(n, k)
     observed = np.where(rng.uniforms(n) < 0.3, (labels + 1) % k, labels)
-    train_split = CorruptedDataset(rng.gaussians(n * dim, 0.0, 3.0).reshape(n, dim),
-                                   observed, labels, observed != labels, k)
+    train_split = LabeledDataset(rng.gaussians(n * dim, 0.0, 3.0).reshape(n, dim),
+                                 observed, k, true_labels=labels)
     test = LabeledDataset(rng.gaussians(n * dim, 0.0, 3.0).reshape(n, dim),
                           rng.randints(n, k), k)
     return train_split, test

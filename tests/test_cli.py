@@ -219,6 +219,25 @@ class TestDistinctRuns:
         assert len(files["solo"]) == 3 * 2 + 2  # runs, results.csv, config_resolved.cfg
         assert files["solo"] == files["unpatched"]
 
+    def test_an_error_of_the_stacked_path_alone_propagates(self, tmp_path, monkeypatch):
+        # only a divergence or an out-of-memory error starts the solo search:
+        # a bug that exists only in stacked code must not hide behind the
+        # correct files its runs write alone
+        import metareweight.cli as cli_mod
+        real_train, sizes = cli_mod.train, []
+
+        def stacked_bug(variants, *args, **kwargs):
+            sizes.append(len(variants))
+            if len(variants) > 1:
+                raise TypeError("a bug in the stacked path")
+            return real_train(variants, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "train", stacked_bug)
+        with pytest.raises(TypeError, match="a bug in the stacked path"):
+            run_experiment(tiny_cfg(variants=tuple(Variant), num_seeds=1), out_dir=tmp_path)
+        assert sizes == [5]
+        assert not (tmp_path / "results.csv").exists()
+
 
 class TestResultCsv:
     def test_bytes_of_a_table(self):
@@ -318,6 +337,17 @@ class TestCliCommands:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: {cfg_path}: num_classes must be >= 2, got 1 "
                        f"(at {cfg_path}:5: classes = 1)"]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999])
+    def test_seed_outside_64_bits_names_the_line(self, tmp_path, capsys, seed):
+        # Rng keeps a seed's low 64 bits: -1 would name the experiment 2**64 - 1 names
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"[experiment]\nnum_seeds = 1\nseed = {seed}\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {cfg_path}: seed must lie in [0, 2**64), got {seed} "
+                       f"(at {cfg_path}:3: seed = {seed})"]
+        assert not (tmp_path / "o").exists()
 
     def test_flip2_with_two_classes_names_the_kinds_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

@@ -156,6 +156,10 @@ class TestHyperparameterRanges:
         with pytest.raises(ConfigError, match=f": {field} must be {rule}, got -3$"):
             parse_config_text(f"[{section}]\n{key} = -3\n")
 
+    @pytest.mark.parametrize("value", [0, 2**64 - 1])
+    def test_seed_bounds_accepted(self, value):
+        assert parse_config_text(f"[experiment]\nseed = {value}\n").seed == value
+
     def test_zero_weight_decay_and_large_finite_values_accepted(self):
         cfg = parse_config_text("[train]\nweight_decay = 0\nclassifier_lr = 1e308\n"
                                 "[blob]\nseparation = 1e308\n")
@@ -226,7 +230,7 @@ class TestSerializeBytes:
             noise_rates=(0.1, 0.25, 0.4),
             variants=(Variant.NOISY_MAE, Variant.CLEAN_CE),
             train=TrainConfig(classifier_lr=1, lr_milestones=()),
-            num_seeds=3, seed=-7, output_dir="my runs/a=b", workers=2)
+            num_seeds=3, seed=7, output_dir="my runs/a=b", workers=2)
         assert serialize_config(cfg) == """\
 [blob]
 classes = 4
@@ -254,7 +258,7 @@ lr_milestones =\x20
 [experiment]
 variants = noisy-mae, clean-ce
 num_seeds = 3
-seed = -7
+seed = 7
 output_dir = my runs/a=b
 workers = 2
 """
@@ -351,7 +355,7 @@ def experiment_configs(draw):
                                         min_size=1, max_size=6))),
         variants=tuple(draw(st.lists(st.sampled_from(Variant), min_size=1, unique=True))),
         num_seeds=draw(st.integers(1, 100)),
-        seed=draw(st.integers(-2**63, 2**64)),
+        seed=draw(st.integers(0, 2**64 - 1)),
         output_dir=draw(st.text()),
         workers=draw(st.integers(1, 64)),
     )

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from metareweight.data import (_SPLIT_STREAMS, BlobSpec, CorruptedDataset, LabeledDataset,
-                               _draw_split, csv_text, make_blobs, save_dataset, standardize)
+from metareweight.data import (_MEANS_STREAM, _SPLIT_STREAMS, BlobSpec, LabeledDataset,
+                               SplitBundle, _draw_means, _draw_split, csv_text, make_blobs,
+                               save_dataset, standardize)
 from metareweight.noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from metareweight.numkit import Rng
 
@@ -16,6 +17,11 @@ def nearest_mean_accuracy(train: LabeledDataset, test: LabeledDataset) -> float:
                       for k in range(train.num_classes)])
     d2 = ((test.features[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     return float(np.mean(np.argmin(d2, axis=1) == test.labels))
+
+
+def class_means(spec: BlobSpec) -> np.ndarray:
+    """The class means ``make_blobs(spec)`` draws its splits around."""
+    return _draw_means(spec, Rng(spec.seed).spawn(_MEANS_STREAM))
 
 
 class TestMakeBlobs:
@@ -31,8 +37,7 @@ class TestMakeBlobs:
 
     def test_min_pairwise_separation(self):
         spec = BlobSpec(num_classes=6, dim=4, separation=2.5, seed=5)
-        bundle = make_blobs(spec)
-        m = bundle.means
+        m = class_means(spec)
         diff = m[:, None, :] - m[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=2))
         min_dist = dist[np.triu_indices(6, 1)].min()
@@ -49,7 +54,7 @@ class TestMakeBlobs:
         a, b = make_blobs(spec), make_blobs(spec)
         assert np.array_equal(a.train.features, b.train.features)
         assert np.array_equal(a.test.labels, b.test.labels)
-        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(class_means(spec), class_means(spec))
 
     def test_accuracy_monotone_in_separation(self):
         accs = []
@@ -87,14 +92,14 @@ class TestSplitArithmetic:
                             ("test", spec.n_test)):
             split = getattr(bundle, name)
             noise = Rng(spec.seed).spawn(_SPLIT_STREAMS[name]).gaussians(count * spec.dim)
-            want = bundle.means[split.labels] + spec.cluster_std * noise.reshape(count, -1)
+            want = class_means(spec)[split.labels] + spec.cluster_std * noise.reshape(count, -1)
             assert np.array_equal(split.features, want)
             assert np.array_equal(getattr(scaled, name).features, (want - mu) / sigma)
 
     def test_a_split_allocates_little_beyond_its_features(self):
         # the draw is scaled and shifted in place: no full-split temporaries
         spec = BlobSpec(n_train=20_000, seed=6)
-        means = make_blobs(BlobSpec(n_train=1, n_meta=1, n_test=1, seed=6)).means
+        means = class_means(spec)
         tracemalloc.start()
         try:
             split = _draw_split(spec, means, Rng(7), spec.n_train)
@@ -123,8 +128,7 @@ class TestStandardize:
         features = np.ones((10, 2))
         features[:, 1] = np.arange(10)
         ds = LabeledDataset(features, np.zeros(10, dtype=np.int64), 2)
-        bundle = standardize(
-            type(make_blobs(BlobSpec(seed=1)))(ds, ds, ds, np.zeros((2, 2))))
+        bundle = standardize(SplitBundle(ds, ds, ds))
         assert np.all(bundle.train.features[:, 0] == 0.0)
 
     def test_test_split_uses_train_statistics(self):
@@ -148,9 +152,31 @@ class TestLabeledDataset:
     def test_empty_dataset_accepted(self):
         assert len(LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 3)) == 0
 
+    @pytest.mark.parametrize("labels, true_labels", [([7, -1], [0, 1]), ([0, 1], [0, 3]),
+                                                     ([0, 2], [-1, 0])])
+    def test_either_label_array_outside_the_classes_rejected(self, labels, true_labels):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got"):
+            LabeledDataset(np.zeros((2, 1)), labels, 3, true_labels=true_labels)
+
+    @pytest.mark.parametrize("true_labels", [[0], [0, 1, 2], [[0, 1]]])
+    def test_true_labels_of_another_shape_rejected(self, true_labels):
+        with pytest.raises(ValueError, match="one label per row"):
+            LabeledDataset(np.zeros((2, 1)), [0, 1], 3, true_labels=true_labels)
+
+    def test_is_corrupted_marks_labels_that_differ_from_the_true_ones(self):
+        ds = LabeledDataset(np.zeros((4, 1)), [0, 2, 1, 1], 3, true_labels=[0, 1, 1, 2])
+        assert ds.is_corrupted.tolist() == [False, True, False, True]
+        assert ds.is_corrupted.tolist() == (ds.labels != ds.true_labels).tolist()
+
+    def test_is_corrupted_all_false_without_true_labels(self):
+        ds = LabeledDataset(np.zeros((3, 1)), [2, 0, 1], 3)
+        assert ds.true_labels is None
+        assert ds.is_corrupted.dtype == bool and ds.is_corrupted.tolist() == [False] * 3
+
 
 def load_dataset(path):
-    """Reader for the ``save_dataset`` format; column count selects the container."""
+    """Reader for the ``save_dataset`` format; three label columns carry the
+    true labels, the labels training sees and the corruption flags."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     k, d = int(rows[0][0]), int(rows[0][1])
@@ -160,7 +186,9 @@ def load_dataset(path):
         true = np.array([int(row[d]) for row in body])
         observed = np.array([int(row[d + 1]) for row in body])
         flags = np.array([row[d + 2] == "1" for row in body])
-        return CorruptedDataset(features, observed, true, flags, k)
+        loaded = LabeledDataset(features, observed, k, true_labels=true)
+        assert np.array_equal(loaded.is_corrupted, flags)
+        return loaded
     return LabeledDataset(features, np.array([int(row[d]) for row in body]), k)
 
 
@@ -170,7 +198,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "train.csv"
         save_dataset(bundle.train, path)
         loaded = load_dataset(path)
-        assert isinstance(loaded, LabeledDataset)
+        assert loaded.true_labels is None
         assert np.array_equal(loaded.features, bundle.train.features)
         assert np.array_equal(loaded.labels, bundle.train.labels)
         assert loaded.num_classes == bundle.train.num_classes
@@ -182,9 +210,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "train_corrupted.csv"
         save_dataset(corrupted, path)
         loaded = load_dataset(path)
-        assert isinstance(loaded, CorruptedDataset)
         assert np.array_equal(loaded.features, corrupted.features)
-        assert np.array_equal(loaded.observed_labels, corrupted.observed_labels)
+        assert np.array_equal(loaded.labels, corrupted.labels)
         assert np.array_equal(loaded.true_labels, corrupted.true_labels)
         assert np.array_equal(loaded.is_corrupted, corrupted.is_corrupted)
 
@@ -205,9 +232,3 @@ class TestCsvText:
         row = next(csv.reader([csv_text([values])]))
         assert [float(v) for v in row] == values
 
-
-class TestContainers:
-    def test_corrupted_flags_validated(self):
-        with pytest.raises(ValueError, match="flags"):
-            CorruptedDataset(np.zeros((2, 1)), np.array([0, 1]), np.array([0, 0]),
-                             np.array([False, False]), 2)

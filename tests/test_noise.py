@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metareweight.data import LabeledDataset
-from metareweight.noise import (NoiseKind, NoiseSpec, TransitionMatrix,
+from metareweight.noise import (NoiseKind, NoiseSpec, TransitionMatrix, _draw_targets,
                                 build_transition, corrupt, majority_feasibility)
 from metareweight.numkit import Rng
 
@@ -32,7 +32,8 @@ class TestBuildTransition:
         assert np.allclose(off, 0.08, atol=1e-12)
 
     def test_flip_structure(self):
-        t = build_transition(NoiseSpec(NoiseKind.FLIP, 0.4, 5, seed=3))
+        spec = NoiseSpec(NoiseKind.FLIP, 0.4, 5, seed=3)
+        t = build_transition(spec)
         assert np.allclose(np.diag(t.probs), 0.6, atol=1e-15)
         for y in range(5):
             row = t.probs[y].copy()
@@ -41,10 +42,11 @@ class TestBuildTransition:
             assert hot.size == 1
             assert row[hot[0]] == pytest.approx(0.4, abs=1e-15)
             assert hot[0] != y
-            assert hot[0] == t.targets[y]
+            assert hot[0] == _draw_targets(spec)[y]
 
     def test_flip2_structure(self):
-        t = build_transition(NoiseSpec(NoiseKind.FLIP2, 0.4, 5, seed=3))
+        spec = NoiseSpec(NoiseKind.FLIP2, 0.4, 5, seed=3)
+        t = build_transition(spec)
         assert np.allclose(np.diag(t.probs), 0.6, atol=1e-15)
         for y in range(5):
             row = t.probs[y].copy()
@@ -53,7 +55,7 @@ class TestBuildTransition:
             assert hot.size == 2
             assert np.allclose(row[hot], 0.2, atol=1e-15)
             assert y not in hot
-            assert set(hot) == set(t.targets[y])
+            assert set(hot) == set(_draw_targets(spec)[y])
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_zero_rate_is_identity(self, kind):
@@ -68,11 +70,11 @@ class TestBuildTransition:
         assert np.all(t.probs >= 0.0)
 
     def test_target_map_deterministic_per_seed(self):
-        a = build_transition(NoiseSpec(NoiseKind.FLIP, 0.3, 7, seed=11))
-        b = build_transition(NoiseSpec(NoiseKind.FLIP, 0.3, 7, seed=11))
-        c = build_transition(NoiseSpec(NoiseKind.FLIP, 0.3, 7, seed=12))
-        assert np.array_equal(a.targets, b.targets)
-        assert not np.array_equal(a.targets, c.targets)
+        a, b, c = (NoiseSpec(NoiseKind.FLIP, 0.3, 7, seed=s) for s in (11, 11, 12))
+        assert np.array_equal(_draw_targets(a), _draw_targets(b))
+        assert not np.array_equal(_draw_targets(a), _draw_targets(c))
+        assert np.array_equal(build_transition(a).probs, build_transition(b).probs)
+        assert not np.array_equal(build_transition(a).probs, build_transition(c).probs)
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum"):
@@ -99,7 +101,7 @@ class TestCorrupt:
         ds = _class_balanced_dataset(500, 4)
         t = build_transition(NoiseSpec(NoiseKind.UNIFORM, 0.0, 4))
         out = corrupt(ds, t, Rng(5))
-        assert np.array_equal(out.observed_labels, ds.labels)
+        assert np.array_equal(out.labels, ds.labels)
         assert not out.is_corrupted.any()
         assert np.array_equal(out.features, ds.features)
 
@@ -109,22 +111,23 @@ class TestCorrupt:
         ds = _class_balanced_dataset(100_000, 5)
         t = build_transition(NoiseSpec(NoiseKind.UNIFORM, 0.4, 5))
         out = corrupt(ds, t, Rng(7))
-        retained = np.mean(out.observed_labels == out.true_labels)
+        retained = np.mean(out.labels == out.true_labels)
         assert abs(retained - 0.68) < 0.01
         assert not np.allclose(retained, 0.6, atol=0.01)
 
     def test_flip2_mass_on_two_columns(self):
         ds = _class_balanced_dataset(100_000, 5)
-        t = build_transition(NoiseSpec(NoiseKind.FLIP2, 0.4, 5, seed=2))
+        spec = NoiseSpec(NoiseKind.FLIP2, 0.4, 5, seed=2)
+        t = build_transition(spec)
         out = corrupt(ds, t, Rng(8))
         for y in range(5):
             mask = out.true_labels == y
-            freq = np.bincount(out.observed_labels[mask], minlength=5) / mask.sum()
+            freq = np.bincount(out.labels[mask], minlength=5) / mask.sum()
             hot = np.argsort(freq)[-3:]
             assert y in hot  # true class plus the two targets carry all mass
             others = np.setdiff1d(np.arange(5), hot)
             assert np.all(freq[others] == 0.0)
-            for target in t.targets[y]:
+            for target in _draw_targets(spec)[y]:
                 assert abs(freq[target] - 0.2) < 0.01
 
     def test_marginals_within_three_standard_errors(self):
@@ -137,7 +140,7 @@ class TestCorrupt:
             for y in range(5):
                 mask = out.true_labels == y
                 n_y = mask.sum()
-                freq = np.bincount(out.observed_labels[mask], minlength=5) / n_y
+                freq = np.bincount(out.labels[mask], minlength=5) / n_y
                 for c in range(5):
                     p = t.probs[y, c]
                     se = np.sqrt(p * (1 - p) / n_y)
@@ -151,13 +154,22 @@ class TestCorrupt:
         t = build_transition(NoiseSpec(NoiseKind.FLIP, 0.3, 5, seed=4))
         a = corrupt(ds, t, Rng(6))
         b = corrupt(ds, t, Rng(6))
-        assert np.array_equal(a.observed_labels, b.observed_labels)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_flags_mark_effective_mislabels(self):
         ds = _class_balanced_dataset(10_000, 3)
         t = build_transition(NoiseSpec(NoiseKind.UNIFORM, 0.5, 3))
         out = corrupt(ds, t, Rng(9))
-        assert np.array_equal(out.is_corrupted, out.observed_labels != out.true_labels)
+        assert np.array_equal(out.is_corrupted, out.labels != out.true_labels)
+        assert 0 < out.is_corrupted.sum() < len(out)
+
+    def test_true_labels_are_the_input_labels_and_features_are_shared(self):
+        ds = _class_balanced_dataset(1000, 5)
+        out = corrupt(ds, build_transition(NoiseSpec(NoiseKind.FLIP2, 0.4, 5, seed=3)), Rng(2))
+        assert np.array_equal(out.true_labels, ds.labels)
+        assert not np.array_equal(out.labels, ds.labels)
+        assert out.features is ds.features
+        assert ds.true_labels is None
 
 
 class TestMajorityFeasibility:
