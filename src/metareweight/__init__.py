@@ -11,19 +11,13 @@ meta loss (mean absolute error) the weighting network can be driven by
 __version__ = "0.1.0"
 
 from .numkit import Rng
-from .losses import LossKind, symmetry_sum
-from .noise import NoiseKind, NoiseSpec, TransitionMatrix, build_transition, corrupt
-from .nets import ClassifierNet, WeightNet
-from .bilevel import TrainConfig, Variant, BilevelState, train
-from .data import BlobSpec, SplitBundle, make_blobs, standardize
-from .metrics import accuracy, auc_noisy_detection
+from .noise import NoiseKind, NoiseSpec, build_transition, corrupt
+from .bilevel import TrainConfig, Variant, train
+from .data import BlobSpec, make_blobs, standardize
 
 __all__ = [
     "Rng",
-    "LossKind", "symmetry_sum",
-    "NoiseKind", "NoiseSpec", "TransitionMatrix", "build_transition", "corrupt",
-    "ClassifierNet", "WeightNet",
-    "TrainConfig", "Variant", "BilevelState", "train",
-    "BlobSpec", "SplitBundle", "make_blobs", "standardize",
-    "accuracy", "auc_noisy_detection",
+    "NoiseKind", "NoiseSpec", "build_transition", "corrupt",
+    "TrainConfig", "Variant", "train",
+    "BlobSpec", "make_blobs", "standardize",
 ]

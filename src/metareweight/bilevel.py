@@ -160,7 +160,7 @@ def train_forward_backward(state: BilevelState, train_batch: Batch):
     _require_nonempty(train_batch, "train")
     losses, grads = state.classifier.losses_and_grads_batch(
         state.params, train_batch.features, train_batch.labels, LossKind.CE)
-    return as_vec(losses, "classifier train-loss vector", stacked=True), grads
+    return as_vec(losses, "classifier train-loss vector"), grads
 
 
 def virtual_step(state: BilevelState, weights: np.ndarray, grads: Grads,
@@ -202,7 +202,7 @@ def theta_gradient(grads: Grads, g_meta: np.ndarray, theta_grads: Grads,
 
 
 def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
-                 weight_decay: float = 0.0) -> None:
+                 weight_decay: float) -> None:
     """Plain SGD with weight decay on the weighting parameters (no momentum)."""
     theta = state.theta
     if theta_grad.shape != theta.shape:
@@ -212,8 +212,7 @@ def theta_update(state: BilevelState, theta_grad: np.ndarray, beta: float,
 
 
 def classifier_update(state: BilevelState, losses: np.ndarray, grads: Grads,
-                      alpha: float, momentum: float = 0.0,
-                      weight_decay: float = 0.0) -> None:
+                      alpha: float, momentum: float, weight_decay: float) -> None:
     """Real classifier step with the current (updated) weighting parameters.
 
     v <- momentum*v + (mean_i weight_i*grad_i + weight_decay*w);

@@ -115,9 +115,9 @@ def run_single(cfg: ExperimentConfig, variant: Variant, kind: NoiseKind,
 
 def _run_seed(args):
     """Every run of one seed index, trained in lockstep: ``(reports, None)``
-    with the reports in job order, or ``(None, (job key, error))`` for the
-    first run in job order that fails.  The job key orders (variant, cell,
-    seed index) as the grid lists its jobs.
+    with one report per entry of ``runs``, or ``(None, (job key, error))``
+    for the first run of ``runs`` that fails.  The job key (run index, seed
+    index) orders the grid's jobs.
 
     Runs with the same meta loss, train labels and meta labels are one
     computation (at rate 0, noisy-ce is clean-ce and every noise kind is
@@ -127,9 +127,7 @@ def _run_seed(args):
     up to the first that fails; when none fails alone (the stack alone
     failed, e.g. out of memory), their reports are the result.  Any other
     exception is a bug and propagates."""
-    cfg, cells, seed_index = args
-    runs = [(variant, kind, rate, ci) for variant in cfg.variants
-            for ci, (kind, rate) in enumerate(cells)]
+    cfg, runs, seed_index = args
     test, splits = _splits(cfg, seed_index, runs)
     seed = _stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed
     keys = [(run[0].meta_loss, train_split.labels.tobytes(), meta_split.labels.tobytes())
@@ -146,23 +144,26 @@ def _run_seed(args):
             [solo[i]] = train([runs[i][0]], [splits[i][0]], [splits[i][1]], test, cfg.train,
                               seed=seed)
         except (ValueError, MemoryError) as exc:
-            error, (variant, kind, rate, ci) = exc, runs[i]
+            error, (variant, kind, rate, _) = exc, runs[i]
             break
     else:
         return [solo[i] for i in firsts], None
-    return None, ((cfg.variants.index(variant), ci, seed_index), RuntimeError(
+    return None, ((i, seed_index), RuntimeError(
         f"run failed for variant={variant.value}, "
         f"noise={kind.value}@{rate}, seed={seed_index}: {error}"))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
     """Execute the full grid, aggregate over seeds, and write CSV reports.
-    One job per seed index trains its distinct runs in lockstep."""
+    One job per seed index trains its distinct runs in lockstep; ``runs``
+    lists a seed index's runs variant by variant, then cell by cell."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)  # before training: a bad path fails fast
     cells = [(kind, rate) for kind in cfg.noise_kinds for rate in cfg.noise_rates]
-    jobs = [(cfg, cells, si) for si in range(cfg.num_seeds)]
+    runs = [(variant, kind, rate, ci) for variant in cfg.variants
+            for ci, (kind, rate) in enumerate(cells)]
+    jobs = [(cfg, runs, si) for si in range(cfg.num_seeds)]
 
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -174,20 +175,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
         raise min(failures, key=lambda f: f[0])[1]
 
     table = ResultTable()
-    for vi, variant in enumerate(cfg.variants):
-        for ci, (kind, rate) in enumerate(cells):
-            reports = [seed_reports[vi * len(cells) + ci] for seed_reports, _ in outcomes]
-            for si, rep in enumerate(reports):
-                name = f"{variant.value}_{kind.value}_{rate_label(rate)}_{si}.csv"
-                rep.save_csv(runs_dir / name)
-            accs = np.array([r.final_accuracy for r in reports])
-            best = np.array([r.best_auc for r in reports])
-            final = np.array([r.final_auc for r in reports])
-            table.rows.append(ResultRow(
-                variant, kind, rate, cfg.num_seeds,
-                float(accs.mean()), float(accs.std()),
-                float(best.mean()), float(best.std()),
-                float(final.mean()), float(final.std())))
+    for ri, (variant, kind, rate, _) in enumerate(runs):
+        reports = [seed_reports[ri] for seed_reports, _ in outcomes]
+        for si, rep in enumerate(reports):
+            rep.save_csv(runs_dir / f"{variant.value}_{kind.value}_{rate_label(rate)}_{si}.csv")
+        accs = np.array([r.final_accuracy for r in reports])
+        best = np.array([r.best_auc for r in reports])
+        final = np.array([r.final_auc for r in reports])
+        table.rows.append(ResultRow(
+            variant, kind, rate, cfg.num_seeds,
+            float(accs.mean()), float(accs.std()),
+            float(best.mean()), float(best.std()),
+            float(final.mean()), float(final.std())))
 
     (out / "results.csv").write_text(table.to_csv())
     (out / "config_resolved.cfg").write_text(serialize_config(cfg))
@@ -267,6 +266,15 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """Type of the ``--seed`` options: an integer seed that ``Rng`` takes."""
+    try:
+        return Rng(int(text)).seed
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**64), got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metareweight",
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the theory verification suite")
-    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_VERIFY_SEED)
+    p_verify.add_argument("--seed", type=_seed, default=verify.DEFAULT_VERIFY_SEED)
     p_verify.add_argument("--csv", help="also write property results to this CSV")
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -288,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=[k.value for k in NoiseKind])
     p_noise.add_argument("--rate", type=float, required=True)
     p_noise.add_argument("--classes", type=int, required=True)
-    p_noise.add_argument("--seed", type=int, default=0)
+    p_noise.add_argument("--seed", type=_seed, default=0)
     p_noise.add_argument("--out", help="output file (default: stdout)")
     p_noise.set_defaults(func=_cmd_noise_matrix)
 
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n-test", type=int, default=BlobSpec.n_test)
     p_gen.add_argument("--separation", type=float, default=BlobSpec.separation)
     p_gen.add_argument("--cluster-std", type=float, default=BlobSpec.cluster_std)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--standardize", action="store_true")
     p_gen.add_argument("--noise-kind", choices=[k.value for k in NoiseKind])
     p_gen.add_argument("--noise-rate", type=float, default=0.0)

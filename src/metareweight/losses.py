@@ -30,10 +30,7 @@ class LossKind(Enum):
 def as_prob_rows(u, name: str = "probs") -> np.ndarray:
     """Probability vectors as an (N, K) array; a 1-D input is one row.
     Every row must be nonempty, lie in [0, 1] and sum to 1."""
-    v = np.asarray(u, dtype=np.float64)
-    if v.ndim not in (1, 2):
-        raise ValueError(f"{name} must be 1-D or 2-D, got shape {v.shape}")
-    rows = np.atleast_2d(as_vec(v.ravel(), name).reshape(v.shape))
+    rows = np.atleast_2d(as_vec(u, name))
     if rows.shape[1] == 0:
         raise ValueError(f"{name} must be nonempty")
     if np.any(rows < -1e-12) or np.any(rows > 1.0 + 1e-12):

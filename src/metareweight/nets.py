@@ -154,14 +154,14 @@ class _Mlp:
         """He-normal weights drawn layer by layer from the input, zero biases."""
         params = np.zeros(self.num_params)
         for w, _ in self._layers(params):
-            w[:] = rng.gaussians(w.size, 0.0, np.sqrt(2.0 / w.shape[1])).reshape(w.shape)
+            w[:] = rng.gaussians(w.size, np.sqrt(2.0 / w.shape[1])).reshape(w.shape)
         return params
 
     def set_flat(self, flat, name: str = "params") -> np.ndarray:
         """``flat`` checked as a parameter vector of this net, or a stack of
         them: float64 with ``num_params`` finite entries per row.  The error
         names ``name``."""
-        v = as_vec(flat, name, stacked=True)
+        v = as_vec(flat, name)
         if v.shape[-1] != self.num_params:
             raise ValueError(f"{name} must have {self.num_params} entries, got {v.shape[-1]}")
         return v
@@ -288,7 +288,7 @@ class WeightNet(_Mlp):
         return theta
 
     def _inputs(self, loss_values) -> np.ndarray:
-        return as_vec(loss_values, "loss values", stacked=True)[..., None]
+        return as_vec(loss_values, "loss values")[..., None]
 
     def forward_batch(self, theta, loss_values) -> np.ndarray:
         """Weights ``(n,)``, or ``(T, n)`` for a ``(T, num_params)`` stack."""

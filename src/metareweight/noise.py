@@ -78,18 +78,19 @@ class TransitionMatrix:
 
 
 def _draw_targets(spec: NoiseSpec) -> np.ndarray:
-    """Per-class corruption targets, one draw per class from the spec seed."""
+    """Per-class corruption targets as a (K, m) array, m = 1 for flip and 2
+    for flip2, from one draw of K*m integers from the spec seed: row y's
+    j-th integer, taken modulo K-1-j, picks among the other classes not yet
+    picked, in increasing order."""
+    k, m = spec.num_classes, 1 if spec.kind is NoiseKind.FLIP else 2
     rng = Rng(spec.seed).spawn(_TARGET_STREAM)
-    k = spec.num_classes
-    n_targets = 1 if spec.kind is NoiseKind.FLIP else 2
-    targets = np.empty((k, n_targets), dtype=np.int64)
-    for y in range(k):
-        others = [c for c in range(k) if c != y]
-        first = others.pop(rng.randint(len(others)))
-        targets[y, 0] = first
-        if n_targets == 2:
-            targets[y, 1] = others[rng.randint(len(others))]
-    return targets[:, 0] if n_targets == 1 else targets
+    picks = rng.next_u64s(k * m).reshape(k, m) % (np.uint64(k - 1) - np.arange(m, dtype=np.uint64))
+    pool = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
+    targets = np.empty((k, m), dtype=np.int64)
+    for j in range(m):
+        targets[:, j] = pool[np.arange(k), picks[:, j]]
+        pool = pool[pool != targets[:, j, None]].reshape(k, -1)
+    return targets
 
 
 def build_transition(spec: NoiseSpec) -> TransitionMatrix:
@@ -101,11 +102,7 @@ def build_transition(spec: NoiseSpec) -> TransitionMatrix:
     targets = _draw_targets(spec)
     p = np.zeros((k, k))
     np.fill_diagonal(p, 1.0 - eta)
-    if spec.kind is NoiseKind.FLIP:
-        p[np.arange(k), targets] += eta
-    else:
-        p[np.arange(k), targets[:, 0]] += eta / 2.0
-        p[np.arange(k), targets[:, 1]] += eta / 2.0
+    p[np.arange(k)[:, None], targets] += eta / targets.shape[1]
     return TransitionMatrix(k, p)
 
 

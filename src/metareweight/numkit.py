@@ -1,8 +1,8 @@
 """Vector validation and a portable counter-based PRNG.
 
-Vectors are 1-D float64 numpy arrays.  ``as_vec`` validates shape and
-finiteness once at the boundary so the numerical code can assume
-well-formed arrays.
+Vectors are float64 numpy arrays, 1-D or a 2-D stack of them (one per
+row).  ``as_vec`` validates shape and finiteness once at the boundary so
+the numerical code can assume well-formed arrays.
 
 Randomness comes from an in-repo SplitMix64 generator rather than the
 platform default: the stream is a pure function of a 64-bit seed and a
@@ -18,13 +18,11 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
 _SPAWN_SALT = 0x5851F42D4C957F2D
 
 _GAMMA_U64 = np.uint64(_GAMMA)
-_MUL1_U64 = np.uint64(_MUL1)
-_MUL2_U64 = np.uint64(_MUL2)
+_MUL1_U64 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2_U64 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
@@ -34,19 +32,8 @@ _INV_2_53 = 1.0 / float(1 << 53)
 _GAUSSIAN_CHUNK = 1 << 14  # normals per chunk, from 2**15 uniforms
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer."""
-    z &= _MASK
-    z ^= z >> 30
-    z = (z * _MUL1) & _MASK
-    z ^= z >> 27
-    z = (z * _MUL2) & _MASK
-    z ^= z >> 31
-    return z
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 multiplication wraps mod 2^64, matching the scalar path.
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array (multiplication wraps mod 2^64)."""
     z = z ^ (z >> _S30)
     z = z * _MUL1_U64
     z = z ^ (z >> _S27)
@@ -54,17 +41,26 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
+def _u64(value: int, name: str) -> np.ndarray:
+    """``value`` as a one-element uint64 array; it must lie in [0, 2**64)."""
+    v = int(value)
+    if not 0 <= v <= _MASK:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return np.array([v], dtype=np.uint64)
+
+
 class Rng:
     """Deterministic SplitMix64 stream.
 
-    Output k of seed s is ``mix64(s + (k+1)*GAMMA mod 2^64)``; scalar and
-    bulk draws advance the same counter and produce identical streams.
+    Output k of seed s is ``_mix64(s + (k+1)*GAMMA mod 2^64)``.  Every draw
+    is a bulk draw: it takes the next ``size`` outputs and advances the
+    counter by ``size``, so draws in pieces give the stream of one draw.
     """
 
     __slots__ = ("_seed", "_state")
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK
+        self._seed = int(_u64(seed, "seed")[0])
         self._state = self._seed
 
     @property
@@ -77,51 +73,38 @@ class Rng:
         Derivation uses only the parent's seed, never its position, so the
         same (seed, stream_id) pair always names the same stream.
         """
-        child = mix64(self._seed ^ mix64((int(stream_id) & _MASK) ^ _SPAWN_SALT))
-        return Rng(child)
+        salted = _u64(stream_id, "stream id") ^ np.uint64(_SPAWN_SALT)
+        return Rng(int(_mix64(_u64(self._seed, "seed") ^ _mix64(salted))[0]))
 
-    # -- raw 64-bit draws ------------------------------------------------
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return mix64(self._state)
+    # -- draws ----------------------------------------------------------------
 
     def next_u64s(self, size: int) -> np.ndarray:
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
         ks = np.arange(1, size + 1, dtype=np.uint64)
-        out = _mix64_array(np.uint64(self._state) + _GAMMA_U64 * ks)
+        out = _mix64(np.uint64(self._state) + _GAMMA_U64 * ks)
         self._state = (self._state + size * _GAMMA) & _MASK
         return out
 
-    # -- uniforms ---------------------------------------------------------
+    def uniforms(self, size: int) -> np.ndarray:
+        """Doubles in [0, 1): the top 53 bits of each output."""
+        return (self.next_u64s(size) >> _S11).astype(np.float64) * _INV_2_53
 
-    def uniforms(self, size: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        if not lo < hi:
-            raise ValueError(f"uniform requires lo < hi, got [{lo}, {hi})")
-        u = (self.next_u64s(size) >> _S11).astype(np.float64) * _INV_2_53
-        return lo + (hi - lo) * u
-
-    # -- gaussians ---------------------------------------------------------
-
-    def gaussians(self, size: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """Box-Muller normals, drawn in chunks: the stream of one draw."""
+    def gaussians(self, size: int, std: float = 1.0) -> np.ndarray:
+        """Zero-mean Box-Muller normals, drawn in chunks: the stream of one
+        draw."""
         if std < 0:
             raise ValueError(f"std must be >= 0, got {std}")
         out = np.empty(size)
         for lo in range(0, size, _GAUSSIAN_CHUNK):
             u = self.uniforms(2 * min(_GAUSSIAN_CHUNK, size - lo))
             z = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
-            out[lo:lo + _GAUSSIAN_CHUNK] = mean + std * z
+            out[lo:lo + _GAUSSIAN_CHUNK] = std * z
         return out
-
-    # -- integers and permutations -----------------------------------------
 
     def randint(self, n: int) -> int:
         """Integer in [0, n). Modulo bias is < n/2^64, negligible here."""
-        if n <= 0:
-            raise ValueError(f"randint requires n >= 1, got {n}")
-        return self.next_u64() % n
+        return int(self.randints(1, n)[0])
 
     def randints(self, size: int, n: int) -> np.ndarray:
         if n <= 0:
@@ -153,12 +136,12 @@ def check_fields(obj, names, ok, rule: str) -> None:
             raise FieldError(name, f"{name} must {rule}, got {value}")
 
 
-def as_vec(x, name: str = "vector", stacked: bool = False) -> np.ndarray:
-    """``x`` as a finite float64 vector; with ``stacked``, a 2-D stack of
-    vectors (one per row) is also accepted."""
+def as_vec(x, name: str = "vector") -> np.ndarray:
+    """``x`` as a finite float64 vector, or a 2-D stack of them (one per
+    row)."""
     v = np.asarray(x, dtype=np.float64)
-    if not (v.ndim == 1 or stacked and v.ndim == 2):
-        raise ValueError(f"{name} must be 1-D{' or 2-D' if stacked else ''}, got shape {v.shape}")
+    if v.ndim not in (1, 2):
+        raise ValueError(f"{name} must be 1-D or 2-D, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v

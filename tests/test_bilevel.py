@@ -27,7 +27,7 @@ def tiny_state(seed=0, dim=3, k=3, hidden=(5,), wn_hidden=8, randomize_wn=True):
     params = classifier.init_params(rng)
     theta = weightnet.init_params(rng)
     if randomize_wn:
-        theta = rng.gaussians(weightnet.num_params, 0.0, 0.4)
+        theta = rng.gaussians(weightnet.num_params, 0.4)
     return BilevelState(classifier, weightnet, params, theta), rng
 
 
@@ -182,7 +182,7 @@ class TestThetaGradient:
                 continue
             t_grad = theta_gradient(grads, g_meta, theta_grads, 0.1)
             before = weights_of(state, losses)[0]
-            theta_update(state, t_grad, 1e-3)
+            theta_update(state, t_grad, 1e-3, 0.0)
             after = weights_of(state, losses)[0]
             if align > 0:
                 assert after >= before
@@ -222,7 +222,7 @@ class TestThetaGradient:
             kind = LossKind.MAE if i % 2 == 0 else LossKind.CE
             state, tb, mb, analytic = random_hypergrad_instance(rng, kind=kind)
             before = composed_meta_objective(state, tb, mb, 0.1, kind, state.theta)
-            theta_update(state, analytic, 1e-6)
+            theta_update(state, analytic, 1e-6, 0.0)
             after = composed_meta_objective(state, tb, mb, 0.1, kind, state.theta)
             assert after <= before + 1e-12 * max(1.0, abs(before))
 
@@ -249,14 +249,14 @@ class TestThetaUpdate:
     def test_misaligned_gradient_rejected(self):
         state, _ = tiny_state(15)
         with pytest.raises(ValueError):
-            theta_update(state, np.zeros(3), 0.1)
+            theta_update(state, np.zeros(3), 0.1, 0.0)
 
     def test_nonfinite_result_rejected_and_named(self):
         state, _ = tiny_state(15)
         theta = state.theta
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="weighting-net parameter vector contains non-finite"):
-            theta_update(state, np.full(theta.size, 1e300), 1e300)
+            theta_update(state, np.full(theta.size, 1e300), 1e300, 0.0)
         assert state.theta is theta
 
 
@@ -297,7 +297,8 @@ class TestClassifierUpdate:
         state.momentum_buffer = np.full(state.classifier.num_params, 1e300)
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="classifier parameter vector contains non-finite"):
-            classifier_update(state, losses, grads, 1e300, momentum=0.9)
+            classifier_update(state, losses, grads, 1e300, momentum=0.9,
+                              weight_decay=0.0)
         assert state.params is params
 
 
@@ -349,7 +350,7 @@ def step_instances(draw):
     classifier = ClassifierNet([dim, *hidden, k])
     weightnet = WeightNet(hidden=draw(st.integers(1, 10)))
     state = BilevelState(classifier, weightnet, classifier.init_params(rng),
-                         rng.gaussians(weightnet.num_params, 0.0, 0.5))
+                         rng.gaussians(weightnet.num_params, 0.5))
     state.momentum_buffer = rng.gaussians(classifier.num_params)
     return state, tiny_batch(rng, n, dim, k), tiny_batch(rng, m, dim, k), kind, rng
 
@@ -566,9 +567,9 @@ def metric_splits(rng, n, dim=20, k=5):
     split of ``n`` rows, features off the training distribution."""
     labels = rng.randints(n, k)
     observed = np.where(rng.uniforms(n) < 0.3, (labels + 1) % k, labels)
-    train_split = LabeledDataset(rng.gaussians(n * dim, 0.0, 3.0).reshape(n, dim),
+    train_split = LabeledDataset(rng.gaussians(n * dim, 3.0).reshape(n, dim),
                                  observed, k, true_labels=labels)
-    test = LabeledDataset(rng.gaussians(n * dim, 0.0, 3.0).reshape(n, dim),
+    test = LabeledDataset(rng.gaussians(n * dim, 3.0).reshape(n, dim),
                           rng.randints(n, k), k)
     return train_split, test
 
@@ -583,7 +584,7 @@ class TestBlockedMetrics:
         import metareweight.bilevel as b
 
         state, rng = tiny_state(seed=n, dim=20, k=5, hidden=(32, 32), wn_hidden=100)
-        state.theta = rng.gaussians(state.weightnet.num_params, 0.0, 0.5)
+        state.theta = rng.gaussians(state.weightnet.num_params, 0.5)
         train_split, test = metric_splits(rng, n)
         want, want_weights = unblocked_metrics(state, 7, train_split, test)
         scores = []

@@ -340,7 +340,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999])
     def test_seed_outside_64_bits_names_the_line(self, tmp_path, capsys, seed):
-        # Rng keeps a seed's low 64 bits: -1 would name the experiment 2**64 - 1 names
+        # the config check names the line before Rng would reject the seed
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(f"[experiment]\nnum_seeds = 1\nseed = {seed}\n")
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
@@ -348,6 +348,36 @@ class TestCliCommands:
         assert err == [f"config error: {cfg_path}: seed must lie in [0, 2**64), got {seed} "
                        f"(at {cfg_path}:3: seed = {seed})"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "99999999999999999999999", "1.5",
+                                      "seven"])
+    @pytest.mark.parametrize("command", ["verify", "noise-matrix", "gen-data"])
+    def test_seed_option_outside_64_bits_exits_one_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, command, seed):
+        import metareweight.cli as cli_mod
+
+        def never(seed):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli_mod.verify, "run_all", never)
+        out = tmp_path / "out"
+        args = {"verify": ["--csv", str(out)],
+                "noise-matrix": ["--kind", "flip", "--rate", "0.4", "--classes", "5",
+                                 "--out", str(out)],
+                "gen-data": ["--out", str(out)]}[command]
+        assert main([command, *args, f"--seed={seed}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"metareweight {command}: error: argument --seed: must be an integer "
+            f"in [0, 2**64), got {seed!r}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_option_bounds_accepted(self, capsys, seed):
+        assert main(["noise-matrix", "--kind", "flip", "--rate", "0.4", "--classes", "5",
+                     "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "5"
 
     def test_flip2_with_two_classes_names_the_kinds_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

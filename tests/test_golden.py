@@ -4,10 +4,10 @@ other subcommands.
 The grid below covers both noise kinds the paper's experiments use, a clean
 and a noisy rate, all three variants and two seeds.  Every file the run
 writes is compared by sha256 with ``DIGESTS``; ``verify --seed 1 --csv``,
-a noisy ``gen-data`` and ``noise-matrix`` (file and stdout) with the tables
-after it.  All were recorded on the numpy and BLAS build named in
-``RECORDED_WITH``: BLAS kernels round differently from build to build, so a
-mismatch on another build is not by itself a defect.  A change that moves
+a noisy ``gen-data`` and ``noise-matrix`` (flip2 to a file and stdout, flip
+to stdout) with the tables after it.  All were recorded on the numpy and
+BLAS build named in ``RECORDED_WITH``: BLAS kernels round differently from
+build to build, so a mismatch on another build is not by itself a defect.  A change that moves
 numbers on purpose re-records the table and says so.  The run must also
 write the same files with one or two BLAS threads and with one or two
 workers.
@@ -129,6 +129,12 @@ NOISE_MATRIX_DIGESTS = {
     "stdout": "5256bc07800298260fe7541c6c7b44fcf714b19c0a30d9583ae14714cbef1b16",
 }
 
+FLIP_MATRIX_ARGS = ["--kind", "flip", "--rate", "0.3", "--classes", "5", "--seed", "7"]
+
+FLIP_MATRIX_DIGESTS = {
+    "stdout": "5c7eac656ae27659d90134a0474222e758f411b4b1b879de7ba3b65191854fab",
+}
+
 
 def blas_build() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -224,3 +230,8 @@ def test_noise_matrix_matches_its_recorded_digests(tmp_path, capsys):
     assert main(["noise-matrix", *NOISE_MATRIX_ARGS, "--out", str(tmp_path / "matrix.csv")]) == 0
     check_digests({"matrix.csv": (tmp_path / "matrix.csv").read_bytes(), "stdout": stdout},
                   NOISE_MATRIX_DIGESTS)
+
+
+def test_flip_noise_matrix_matches_its_recorded_digest(capsys):
+    assert main(["noise-matrix", *FLIP_MATRIX_ARGS]) == 0
+    check_digests({"stdout": capsys.readouterr().out.encode()}, FLIP_MATRIX_DIGESTS)

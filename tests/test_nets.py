@@ -102,7 +102,7 @@ class TestSoftmaxRows:
         # it, since a NaN probability fails the loss check.
         rng = Rng(seed)
         special = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, -np.nan])
-        z = rng.gaussians(int(np.prod(lead, dtype=int)) * k, 0.0, 100.0).reshape(*lead, k)
+        z = rng.gaussians(int(np.prod(lead, dtype=int)) * k, 100.0).reshape(*lead, k)
         picked = rng.uniforms(z.size).reshape(z.shape) < share
         z[picked] = special[rng.randints(int(picked.sum()), len(special))]
         with np.errstate(all="ignore"):
@@ -244,7 +244,7 @@ class TestFlatParams:
         rng = Rng(21)
         expect = []
         for fan_in, fan_out in ((4, 6), (6, 3)):
-            expect.append(rng.gaussians(fan_out * fan_in, 0.0, np.sqrt(2.0 / fan_in)))
+            expect.append(rng.gaussians(fan_out * fan_in, np.sqrt(2.0 / fan_in)))
             expect.append(np.zeros(fan_out))
         net = ClassifierNet([4, 6, 3])
         assert np.array_equal(net.init_params(Rng(21)), np.concatenate(expect))
@@ -278,7 +278,7 @@ class TestWeightNet:
         for _ in range(100):
             net = WeightNet(hidden=10)
             out = net.forward_batch(rng.gaussians(net.num_params),
-                                    rng.uniforms(10, 0.0, 8.0))
+                                    8.0 * rng.uniforms(10))
             assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_hand_composed_single_unit(self):
@@ -299,8 +299,8 @@ class TestWeightNet:
         rng = Rng(6)
         for _ in range(50):
             net = WeightNet(hidden=8)
-            theta = rng.gaussians(net.num_params, 0.0, 0.5)
-            val = rng.uniforms(1, 0.0, 5.0)[0]
+            theta = rng.gaussians(net.num_params, 0.5)
+            val = 5.0 * rng.uniforms(1)[0]
             g = weight_grad_one(net, theta, val)
             fd = fd_grad(lambda p, net=net, val=val: weight_one(net, p, val), theta)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
@@ -377,18 +377,18 @@ class TestWeightNetOracle:
         for _ in range(200):
             net = WeightNet(hidden=1 + rng.randint(120))
             n = 1 + rng.randint(200)
-            self.check(net, rng.gaussians(net.num_params, 0.0, 2.0),
-                       rng.uniforms(n, 0.0, 8.0))
+            self.check(net, rng.gaussians(net.num_params, 2.0),
+                       8.0 * rng.uniforms(n))
 
     def test_dead_units_and_zero_output_layer(self):
         rng = Rng(32)
         for hidden in (1, 2, 5, 100):
             net = WeightNet(hidden=hidden)
             theta = net.init_params(rng)        # zero output layer
-            self.check(net, theta, rng.uniforms(9, 0.0, 5.0))
+            self.check(net, theta, 5.0 * rng.uniforms(9))
             theta[:hidden] = -np.abs(theta[:hidden])   # every unit dead for v > 0
             theta[2 * hidden:] = rng.gaussians(hidden + 1)
-            self.check(net, theta, np.concatenate([[0.0], rng.uniforms(9, 0.0, 5.0)]))
+            self.check(net, theta, np.concatenate([[0.0], 5.0 * rng.uniforms(9)]))
 
 
 class TestParameterStack:
@@ -421,8 +421,8 @@ class TestParameterStack:
     def test_weightnet_rows_equal_single_vector_calls(self, seed, hidden, n, t):
         rng = Rng(seed)
         net = WeightNet(hidden=hidden)
-        stack = rng.gaussians(t * net.num_params, 0.0, 2.0).reshape(t, net.num_params)
-        v = rng.uniforms(n, 0.0, 8.0)
+        stack = rng.gaussians(t * net.num_params, 2.0).reshape(t, net.num_params)
+        v = 8.0 * rng.uniforms(n)
         weights = net.forward_batch(stack, v)
         assert weights.shape == (t, n)
         for row, theta in enumerate(stack):
@@ -441,11 +441,11 @@ class TestParameterStack:
         rng = Rng(seed)
         net, wn = ClassifierNet([dim, *hidden, classes]), WeightNet(hidden=wn_hidden)
         stack = rng.gaussians(t * net.num_params).reshape(t, net.num_params)
-        theta = rng.gaussians(t * wn.num_params, 0.0, 2.0).reshape(t, wn.num_params)
+        theta = rng.gaussians(t * wn.num_params, 2.0).reshape(t, wn.num_params)
         x = rng.gaussians(n * dim).reshape(n, dim)
         labels = rng.randints(t * n, classes).reshape(t, n)
         kinds = [list(LossKind)[i] for i in rng.randints(t, 2)]
-        values = rng.uniforms(t * n, 0.0, 8.0).reshape(t, n)
+        values = 8.0 * rng.uniforms(t * n).reshape(t, n)
         c, g = rng.gaussians(t * n).reshape(t, n), rng.gaussians(t * net.num_params)
         g = g.reshape(t, net.num_params)
         if shared:
@@ -630,7 +630,7 @@ class TestOuterProducts:
         theta = np.stack([net.init_params(rng) if zero_output
                           else rng.gaussians(net.num_params) for _ in range(t or 1)])
         theta = theta[0] if t is None else theta
-        v = rng.uniforms(n, 0.0, 8.0)
+        v = 8.0 * rng.uniforms(n)
         v[rng.randints(1 + n // 3, n)] = 0.0  # losses of exactly 0
         layers = net._layers(theta)
         acts, zs = stored_z_forward(layers, v[:, None])

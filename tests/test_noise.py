@@ -76,6 +76,23 @@ class TestBuildTransition:
         assert np.array_equal(build_transition(a).probs, build_transition(b).probs)
         assert not np.array_equal(build_transition(a).probs, build_transition(c).probs)
 
+    @pytest.mark.parametrize("kind", [NoiseKind.FLIP, NoiseKind.FLIP2])
+    @pytest.mark.parametrize("k", range(3, 12))
+    def test_targets_are_the_sequential_draws(self, kind, k):
+        # one bulk draw reduced per column must pick what one randint per
+        # pick, class by class, picked from the shrinking list of others
+        for seed in (0, 1, 12345, 2**63, 2**64 - 1):
+            spec = NoiseSpec(kind, 0.3, k, seed=seed)
+            rng = Rng(seed).spawn(0x7A17)
+            want = []
+            for y in range(k):
+                others = [c for c in range(k) if c != y]
+                row = [others.pop(rng.randint(len(others)))]
+                if kind is NoiseKind.FLIP2:
+                    row.append(others[rng.randint(len(others))])
+                want.append(row)
+            assert _draw_targets(spec).tolist() == want
+
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             TransitionMatrix(2, np.array([[0.5, 0.4], [0.0, 1.0]]))
