@@ -8,8 +8,8 @@ Two networks drive the whole package:
   kept factored.  The bilevel step needs those gradients only through a
   weighted sum (virtual and real updates) and through their inner products
   with the meta-gradient, both backprop contractions on that form;
-  ``SampleGrads.matrix()`` builds the ``(n, num_params)`` matrix for the
-  verification oracles.
+  ``SampleGrads.matrix()`` builds the ``(n, num_params)`` matrix, or the
+  ``(T, n, num_params)`` matrices of a stack, for the verification oracles.
 
 * ``WeightNet`` -- the weighting network: one scalar in (a sample's loss),
   one hidden rectifier layer, logistic output in (0, 1).  Its output is the
@@ -31,12 +31,13 @@ it replaces and without BLAS's slow path for that shape.
 
 Leading parameter axis: every method, and ``set_flat``, also takes a
 ``(T, num_params)`` stack of parameter vectors and returns ``(T, n, ...)``
-in place of ``(n, ...)``.  The classifier's features are one ``(n, d)``
-batch shared by every row; labels and the weighting net's loss values are
-either shared, ``(n,)``, or paired with the rows, ``(T, n)``; a loss kind
-is one ``LossKind`` or one per row.  ``SampleGrads`` of a stack carries the
-axis through its contractions.  Row t equals the call at ``params[t]``
-(with row t of the paired inputs) bit for bit.
+in place of ``(n, ...)``.  The classifier's features, labels and the
+weighting net's loss values are either shared by every row (features
+``(n, d)``, the others ``(n,)``) or paired with the rows (``(T, n, d)``
+features, ``(T, n)`` for the others); a loss kind is one ``LossKind`` or
+one per row.  ``SampleGrads`` of a stack carries the axis through its
+contractions.  Row t equals the call at ``params[t]`` (with row t of the
+paired inputs) bit for bit.
 
 Flat parameter layout (both networks): layers in input-to-output order,
 each layer contributing W.ravel() (row-major, shape out x in) followed by
@@ -91,9 +92,9 @@ class SampleGrads:
 
     so the step never builds it.  Gradients of a ``(T, P)`` stack take
     ``(T, n)`` coefficients and ``(T, P)`` vectors, one per row; a 1-D
-    ``c`` or ``g`` is shared by the rows.  ``matrix()`` builds the matrix
-    of a single vector's gradients, for the verification oracles, which
-    keep their own arithmetic on the rows.
+    ``c`` or ``g`` is shared by the rows.  ``matrix()`` builds the matrix,
+    ``(T, n, num_params)`` for a stack, for the verification oracles,
+    which keep their own arithmetic on the rows.
     """
 
     __array_ufunc__ = None  # makes ``ndarray @ grads`` call ``__rmatmul__``
@@ -110,12 +111,18 @@ class SampleGrads:
         return sum(a.nbytes + d.nbytes for a, d in zip(self.inputs, self.deltas))
 
     def matrix(self) -> np.ndarray:
-        """The ``(n, num_params)`` per-sample gradient matrix."""
-        grads = np.empty((len(self), self.net.num_params))
+        """The ``(n, num_params)`` per-sample gradient matrix; a stack's
+        ``(T, n, num_params)`` matrices, filled as one ``(T n, num_params)``
+        matrix."""
+        lead = self.deltas[0].shape[:-1]
+        grads = np.empty(lead + (self.net.num_params,))
         # ``_layers`` returns views, so each layer's blocks fill in place.
-        for (w, b), a, d in zip(self.net._layers(grads),
+        for (w, b), a, d in zip(self.net._layers(grads.reshape(-1, self.net.num_params)),
                                 self.inputs, self.deltas):
-            np.einsum("no,ni->noi", d, a, out=w)
+            if a.ndim < d.ndim:  # one input batch shared by a stack's rows
+                a = np.broadcast_to(a, lead + a.shape[-1:])
+            d = d.reshape(-1, d.shape[-1])
+            np.einsum("no,ni->noi", d, a.reshape(-1, a.shape[-1]), out=w)
             b[:] = d
         return grads
 
@@ -140,8 +147,10 @@ class SampleGrads:
 
 class _Mlp:
     """Rectifier MLP with a linear last layer: layout, forward, backward.
-    Subclasses define ``_inputs``, the validated ``(n, layer_sizes[0])``
-    input matrix of a batch."""
+    Subclasses define ``_inputs(x, params)``, the validated
+    ``(n, layer_sizes[0])`` input matrix of a batch, or
+    ``(T, n, layer_sizes[0])`` inputs of a ``(T, num_params)`` stack's
+    rows."""
 
     def __init__(self, layer_sizes):
         self.layer_sizes = [int(s) for s in layer_sizes]
@@ -211,11 +220,15 @@ class _Mlp:
 
     def hidden_preactivations(self, params, x) -> np.ndarray:
         """All rectifier pre-activations for a batch, flattened (kink check),
-        each rebuilt from its layer's input as ``_forward`` computes it."""
+        each rebuilt from its layer's input as ``_forward`` computes it; a
+        ``(T, num_params)`` stack gives one flattened row per vector."""
         layers = self._layers(params)
-        inputs = self._forward(layers, self._inputs(x))[:-2]
-        return np.concatenate([np.empty(0)] + [(_matmul(a, w.T) + b).ravel()
-                                               for a, (w, b) in zip(inputs, layers)])
+        inputs = self._forward(layers, self._inputs(x, params))[:-2]
+        lead = np.shape(params)[:-1]
+        return np.concatenate(
+            [np.empty(lead + (0,))]
+            + [(_matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]).reshape(*lead, -1)
+               for a, (w, b) in zip(inputs, layers)], axis=-1)
 
 
 class ClassifierNet(_Mlp):
@@ -229,18 +242,22 @@ class ClassifierNet(_Mlp):
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
 
-    def _inputs(self, x) -> np.ndarray:
+    def _inputs(self, x, params) -> np.ndarray:
+        """Features shared by every parameter vector, ``(n, d)``, or one
+        batch per row of a ``(T, num_params)`` stack, ``(T, n, d)``."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(
-                f"expected feature batch of shape (n, {self.input_dim}), got {x.shape}"
-            )
-        return x
+        if x.shape[-1:] == (self.input_dim,) and (
+                x.ndim == 2 or (x.ndim == 3 and np.shape(params)[:-1] == x.shape[:1])):
+            return x
+        raise ValueError(
+            f"features must have shape (n, d) or, with a (T, num_params) parameter "
+            f"stack, (T, n, d), where d = {self.input_dim} and num_params = "
+            f"{self.num_params}; got features {x.shape} and parameters {np.shape(params)}")
 
     def forward_batch(self, params, x) -> np.ndarray:
         """Softmax probabilities at ``params``, one row per sample:
         ``(n, K)``, or ``(T, n, K)`` for a ``(T, num_params)`` stack."""
-        acts = self._forward(self._layers(params), self._inputs(x))
+        acts = self._forward(self._layers(params), self._inputs(x, params))
         return _softmax_rows(acts[-1])
 
     def predict_batch(self, params, x) -> np.ndarray:
@@ -257,7 +274,7 @@ class ClassifierNet(_Mlp):
         losses."""
         layers = self._layers(params)
         labels = np.asarray(labels, dtype=np.int64)
-        acts = self._forward(layers, self._inputs(x))
+        acts = self._forward(layers, self._inputs(x, params))
         probs = _softmax_rows(acts[-1])
         losses = loss_values_batch(kind, labels, probs)  # checks the labels
         return losses, self._backward(layers, acts, grad_logits_batch(kind, labels, probs))
@@ -287,12 +304,12 @@ class WeightNet(_Mlp):
         w2[:] = 0.0
         return theta
 
-    def _inputs(self, loss_values) -> np.ndarray:
+    def _inputs(self, loss_values, theta) -> np.ndarray:
         return as_vec(loss_values, "loss values")[..., None]
 
     def forward_batch(self, theta, loss_values) -> np.ndarray:
         """Weights ``(n,)``, or ``(T, n)`` for a ``(T, num_params)`` stack."""
-        acts = self._forward(self._layers(theta), self._inputs(loss_values))
+        acts = self._forward(self._layers(theta), self._inputs(loss_values, theta))
         return np.clip(_logistic(acts[-1][..., 0]), self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP)
 
     def forward_and_grads_batch(self, theta, loss_values):
@@ -301,7 +318,7 @@ class WeightNet(_Mlp):
         constant: these are gradients with respect to the weighting
         network's own parameters only."""
         layers = self._layers(theta)
-        acts = self._forward(layers, self._inputs(loss_values))
+        acts = self._forward(layers, self._inputs(loss_values, theta))
         out = _logistic(acts[-1])
         grads = self._backward(layers, acts, out * (1.0 - out))
         return np.clip(out[..., 0], self._OUTPUT_CLIP, 1.0 - self._OUTPUT_CLIP), grads

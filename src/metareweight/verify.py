@@ -9,7 +9,9 @@ the training-path code:
   when the meta loss is symmetric (MAE).  Cross-entropy breaks this.
 * Under flip noise with a fixed per-class target map the equality fails,
   but averaging the expectation over every admissible target map restores
-  proportionality to the clean gradient.
+  proportionality to the clean gradient.  Under a fixed two-target map,
+  whose T is not symmetric, the expectation equals the per-sample sum over
+  the map.
 * The variance of corrupted meta minibatch gradients is bounded by the
   clean minibatch variance plus 2*eta*rho^2/m, with rho a bound on
   per-sample gradient norms.
@@ -20,8 +22,12 @@ the training-path code:
 The oracles run as batched numpy passes, not Python loops: every label of
 every sample goes through one backward pass, a finite-difference sweep
 evaluates all its perturbed parameter vectors as one stack (the nets'
-leading parameter axis), and the variance bound enumerates every
-(sample, observed label) cell with its probability.  Every expectation
+leading parameter axis), the uniform-expectation property checks each
+(K, eta) cell's random instances as one stack (the classifier takes one
+feature batch per parameter vector), and the variance bound enumerates
+every (sample, observed label) cell with its probability.  A stack's
+per-instance arithmetic after the backward passes runs row by row, so
+each residual has the bits of its instance checked alone.  Every expectation
 over corrupted labels is ``expected_gradient`` of the noise's transition
 matrix T over those per-label gradients.  Only the Monte-Carlo
 convergence property samples: its sampled means are products of a
@@ -57,19 +63,22 @@ CORRUPTION_FAMILY_ALPHA = 1e-4
 def per_label_gradients(classifier: ClassifierNet, params: np.ndarray,
                         features: np.ndarray, kind: LossKind) -> np.ndarray:
     """Gradients for every (sample, label) pair at ``params``: (n, K, P),
-    from one backward pass over each sample repeated once per label."""
-    n = features.shape[0]
+    from one backward pass over each sample repeated once per label; a
+    (T, P) stack with (T, n, d) features gives (T, n, K, P)."""
+    n = features.shape[-2]
     k = classifier.num_classes
     _, grads = classifier.losses_and_grads_batch(
-        params, np.repeat(features, k, axis=0), np.tile(np.arange(k), n), kind)
-    return grads.matrix().reshape(n, k, classifier.num_params)
+        params, np.repeat(features, k, axis=-2), np.tile(np.arange(k), n), kind)
+    g = grads.matrix()
+    return g.reshape(*g.shape[:-2], n, k, classifier.num_params)
 
 
 def clean_mean_gradient(classifier: ClassifierNet, params: np.ndarray,
                         features: np.ndarray, labels: np.ndarray,
                         kind: LossKind) -> np.ndarray:
+    """Mean gradient over the batch: (P,), or (T, P) for a stack."""
     _, grads = classifier.losses_and_grads_batch(params, features, labels, kind)
-    return grads.matrix().mean(axis=0)
+    return grads.matrix().mean(axis=-2)
 
 
 def uniform_transition(num_classes: int, eta: float) -> np.ndarray:
@@ -82,13 +91,16 @@ def uniform_transition(num_classes: int, eta: float) -> np.ndarray:
 
 
 def flip_transition(targets: np.ndarray, eta: float) -> np.ndarray:
-    """T = (1 - eta) I + eta P, with P sending class y to ``targets[y]``."""
+    """T = (1 - eta) I + eta P, with P sending class y to ``targets[y]``;
+    a (K, m) map sends it to each of the m classes in row y with an equal
+    share."""
     targets = np.asarray(targets, dtype=np.int64)
-    k = targets.size
-    if np.any(targets == np.arange(k)):
+    k = targets.shape[0]
+    targets = targets.reshape(k, -1)
+    if np.any(targets == np.arange(k)[:, None]):
         raise ValueError("flip target map must move every class")
     transition = (1.0 - eta) * np.eye(k)
-    transition[np.arange(k), targets] = eta
+    np.add.at(transition, (np.arange(k)[:, None], targets), eta / targets.shape[1])
     return transition
 
 
@@ -111,15 +123,23 @@ def all_flip_maps(num_classes: int):
 
 def equivalence_report(classifier: ClassifierNet, params: np.ndarray,
                        features: np.ndarray, clean_labels: np.ndarray,
-                       eta: float, kind: LossKind) -> float:
+                       eta: float, kind: LossKind):
     """|| E[noisy grad] - (1-eta) * clean grad || relative to || clean grad ||
-    under uniform noise at rate ``eta``."""
+    under uniform noise at rate ``eta``.  A float for a (P,) vector; a (T,)
+    array for a (T, P) stack of instances with (T, n, d) features and
+    (T, n) labels, from one clean and one per-label pass, each instance's
+    residual computed as its own call computes it."""
     labels = np.asarray(clean_labels, dtype=np.int64)
     clean = clean_mean_gradient(classifier, params, features, labels, kind)
-    expected = expected_gradient(per_label_gradients(classifier, params, features, kind),
-                                 labels, uniform_transition(classifier.num_classes, eta))
-    residual = float(np.linalg.norm(expected - (1.0 - eta) * clean))
-    return residual / max(float(np.linalg.norm(clean)), 1e-12)
+    g_all = per_label_gradients(classifier, params, features, kind)
+    transition = uniform_transition(classifier.num_classes, eta)
+    n, k, p = g_all.shape[-3:]
+    labels = np.broadcast_to(labels, clean.shape[:-1] + (n,))
+    residuals = []
+    for g, c, y in zip(g_all.reshape(-1, n, k, p), clean.reshape(-1, p), labels.reshape(-1, n)):
+        residual = float(np.linalg.norm(expected_gradient(g, y, transition) - (1.0 - eta) * c))
+        residuals.append(residual / max(float(np.linalg.norm(c)), 1e-12))
+    return residuals[0] if clean.ndim == 1 else np.array(residuals)
 
 
 def proportionality_residual(g: np.ndarray, reference: np.ndarray) -> float:
@@ -318,17 +338,17 @@ def _prop_uniform_expectation(seed: int) -> list[PropertyResult]:
     rates = (0.2, 0.4, 0.6, 0.8)
     classes = (3, 5, 10)
     per_cell = 17  # 3 * 4 * 17 = 204 instances
-    worst_mae = 0.0
-    ce_hits = 0
-    total = 0
+    mae, ce = [], []
     for k in classes:
         for eta in rates:
-            for _ in range(per_cell):
-                classifier, params, x, y = random_classifier_instance(rng, k)
-                worst_mae = max(worst_mae, equivalence_report(
-                    classifier, params, x, y, eta, LossKind.MAE))
-                ce_hits += equivalence_report(classifier, params, x, y, eta, LossKind.CE) > 1e-3
-                total += 1
+            # The cell's instances, drawn one after another, checked as one stack.
+            drawn = [random_classifier_instance(rng, k) for _ in range(per_cell)]
+            classifier = drawn[0][0]
+            params, x, y = (np.stack(part) for part in list(zip(*drawn))[1:])
+            mae.append(equivalence_report(classifier, params, x, y, eta, LossKind.MAE))
+            ce.append(equivalence_report(classifier, params, x, y, eta, LossKind.CE))
+    mae, ce = np.concatenate(mae), np.concatenate(ce)
+    worst_mae, ce_hits, total = float(mae.max()), int(np.sum(ce > 1e-3)), mae.size
     return [
         PropertyResult(
             "uniform-mae-expectation",
@@ -437,6 +457,27 @@ def _prop_flip(seed: int) -> list[PropertyResult]:
     ]
 
 
+def _prop_flip2_enumeration(seed: int) -> list[PropertyResult]:
+    """The expectation under a two-target flip map, whose T is not
+    symmetric, against the per-sample sum over the map:
+    mean_i (1 - eta) g[i, y_i] + eta/2 (g[i, c_1] + g[i, c_2]), where y_i
+    flips to c_1 or c_2.  Reading T transposed moves the expectation."""
+    rng = Rng(seed).spawn(108)
+    k, eta = 5, 0.4
+    targets = (np.arange(k)[:, None] + np.array([1, 2])) % k  # y -> y + 1, y + 2
+    classifier, params, x, y = random_classifier_instance(rng, k)
+    g_all = per_label_gradients(classifier, params, x, LossKind.MAE)
+    got = expected_gradient(g_all, y, flip_transition(targets, eta))
+    rows = np.arange(len(y))
+    want = ((1.0 - eta) * g_all[rows, y]
+            + eta / 2 * g_all[rows[:, None], targets[y]].sum(axis=1)).mean(axis=0)
+    rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
+    return [PropertyResult(
+        "flip2-fixed-map-enumeration", rel <= 1e-12,
+        f"relative difference {rel:.3e} from the per-sample sum over the map "
+        f"y -> y+1, y+2 (limit 1e-12)")]
+
+
 def _prop_hypergradient(seed: int) -> list[PropertyResult]:
     rng = Rng(seed).spawn(105)
     worst = 0.0
@@ -492,6 +533,7 @@ def run_all(seed: int = DEFAULT_VERIFY_SEED) -> list[PropertyResult]:
     results += _prop_symmetry(seed)
     results += _prop_uniform_expectation(seed)
     results += _prop_flip(seed)
+    results += _prop_flip2_enumeration(seed)
     results += _prop_noise_model(seed)
     results += _prop_hypergradient(seed)
     results += _prop_variance_bound(seed)

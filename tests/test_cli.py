@@ -279,14 +279,14 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "[ok]" in out
         assert "[FAIL]" not in out
-        assert "12/12 properties passed" in out
+        assert "13/13 properties passed" in out
 
     def test_verify_csv_output(self, tmp_path, capsys):
         csv_path = tmp_path / "verify.csv"
         assert main(["verify", "--csv", str(csv_path)]) == 0
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "property,passed,detail"
-        assert len(lines) == 13
+        assert len(lines) == 14
 
     def test_run_with_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

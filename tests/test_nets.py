@@ -424,9 +424,11 @@ class TestParameterStack:
         stack = rng.gaussians(t * net.num_params, 2.0).reshape(t, net.num_params)
         v = 8.0 * rng.uniforms(n)
         weights = net.forward_batch(stack, v)
-        assert weights.shape == (t, n)
+        pre = net.hidden_preactivations(stack, v)
+        assert weights.shape == (t, n) and pre.shape == (t, n * hidden)
         for row, theta in enumerate(stack):
             assert np.array_equal(weights[row], net.forward_batch(theta, v))
+            assert np.array_equal(pre[row], net.hidden_preactivations(theta, v))
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 8), max_size=3),
@@ -465,6 +467,76 @@ class TestParameterStack:
             assert np.array_equal((c @ wn_grads)[row], pick(c) @ one_wn_grads)
             assert np.array_equal((grads @ g)[row], one_grads @ g[row])
             assert np.array_equal((grads @ g[0])[row], one_grads @ g[0])
+            assert np.array_equal(grads.matrix()[row], one_grads.matrix())
+            assert np.array_equal(wn_grads.matrix()[row], one_wn_grads.matrix())
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 8), max_size=3),
+           dim=st.integers(1, 5), classes=st.integers(2, 5), n=st.integers(1, 12),
+           t=st.integers(1, 6), shared=st.booleans())
+    def test_per_row_features_equal_single_batch_calls(self, seed, hidden, dim, classes,
+                                                       n, t, shared):
+        # (T, n, d) features with a (T, P) stack give, row for row, the
+        # bits of the (n, d) call at params[t], x[t]: every classifier
+        # method, both contractions and the per-sample gradient matrix,
+        # with (n,) labels shared by the rows or (T, n) labels paired.
+        rng = Rng(seed)
+        net = ClassifierNet([dim, *hidden, classes])
+        kind = list(LossKind)[rng.randint(2)]
+        stack = rng.gaussians(t * net.num_params).reshape(t, net.num_params)
+        x = rng.gaussians(t * n * dim).reshape(t, n, dim)
+        labels = rng.randints(t * n, classes).reshape(t, n)
+        c, g = rng.gaussians(t * n).reshape(t, n), rng.gaussians(t * net.num_params)
+        g = g.reshape(t, net.num_params)
+        if shared:
+            labels, c = labels[0], c[0]
+        probs = net.forward_batch(stack, x)
+        preds = net.predict_batch(stack, x)
+        losses = net.losses_batch(stack, x, labels, kind)
+        grad_losses, grads = net.losses_and_grads_batch(stack, x, labels, kind)
+        pre = net.hidden_preactivations(stack, x)
+        matrix = grads.matrix()
+        assert probs.shape == (t, n, classes) and matrix.shape == (t, n, net.num_params)
+        for row in range(t):
+            pick = (lambda a: a) if shared else (lambda a: a[row])
+            params, one_x = stack[row], x[row]
+            one_losses, one_grads = net.losses_and_grads_batch(params, one_x, pick(labels), kind)
+            assert np.array_equal(probs[row], net.forward_batch(params, one_x))
+            assert np.array_equal(preds[row], net.predict_batch(params, one_x))
+            assert np.array_equal(losses[row], net.losses_batch(params, one_x, pick(labels), kind))
+            assert np.array_equal(grad_losses[row], one_losses)
+            assert np.array_equal(pre[row], net.hidden_preactivations(params, one_x))
+            assert np.array_equal(matrix[row], one_grads.matrix())
+            assert np.array_equal((c @ grads)[row], pick(c) @ one_grads)
+            assert np.array_equal((grads @ g)[row], one_grads @ g[row])
+            assert np.array_equal((grads @ g[0])[row], one_grads @ g[0])
+
+    PER_ROW_CALLS = [("forward_batch", ()), ("predict_batch", ()),
+                     ("hidden_preactivations", ()),
+                     ("losses_batch", (np.zeros(6, dtype=np.int64), LossKind.MAE)),
+                     ("losses_and_grads_batch", (np.zeros(6, dtype=np.int64), LossKind.CE))]
+
+    @staticmethod
+    def check_shape_error(method, extra, params, params_shape):
+        # an error naming both shapes and the accepted ones, not numpy's
+        # broadcast message and not a silent broadcast
+        net = ClassifierNet([3, 5, 2])
+        x = Rng(9).gaussians(4 * 6 * 3).reshape(4, 6, 3)
+        with pytest.raises(ValueError) as err:
+            getattr(net, method)(params(net), x, *extra)
+        text = str(err.value)
+        assert "got features (4, 6, 3) and parameters " + params_shape(net) in text
+        assert "(n, d)" in text and "(T, n, d)" in text
+
+    @pytest.mark.parametrize("method, extra", PER_ROW_CALLS)
+    def test_per_row_features_with_a_single_vector_raise(self, method, extra):
+        self.check_shape_error(method, extra, lambda net: np.zeros(net.num_params),
+                               lambda net: f"({net.num_params},)")
+
+    @pytest.mark.parametrize("method, extra", PER_ROW_CALLS)
+    def test_per_row_features_with_a_stack_of_another_length_raise(self, method, extra):
+        self.check_shape_error(method, extra, lambda net: np.zeros((3, net.num_params)),
+                               lambda net: f"(3, {net.num_params})")
 
 
 def stored_z_forward(layers, x):

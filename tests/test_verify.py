@@ -117,6 +117,28 @@ class TestExpectedFlipGradient:
                        for t in verify.all_flip_maps(3)], axis=0)
         assert np.allclose(avg, (1 - eta * 3 / 2) * clean, atol=1e-12)
 
+    def test_two_target_map_splits_the_rate(self):
+        targets = np.array([[1, 2], [2, 3], [3, 0], [0, 1]])
+        got = verify.flip_transition(targets, 0.4)
+        want = 0.6 * np.eye(4)
+        for y, (a, b) in enumerate(targets):
+            want[y, a] = want[y, b] = 0.2
+        assert np.array_equal(got, want)
+        assert np.array_equal(verify.flip_transition(targets[:, :1], 0.4),
+                              verify.flip_transition(targets[:, 0], 0.4))
+        with pytest.raises(ValueError, match="move every class"):
+            verify.flip_transition(np.array([[1, 2], [1, 2], [0, 1], [0, 1]]), 0.4)
+
+    def test_flip2_property_sees_a_transposed_transition(self, monkeypatch):
+        # every other T that verify builds is symmetric, so only this
+        # property fails when expected_gradient reads T transposed
+        original = verify.expected_gradient
+        assert verify._prop_flip2_enumeration(verify.DEFAULT_VERIFY_SEED)[0].passed
+        monkeypatch.setattr(verify, "expected_gradient",
+                            lambda g_all, labels, t: original(g_all, labels, t.T))
+        assert not verify._prop_flip2_enumeration(verify.DEFAULT_VERIFY_SEED)[0].passed
+        assert all(r.passed for r in verify._prop_flip(verify.DEFAULT_VERIFY_SEED))
+
 
 class TestVarianceBound:
     def _pool(self, rng, n=40, k=5):
@@ -222,7 +244,7 @@ class TestRunAll:
         results = verify.run_all()
         failed = [r.name for r in results if not r.passed]
         assert failed == [], f"failed properties: {failed}"
-        assert len(results) == 12
+        assert len(results) == 13
 
     def test_mutated_theta_gradient_fails_fd_check(self, monkeypatch):
         import metareweight.verify as v
@@ -247,6 +269,56 @@ class TestRunAll:
             c, params, x, y = verify.random_classifier_instance(rng, 5)
             worst = max(worst, verify.equivalence_report(c, params, x, y, 0.4, LossKind.CE))
         assert worst > 1e-10  # would have passed at 1e-10 with MAE
+
+
+def solo_uniform_expectation(seed):
+    """``_prop_uniform_expectation``'s instances in its stream order, each
+    checked by its own ``equivalence_report`` call: (MAE residuals, CE
+    residuals)."""
+    rng = Rng(seed).spawn(101)
+    mae, ce = [], []
+    for k in (3, 5, 10):
+        for eta in (0.2, 0.4, 0.6, 0.8):
+            for _ in range(17):
+                c, params, x, y = verify.random_classifier_instance(rng, k)
+                mae.append(verify.equivalence_report(c, params, x, y, eta, LossKind.MAE))
+                ce.append(verify.equivalence_report(c, params, x, y, eta, LossKind.CE))
+    return np.array(mae), np.array(ce)
+
+
+class TestStackedUniformExpectation:
+    """The property checks each (K, eta) cell's instances as one stack;
+    every residual, the worst MAE residual and the CE hit count are those
+    of the loop that checks one instance per call."""
+
+    @pytest.mark.parametrize("seed", [verify.DEFAULT_VERIFY_SEED, 1, 7])
+    def test_stacked_residuals_equal_the_solo_loop(self, seed, monkeypatch):
+        calls = {LossKind.MAE: [], LossKind.CE: []}
+        report = verify.equivalence_report
+
+        def recorded(classifier, params, x, y, eta, kind):
+            out = report(classifier, params, x, y, eta, kind)
+            calls[kind].append(out)
+            return out
+
+        monkeypatch.setattr(verify, "equivalence_report", recorded)
+        mae_result, ce_result = verify._prop_uniform_expectation(seed)
+        monkeypatch.undo()
+        assert len(calls[LossKind.MAE]) == len(calls[LossKind.CE]) == 12  # one per cell
+        mae, ce = solo_uniform_expectation(seed)
+        assert np.array_equal(np.concatenate(calls[LossKind.MAE]), mae)
+        assert np.array_equal(np.concatenate(calls[LossKind.CE]), ce)
+        assert mae_result.detail.startswith(f"max relative residual {mae.max():.3e} over 204 ")
+        assert ce_result.detail.startswith(f"CE residual > 1e-3 on {np.sum(ce > 1e-3)}/204 ")
+        assert mae_result.passed == (mae.max() <= 1e-10)
+
+    def test_a_single_vector_gives_a_float(self):
+        c, params, x, y = verify.random_classifier_instance(Rng(5), 3)
+        residual = verify.equivalence_report(c, params, x, y, 0.4, LossKind.MAE)
+        assert isinstance(residual, float)
+        stacked = verify.equivalence_report(c, params[None], x[None], y[None], 0.4,
+                                            LossKind.MAE)
+        assert stacked.shape == (1,) and stacked[0] == residual
 
 
 # -- the oracles as loops: references for their batched forms ----------------
