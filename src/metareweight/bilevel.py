@@ -15,7 +15,7 @@ pair:
 3. *classifier update* -- the real SGD-with-momentum step using the
    freshly updated sample weights.
 
-``bilevel_step`` runs them as one call per phase, in this order:
+``bilevel_step`` runs one call per phase, the first five in ``hypergradient``:
 
 * ``train_forward_backward`` -- losses and per-sample gradients of the
   train batch at the current classifier, as the nets return every
@@ -26,9 +26,9 @@ pair:
 * ``virtual_step`` -- the weighted sum of the per-sample gradients;
 * ``meta_gradient_at`` -- the mean meta-loss gradient at the virtual point,
   one backward pass;
-* ``theta_gradient`` and ``theta_update`` -- the weighting update, the
-  gradient a contraction of the three results above;
-* ``classifier_update``.
+* ``theta_gradient`` -- the weighting gradient, a contraction of the three
+  results above;
+* ``theta_update`` and ``classifier_update``.
 
 The pieces read per-sample gradients only through ``weights @ grads`` and
 ``grads @ g``, so they run unchanged on ``SampleGrads.matrix()``, the form
@@ -36,7 +36,7 @@ the verification oracles and the tests compare them against.
 
 The virtual step is deliberately plain SGD (no momentum, no decay): the
 closed-form weighting gradient is derived from that exact map, and the
-finite-difference oracle in ``verify`` checks it at 1e-4 relative error.
+finite-difference oracle in ``verify`` checks ``hypergradient`` to 1e-4 relative.
 
 The per-epoch metrics run the nets in row blocks, never on a whole split.
 
@@ -226,17 +226,25 @@ def classifier_update(state: BilevelState, losses: np.ndarray, grads: Grads,
                                              "classifier parameter vector")
 
 
+def hypergradient(state: BilevelState, train_batch: Batch, meta_batch: Batch,
+                  alpha: float, meta_loss):
+    """The train batch's losses and per-sample gradients, the virtual point
+    at learning rate ``alpha`` and the weighting gradient of the mean
+    ``meta_loss`` there; the chain's other temporaries are freed on return."""
+    losses, grads = train_forward_backward(state, train_batch)
+    weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
+    w_hat = virtual_step(state, weights, grads, alpha)
+    g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, meta_loss)
+    return losses, grads, w_hat, theta_gradient(grads, g_meta, theta_grads, alpha)
+
+
 def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,
                  cfg: TrainConfig, alpha: float, meta_loss) -> None:
     """One alternation step: weighting gradient through the virtual step,
     weighting update, then the real classifier update, all from a single
     forward/backward pass over the train batch."""
-    losses, grads = train_forward_backward(state, train_batch)
-    weights, theta_grads = state.weightnet.forward_and_grads_batch(state.theta, losses)
-    w_hat = virtual_step(state, weights, grads, alpha)
-    g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, meta_loss)
-    t_grad = theta_gradient(grads, g_meta, theta_grads, alpha)
-    del weights, theta_grads, w_hat, g_meta  # freed before the updates allocate: peak RSS
+    losses, grads, w_hat, t_grad = hypergradient(state, train_batch, meta_batch, alpha, meta_loss)
+    del w_hat  # freed, with the chain's temporaries, before the updates allocate: peak RSS
     theta_update(state, t_grad, cfg.meta_lr, cfg.weight_decay)
     classifier_update(state, losses, grads, alpha, cfg.momentum, cfg.weight_decay)
 

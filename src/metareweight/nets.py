@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import LossKind, grad_logits_batch, loss_values_batch
+from .losses import grad_logits_batch, loss_values_batch
 from .numkit import Rng, as_vec
 
 

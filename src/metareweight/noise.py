@@ -34,6 +34,11 @@ class NoiseKind(Enum):
     FLIP2 = "flip2"
 
 
+def _check_rate(eta: float) -> None:
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"noise rate must lie in [0, 1), got {eta}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     kind: NoiseKind
@@ -44,8 +49,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError(f"noise rate must lie in [0, 1), got {self.rate}")
+        _check_rate(self.rate)
         if self.kind is NoiseKind.FLIP2 and self.num_classes < 3:
             raise ValueError("flip2 needs at least 3 classes for two distinct targets")
 
@@ -93,17 +97,33 @@ def _draw_targets(spec: NoiseSpec) -> np.ndarray:
     return targets
 
 
+def uniform_transition(num_classes: int, eta: float) -> np.ndarray:
+    """T = (1 - eta) I + eta/K: the observed label keeps the clean value with
+    probability (1 - eta) plus an eta/K share for every class."""
+    _check_rate(eta)
+    k = num_classes
+    return np.full((k, k), eta / k) + (1.0 - eta) * np.eye(k)
+
+
+def flip_transition(targets: np.ndarray, eta: float) -> np.ndarray:
+    """T = (1 - eta) I + eta P, with P sending class y to ``targets[y]``;
+    a (K, m) map sends it to each of the m classes in row y with an equal
+    share."""
+    _check_rate(eta)
+    targets = np.asarray(targets, dtype=np.int64).reshape(len(targets), -1)
+    k = len(targets)
+    if np.any(targets == np.arange(k)[:, None]):
+        raise ValueError("flip target map must move every class")
+    transition = (1.0 - eta) * np.eye(k)
+    np.add.at(transition, (np.arange(k)[:, None], targets), eta / targets.shape[1])
+    return transition
+
+
 def build_transition(spec: NoiseSpec) -> TransitionMatrix:
     k, eta = spec.num_classes, spec.rate
     if spec.kind is NoiseKind.UNIFORM:
-        p = np.full((k, k), eta / k)
-        np.fill_diagonal(p, (1.0 - eta) + eta / k)
-        return TransitionMatrix(k, p)
-    targets = _draw_targets(spec)
-    p = np.zeros((k, k))
-    np.fill_diagonal(p, 1.0 - eta)
-    p[np.arange(k)[:, None], targets] += eta / targets.shape[1]
-    return TransitionMatrix(k, p)
+        return TransitionMatrix(k, uniform_transition(k, eta))
+    return TransitionMatrix(k, flip_transition(_draw_targets(spec), eta))
 
 
 def corrupt(dataset: LabeledDataset, t: TransitionMatrix, rng: Rng) -> LabeledDataset:
@@ -115,9 +135,10 @@ def corrupt(dataset: LabeledDataset, t: TransitionMatrix, rng: Rng) -> LabeledDa
     *effective* mislabels, so a uniform-noise redraw that lands back on the
     true class is indistinguishable from clean and is not flagged.
     """
+    if t.num_classes != dataset.num_classes:
+        raise ValueError(f"transition matrix has {t.num_classes} classes, "
+                         f"dataset has {dataset.num_classes}")
     labels = dataset.labels
-    if labels.size and labels.max() >= t.num_classes:
-        raise ValueError("dataset labels exceed the transition matrix classes")
     u = rng.uniforms(labels.size)
     observed = np.empty(labels.size, dtype=np.int64)
     for y in np.unique(labels):

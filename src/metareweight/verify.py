@@ -1,8 +1,12 @@
 """Independent oracles for the theory behind noisy-meta reweighting.
 
-Everything here is checked against *exact expectations* computed by
-enumerating corrupted labels with their probabilities, never by trusting
-the training-path code:
+The oracles are this module's own: the (sample, label) enumeration behind
+every exact expectation (``expected_gradient`` of a transition matrix T),
+``composed_meta_objective``'s virtual step and ``clean_mean_gradient``'s
+separate clean pass (a gather from the per-label pass would let a
+mis-tiled label column cancel out of a residual).  What they check is
+what training runs: T comes from ``noise``, the weighting gradient from
+``bilevel.hypergradient``.
 
 * Under uniform label noise at rate eta, the expected meta-gradient on
   corrupted labels equals (1 - eta) times the clean meta-gradient exactly
@@ -15,9 +19,8 @@ the training-path code:
 * The variance of corrupted meta minibatch gradients is bounded by the
   clean minibatch variance plus 2*eta*rho^2/m, with rho a bound on
   per-sample gradient norms.
-* The closed-form weighting-parameter gradient in ``bilevel`` matches
-  central finite differences of the composed objective (meta loss after
-  one virtual step), checked away from rectifier kinks.
+* ``bilevel.hypergradient`` matches central finite differences of the
+  meta loss after one virtual step, away from rectifier kinks.
 
 The oracles run as batched numpy passes, not Python loops: every label of
 every sample goes through one backward pass, a finite-difference sweep
@@ -27,11 +30,9 @@ leading parameter axis), the uniform-expectation property checks each
 feature batch per parameter vector), and the variance bound enumerates
 every (sample, observed label) cell with its probability.  A stack's
 per-instance arithmetic after the backward passes runs row by row, so
-each residual has the bits of its instance checked alone.  Every expectation
-over corrupted labels is ``expected_gradient`` of the noise's transition
-matrix T over those per-label gradients.  Only the Monte-Carlo
-convergence property samples: its sampled means are products of a
-draw-count vector with the per-(sample, label) gradients.
+each residual has the bits of its instance checked alone.  Only the
+Monte-Carlo convergence property samples: its sampled means are products
+of a draw-count vector with the per-(sample, label) gradients.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .bilevel import (Batch, BilevelState, meta_gradient_at, theta_gradient,
-                      train_forward_backward, virtual_step)
+from .bilevel import Batch, BilevelState, hypergradient
 from .losses import LossKind, symmetry_sum
 from .nets import ClassifierNet, WeightNet
-from .noise import NoiseKind, NoiseSpec, build_transition, corrupt
+from .noise import (NoiseKind, NoiseSpec, build_transition, corrupt, flip_transition,
+                    uniform_transition)
 from .numkit import Rng
 from .data import LabeledDataset
 
@@ -79,29 +80,6 @@ def clean_mean_gradient(classifier: ClassifierNet, params: np.ndarray,
     """Mean gradient over the batch: (P,), or (T, P) for a stack."""
     _, grads = classifier.losses_and_grads_batch(params, features, labels, kind)
     return grads.matrix().mean(axis=-2)
-
-
-def uniform_transition(num_classes: int, eta: float) -> np.ndarray:
-    """T = (1 - eta) I + eta/K: the observed label keeps the clean value with
-    probability (1 - eta) plus an eta/K share for every class."""
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"noise rate must lie in [0, 1), got {eta}")
-    k = num_classes
-    return np.full((k, k), eta / k) + (1.0 - eta) * np.eye(k)
-
-
-def flip_transition(targets: np.ndarray, eta: float) -> np.ndarray:
-    """T = (1 - eta) I + eta P, with P sending class y to ``targets[y]``;
-    a (K, m) map sends it to each of the m classes in row y with an equal
-    share."""
-    targets = np.asarray(targets, dtype=np.int64)
-    k = targets.shape[0]
-    targets = targets.reshape(k, -1)
-    if np.any(targets == np.arange(k)[:, None]):
-        raise ValueError("flip target map must move every class")
-    transition = (1.0 - eta) * np.eye(k)
-    np.add.at(transition, (np.arange(k)[:, None], targets), eta / targets.shape[1])
-    return transition
 
 
 def expected_gradient(g_all: np.ndarray, labels: np.ndarray,
@@ -177,8 +155,9 @@ def variance_bound_check(classifier: ClassifierNet, params: np.ndarray,
     (1 - eta)-scaled mean the expectation.  The bound holds with equality
     at eta = 0, so the comparison allows 1e-12 relative for rounding.
     """
-    if m < 1 or not 0.0 <= eta < 1.0:
-        raise ValueError("bad minibatch size or noise rate")
+    if m < 1:
+        raise ValueError(f"minibatch size must be >= 1, got {m}")
+    transition = uniform_transition(classifier.num_classes, eta)
 
     n, k = len(pool), classifier.num_classes
     g_all = per_label_gradients(classifier, params, pool.features, LossKind.MAE)
@@ -187,7 +166,6 @@ def variance_bound_check(classifier: ClassifierNet, params: np.ndarray,
     rho = float(np.linalg.norm(g_all, axis=2).max())
     sigma_sq = float(((g_clean - mu) ** 2).sum(axis=1).mean()) / m
 
-    transition = uniform_transition(k, eta)
     g_bar = expected_gradient(g_all, pool.labels, transition)
     p_cells = (transition[pool.labels] / n).ravel()
     cells = g_all.reshape(n * k, -1)
@@ -267,27 +245,20 @@ def random_hypergrad_instance(rng: Rng, dim: int = 3, num_classes: int = 3,
     sits within ``kink_margin`` of zero, or when the analytic gradient is
     so small that relative comparison is meaningless.
     """
+    classifier = ClassifierNet([dim, *hidden, num_classes])
+    weightnet = WeightNet()
     while True:
-        classifier = ClassifierNet([dim, *hidden, num_classes])
-        weightnet = WeightNet()
-        params = classifier.init_params(rng)
-        theta = weightnet.init_params(rng)
+        state = BilevelState(classifier, weightnet, classifier.init_params(rng),
+                             weightnet.init_params(rng))
         train_batch = Batch(rng.gaussians(n_train * dim).reshape(n_train, dim),
                             rng.randints(n_train, num_classes))
         meta_batch = Batch(rng.gaussians(n_meta * dim).reshape(n_meta, dim),
                            rng.randints(n_meta, num_classes))
-        state = BilevelState(classifier, weightnet, params, theta)
 
-        losses, grads = train_forward_backward(state, train_batch)
-        weights, theta_grads = weightnet.forward_and_grads_batch(theta, losses)
-        wn_pre = weightnet.hidden_preactivations(theta, losses)
-        w_hat = virtual_step(state, weights, grads, alpha)
-        cl_pre = classifier.hidden_preactivations(w_hat, meta_batch.features)
-
-        margin = min(np.abs(wn_pre).min(initial=np.inf),
-                     np.abs(cl_pre).min(initial=np.inf))
-        g_meta = meta_gradient_at(classifier, w_hat, meta_batch, kind)
-        analytic = theta_gradient(grads, g_meta, theta_grads, alpha)
+        losses, _, w_hat, analytic = hypergradient(state, train_batch, meta_batch, alpha, kind)
+        pre = (weightnet.hidden_preactivations(state.theta, losses),
+               classifier.hidden_preactivations(w_hat, meta_batch.features))
+        margin = min(np.abs(p).min(initial=np.inf) for p in pre)
         if margin > kink_margin and np.linalg.norm(analytic) >= 1e-6:
             return state, train_batch, meta_batch, analytic
 

@@ -3,7 +3,9 @@ tests: a name defined in ``src/metareweight`` must be used somewhere in
 ``src/`` or in the benchmark's non-test files, so that no code lives on
 for the tests alone.  A string names a definition only in the benchmark,
 whose tracer targets are dotted strings; in ``src/`` a name listed in
-``__all__``, or any other string, is no use."""
+``__all__``, or any other string, is no use.  Likewise every name a module
+of the package imports must be read in that module (``__init__.py``, which
+imports to re-export, aside); a docstring's mention is no read."""
 
 import ast
 import re
@@ -44,3 +46,24 @@ def test_every_definition_in_the_package_is_used_outside_the_tests():
     used = set().union(*(used_names(tree, path in BENCHMARK) for path, tree in trees.items()))
     assert len(defined) > 100  # the parse found the package
     assert [f"{file}: {name}" for file, name in defined if name not in used] == []
+
+
+def unused_imports(tree) -> list[tuple[int, str]]:
+    """(line, name) of each name an import in ``tree`` binds that no
+    expression in ``tree`` reads; ``__future__`` imports bind nothing."""
+    bound = [(node.lineno, alias.asname or alias.name.split(".")[0])
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_every_import_in_the_package_is_read():
+    modules = [path for path in PACKAGE if path.name != "__init__.py"]
+    assert len(modules) > 5  # the glob found the package
+    unused = [f"{path.name}:{line}: {name}" for path in modules
+              for line, name in unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert unused == []

@@ -5,7 +5,7 @@ The grid below covers both noise kinds the paper's experiments use, a clean
 and a noisy rate, all three variants and two seeds.  Every file the run
 writes is compared by sha256 with ``DIGESTS``; ``verify --seed 1 --csv``,
 a noisy ``gen-data`` and ``noise-matrix`` (flip2 to a file and stdout, flip
-to stdout) with the tables after it.  All were recorded on the numpy and
+and uniform to stdout) with the tables after it.  All were recorded on the numpy and
 BLAS build named in ``RECORDED_WITH``: BLAS kernels round differently from
 build to build, so a mismatch on another build is not by itself a defect.  A change that moves
 numbers on purpose re-records the table and says so.  The run must also
@@ -135,6 +135,12 @@ FLIP_MATRIX_DIGESTS = {
     "stdout": "5c7eac656ae27659d90134a0474222e758f411b4b1b879de7ba3b65191854fab",
 }
 
+UNIFORM_MATRIX_ARGS = ["--kind", "uniform", "--rate", "0.3", "--classes", "5", "--seed", "7"]
+
+UNIFORM_MATRIX_DIGESTS = {
+    "stdout": "9792c7fe80f00c595481b14131e6749974dc5a00ec63d2962e1b6ec70b9348b6",
+}
+
 
 def blas_build() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -235,3 +241,8 @@ def test_noise_matrix_matches_its_recorded_digests(tmp_path, capsys):
 def test_flip_noise_matrix_matches_its_recorded_digest(capsys):
     assert main(["noise-matrix", *FLIP_MATRIX_ARGS]) == 0
     check_digests({"stdout": capsys.readouterr().out.encode()}, FLIP_MATRIX_DIGESTS)
+
+
+def test_uniform_noise_matrix_matches_its_recorded_digest(capsys):
+    assert main(["noise-matrix", *UNIFORM_MATRIX_ARGS]) == 0
+    check_digests({"stdout": capsys.readouterr().out.encode()}, UNIFORM_MATRIX_DIGESTS)

@@ -6,7 +6,8 @@ import pytest
 
 from metareweight.data import LabeledDataset
 from metareweight.noise import (NoiseKind, NoiseSpec, TransitionMatrix, _draw_targets,
-                                build_transition, corrupt, majority_feasibility)
+                                build_transition, corrupt, flip_transition,
+                                majority_feasibility, uniform_transition)
 from metareweight.numkit import Rng
 
 
@@ -22,6 +23,37 @@ class TestNoiseSpec:
             NoiseSpec(NoiseKind.UNIFORM, 0.2, 1)
         with pytest.raises(ValueError):
             NoiseSpec(NoiseKind.FLIP2, 0.2, 2)
+
+
+class TestTransitionBuilders:
+    @pytest.mark.parametrize("rate", [1.5, 1.0, -0.1])
+    def test_every_builder_checks_the_rate_by_one_rule(self, rate):
+        message = rf"noise rate must lie in \[0, 1\), got {rate}"
+        with pytest.raises(ValueError, match=message):
+            flip_transition(np.array([1, 2, 0]), rate)
+        with pytest.raises(ValueError, match=message):
+            uniform_transition(3, rate)
+        with pytest.raises(ValueError, match=message):
+            NoiseSpec(NoiseKind.FLIP, rate, 3)
+
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_build_transition_keeps_the_bits_of_the_diagonal_formulas(self, k):
+        # reference: each closed form written on the diagonal and the targets
+        for rate in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9):
+            for seed in range(4):
+                for kind in NoiseKind:
+                    if kind is NoiseKind.FLIP2 and k < 3:
+                        continue
+                    spec = NoiseSpec(kind, rate, k, seed=seed)
+                    if kind is NoiseKind.UNIFORM:
+                        want = np.full((k, k), rate / k)
+                        np.fill_diagonal(want, (1.0 - rate) + rate / k)
+                    else:
+                        targets = _draw_targets(spec)
+                        want = np.zeros((k, k))
+                        np.fill_diagonal(want, 1.0 - rate)
+                        want[np.arange(k)[:, None], targets] += rate / targets.shape[1]
+                    assert np.array_equal(build_transition(spec).probs, want), (kind, rate, seed)
 
 
 class TestBuildTransition:
@@ -187,6 +219,16 @@ class TestCorrupt:
         assert not np.array_equal(out.labels, ds.labels)
         assert out.features is ds.features
         assert ds.true_labels is None
+
+    @pytest.mark.parametrize("t_classes, data_classes", [(5, 3), (3, 5)])
+    def test_class_counts_must_match(self, t_classes, data_classes):
+        # every label lies below both counts, so the draws cannot hide a mismatch
+        ds = LabeledDataset(np.zeros((20, 2)), np.arange(20, dtype=np.int64) % 3, data_classes)
+        t = build_transition(NoiseSpec(NoiseKind.UNIFORM, 0.1, t_classes))
+        for seed in range(10):
+            with pytest.raises(ValueError, match=f"transition matrix has {t_classes} classes, "
+                                                 f"dataset has {data_classes}"):
+                corrupt(ds, t, Rng(seed))
 
 
 class TestMajorityFeasibility:

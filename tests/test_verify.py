@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metareweight import verify
+from metareweight import bilevel, verify
 from metareweight.bilevel import Batch
 from metareweight.data import LabeledDataset
 from metareweight.losses import LossKind
@@ -246,19 +246,23 @@ class TestRunAll:
         assert failed == [], f"failed properties: {failed}"
         assert len(results) == 13
 
+    @staticmethod
+    def fd_result():
+        results = verify._prop_hypergradient(verify.DEFAULT_VERIFY_SEED)
+        return next(r for r in results if r.name == "hypergradient-finite-difference")
+
     def test_mutated_theta_gradient_fails_fd_check(self, monkeypatch):
-        import metareweight.verify as v
-        import metareweight.bilevel as b
-        original = b.theta_gradient
+        # the property checks the chain training runs: a weighting net that
+        # climbs the meta loss must fail it
+        original = bilevel.theta_gradient
+        monkeypatch.setattr(bilevel, "theta_gradient", lambda *args: -original(*args))
+        assert not self.fd_result().passed
 
-        def sign_flipped(*args, **kwargs):
-            return -original(*args, **kwargs)
-
-        # the verify module resolves the symbol through its own import
-        monkeypatch.setattr(v, "theta_gradient", sign_flipped)
-        results = v._prop_hypergradient(verify.DEFAULT_VERIFY_SEED)
-        fd_result = next(r for r in results if r.name == "hypergradient-finite-difference")
-        assert not fd_result.passed
+    def test_virtual_step_at_twice_the_rate_fails_fd_check(self, monkeypatch):
+        original = bilevel.virtual_step
+        monkeypatch.setattr(bilevel, "virtual_step", lambda state, weights, grads, alpha:
+                            original(state, weights, grads, 2 * alpha))
+        assert not self.fd_result().passed
 
     def test_ce_in_place_of_mae_fails_equivalence(self):
         # negative control: the equivalence property is specific to the
