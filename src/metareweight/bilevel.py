@@ -56,12 +56,13 @@ cross-entropy, or noisy meta with mean absolute error (the robust one).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .data import LabeledDataset, dataclass_csv
+from .data import BlobSpec, LabeledDataset, dataclass_csv
 from .losses import LossKind
 from .metrics import accuracy, auc_noisy_detection
 from .nets import ClassifierNet, SampleGrads, WeightNet
@@ -236,6 +237,33 @@ def hypergradient(state: BilevelState, train_batch: Batch, meta_batch: Batch,
     w_hat = virtual_step(state, weights, grads, alpha)
     g_meta = meta_gradient_at(state.classifier, w_hat, meta_batch, meta_loss)
     return losses, grads, w_hat, theta_gradient(grads, g_meta, theta_grads, alpha)
+
+
+# Parameter-sized arrays a stacked step holds per run while
+# ``theta_gradient`` runs: the parameters, the momentum buffer, the virtual
+# point and the meta-gradient.
+_STEP_VECTORS = 4
+
+
+def check_group_memory(blob: BlobSpec, cfg: TrainConfig, runs: int) -> None:
+    """FieldError, on the largest size, when a group of ``runs`` runs on
+    ``blob``'s splits would hold more than the machine's physical memory.
+    The estimate is a lower bound: the float64 features of the three splits
+    and of one train and one meta batch, and the parameter-sized arrays of
+    one stacked step."""
+    rows = (blob.n_train + blob.n_meta + blob.n_test
+            + min(cfg.train_batch, blob.n_train) + cfg.meta_batch)
+    num_params = ClassifierNet([blob.dim, *HIDDEN_SIZES, blob.num_classes]).num_params
+    need = 8 * (rows * blob.dim + _STEP_VECTORS * runs * num_params)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        sizes = {name: getattr(blob, name)
+                 for name in ("num_classes", "dim", "n_train", "n_meta", "n_test")}
+        sizes["meta_batch"] = cfg.meta_batch
+        name = max(sizes, key=sizes.get)
+        raise FieldError(name, f"{name} is too large: one seed group would hold at least "
+                         f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+                         "of physical memory")
 
 
 def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -166,7 +165,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
     jobs = [(cfg, runs, si) for si in range(cfg.num_seeds)]
 
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # single-worker runs skip its import
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             outcomes = list(pool.map(_run_seed, jobs))
     else:
         outcomes = list(map(_run_seed, jobs))

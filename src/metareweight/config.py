@@ -2,10 +2,10 @@
 
 Format: ``key = value`` lines grouped under ``[blob]``, ``[noise]``,
 ``[train]`` and ``[experiment]`` section headers; ``#`` starts a comment.
-Unknown sections, unknown or repeated keys, unparsable values and repeated
-grid entries are rejected with the offending line number, out-of-range
-values with the rule they break.  An empty file yields the documented
-defaults.
+Unknown sections, unknown or repeated keys and unparsable values are
+rejected with the offending line number; values that break a rule (a range,
+a repeated grid entry, a size beyond memory) with the rule and the line
+that set them.  An empty file yields the documented defaults.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bilevel import TrainConfig, Variant
+from .bilevel import TrainConfig, Variant, check_group_memory
 from .data import BlobSpec, format_value
-from .noise import NoiseKind
-from .numkit import FieldError, check_fields
+from .noise import NoiseKind, NoiseSpec
+from .numkit import FieldError, Rng, check_fields
 
 
 def rate_label(rate: float) -> str:
@@ -24,25 +24,19 @@ def rate_label(rate: float) -> str:
     return f"{rate:g}"
 
 
-def _distinct(values: tuple, what: str) -> tuple:
-    """``values`` unchanged; ValueError on a repeated entry."""
+def _owned(field: str, rule, *args) -> None:
+    """``rule(*args)``, its ValueError raised as a FieldError on ``field``."""
+    try:
+        rule(*args)
+    except ValueError as exc:
+        raise FieldError(field, str(exc)) from exc
+
+
+def _distinct(values: tuple, field: str, what: str) -> None:
+    """FieldError on ``field`` at the first repeated entry of ``values``."""
     for i, v in enumerate(values):
         if v in values[:i]:
-            raise ValueError(f"duplicate {what} {getattr(v, 'value', v)!r}")
-    return values
-
-
-def _distinct_rates(rates: tuple) -> tuple:
-    """Rates unchanged; ValueError on a repeat or on two rates whose run
-    files would share a name (and so overwrite each other)."""
-    _distinct(rates, "noise rate")
-    named = {}
-    for rate in rates:
-        other = named.setdefault(rate_label(rate), rate)
-        if other != rate:
-            raise ValueError(f"noise rates {other!r} and {rate!r} would both write "
-                             f"run files named *_{rate_label(rate)}_*.csv")
-    return rates
+            raise FieldError(field, f"duplicate {what} {getattr(v, 'value', v)!r}")
 
 
 def _check_output_dir(path: str) -> None:
@@ -67,23 +61,29 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self, ("num_seeds", "workers"), lambda v: v >= 1, "be >= 1")
-        check_fields(self, ("seed",), lambda v: 0 <= v < 2**64, "lie in [0, 2**64)")
         check_fields(self, ("noise_kinds", "noise_rates", "variants"), len, "be nonempty")
+        _owned("seed", Rng, self.seed)
+        for kind in self.noise_kinds:
+            _owned("noise_kinds", NoiseSpec, kind, 0.0, self.blob.num_classes)
         for rate in self.noise_rates:
-            if not 0.0 <= rate < 1.0:
-                raise FieldError("noise_rates", f"noise rate must lie in [0, 1), got {rate}")
-        _distinct(self.noise_kinds, "noise kind")
-        if NoiseKind.FLIP2 in self.noise_kinds and self.blob.num_classes < 3:
-            raise FieldError("noise_kinds", "flip2 needs at least 3 classes for two "
-                             f"distinct targets, got {self.blob.num_classes}")
-        _distinct_rates(self.noise_rates)
-        _distinct(self.variants, "variant")
+            _owned("noise_rates", NoiseSpec, NoiseKind.UNIFORM, rate, self.blob.num_classes)
+        _distinct(self.noise_kinds, "noise_kinds", "noise kind")
+        _distinct(self.noise_rates, "noise_rates", "noise rate")
+        named = {}
+        for rate in self.noise_rates:  # distinct rates, so a shared name is a collision
+            other = named.setdefault(rate_label(rate), rate)
+            if other != rate:
+                raise FieldError("noise_rates", f"noise rates {other!r} and {rate!r} would "
+                                 f"both write run files named *_{rate_label(rate)}_*.csv")
+        _distinct(self.variants, "variants", "variant")
         _check_output_dir(self.output_dir)
+        check_group_memory(self.blob, self.train,
+                           len(self.variants) * len(self.noise_kinds) * len(self.noise_rates))
 
 
 class ConfigError(ValueError):
-    """A config that cannot be used.  When a range check rejects a value the
-    file set, the message states the rule as the dataclass words it and
+    """A config that cannot be used.  When a rule rejects a value the file
+    set, the message states the rule as its owner words it and
     ``location`` gives the file, line and text that set the value."""
 
     def __init__(self, message: str, location: str | None = None):
@@ -107,9 +107,8 @@ _SCHEMA = {
         "cluster_std": ("cluster_std", float),
     },
     "noise": {
-        "kinds": ("noise_kinds", lambda s: _distinct(
-            _parse_list(s, lambda x: NoiseKind(x.lower())), "noise kind")),
-        "rates": ("noise_rates", lambda s: _distinct_rates(_parse_list(s, float))),
+        "kinds": ("noise_kinds", lambda s: _parse_list(s, lambda x: NoiseKind(x.lower()))),
+        "rates": ("noise_rates", lambda s: _parse_list(s, float)),
     },
     "train": {
         "train_batch": ("train_batch", int),
@@ -122,8 +121,7 @@ _SCHEMA = {
         "lr_milestones": ("lr_milestones", lambda s: _parse_list(s, int)),
     },
     "experiment": {
-        "variants": ("variants", lambda s: _distinct(
-            _parse_list(s, lambda x: Variant(x.lower())), "variant")),
+        "variants": ("variants", lambda s: _parse_list(s, lambda x: Variant(x.lower()))),
         "num_seeds": ("num_seeds", int),
         "seed": ("seed", int),
         "output_dir": ("output_dir", str),

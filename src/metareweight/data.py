@@ -129,7 +129,8 @@ def make_blobs(spec: BlobSpec) -> SplitBundle:
 
 def standardize(bundle: SplitBundle) -> SplitBundle:
     """Center/scale all splits with statistics fitted on train only.
-    Features too large for float64 statistics are an error."""
+    Features too large for float64 statistics, or whose standardized
+    values overflow, are an error."""
     with np.errstate(over="ignore", invalid="ignore"):
         mu = bundle.train.features.mean(axis=0)
         sigma = np.maximum(bundle.train.features.std(axis=0), STD_FLOOR)
@@ -138,8 +139,12 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
                          "deviation; reduce separation or cluster_std")
 
     def apply(ds: LabeledDataset) -> LabeledDataset:
-        features = ds.features - mu
-        features /= sigma
+        with np.errstate(over="ignore"):
+            features = ds.features - mu
+            features /= sigma
+        if not np.isfinite(features).all():
+            raise ValueError("features overflow float64 when standardized; reduce "
+                             "separation or cluster_std")
         return replace(ds, features=features)
 
     return SplitBundle(apply(bundle.train), apply(bundle.meta), apply(bundle.test))

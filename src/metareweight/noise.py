@@ -51,7 +51,8 @@ class NoiseSpec:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         _check_rate(self.rate)
         if self.kind is NoiseKind.FLIP2 and self.num_classes < 3:
-            raise ValueError("flip2 needs at least 3 classes for two distinct targets")
+            raise ValueError("flip2 needs at least 3 classes for two distinct targets, "
+                             f"got {self.num_classes}")
 
 
 @dataclass

@@ -516,6 +516,28 @@ class TestTrainLoop:
             assert len(report.epochs) == 2
             assert len(calls) == 3 * 2 * (len(train_split) // 40)
 
+    def test_index_streams_visit_every_train_row_and_span_the_meta_rows(self, monkeypatch):
+        # Row-coded features: a batch's feature column is its row indices.
+        import metareweight.bilevel as b
+        batches = []
+        monkeypatch.setattr(b, "bilevel_step", lambda state, tb, mb, *rest: batches.append(
+            (tb.features[:, 0].astype(int), mb.features[:, 0].astype(int))))
+
+        def rows(n):
+            return LabeledDataset(np.arange(n, dtype=float)[:, None], np.arange(n) % 3, 3)
+
+        n_train, n_meta = 410, 150
+        cfg = TrainConfig(train_batch=40, meta_batch=100, epochs=2, lr_milestones=())
+        train([Variant.NOISY_MAE], [rows(n_train)], [rows(n_meta)], rows(6), cfg, seed=1)
+        steps = -(-n_train // cfg.train_batch)
+        assert len(batches) == cfg.epochs * steps
+        for epoch in range(cfg.epochs):
+            visited = np.concatenate([t for t, _ in batches[epoch * steps:(epoch + 1) * steps]])
+            assert np.array_equal(np.sort(visited), np.arange(n_train))
+        assert all(len(m) == cfg.meta_batch for _, m in batches)
+        assert np.array_equal(np.unique(np.concatenate([m for _, m in batches])),
+                              np.arange(n_meta))
+
     def test_metrics_failure_names_the_epoch(self, monkeypatch):
         import metareweight.bilevel as b
 

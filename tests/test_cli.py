@@ -1,14 +1,25 @@
+import io
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metareweight.bilevel import TrainConfig, Variant
 from metareweight.cli import ResultRow, ResultTable, main, run_experiment, run_single
-from metareweight.config import ExperimentConfig
+from metareweight.config import ExperimentConfig, parse_config
 from metareweight.data import BlobSpec
 from metareweight.noise import NoiseKind
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TINY_CFG_TEXT = """
 [blob]
@@ -309,7 +320,18 @@ class TestCliCommands:
         cfg_path.write_text(f"[noise]\nrates = {rates}\n")
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert f"config error: {cfg_path}:2: bad value for 'rates'" in err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {cfg_path}: ")
+        assert err.endswith(f" (at {cfg_path}:2: rates = {rates})\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rates", ["nan", "0.2, nan"])
+    def test_run_nan_rate_states_the_rate_rule(self, tmp_path, capsys, rates):
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(f"[noise]\nrates = {rates}\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {cfg_path}: noise rate must lie in [0, 1), got nan "
+            f"(at {cfg_path}:2: rates = {rates})"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", ["[train]\nclassifier_lr = nan\n",
@@ -553,3 +575,116 @@ class TestCliCommands:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 3
         assert "runtime failure" in capsys.readouterr().err
+
+
+def test_import_leaves_the_process_pool_out():
+    # Only a multi-worker run needs concurrent.futures and multiprocessing.
+    code = ("import sys, metareweight.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out == "[]\n"
+
+
+# What a fuzzed `run` config may set each key to: values that keep a run
+# tiny, junk that the parser must reject or that stays tiny when it parses,
+# and, for the keys whose huge values the config rejects before anything is
+# allocated, a huge count.  Every case sets each key whose default would
+# make the run large; the mutations can only break such a line, never drop
+# or enlarge it.
+_HUGE = "1" + "0" * 30
+_JUNK = ["", "nan", "inf", "-inf", "-1", "0", "abc", "1e400", "-0.0", "1,,2", "\u00bd"]
+
+
+def _list_of(names):
+    return st.lists(st.sampled_from(names), min_size=1, max_size=3).map(", ".join)
+
+
+_FUZZ_KEYS = {
+    "blob": {
+        "classes": st.integers(2, 4).map(str),
+        "dim": st.integers(1, 3).map(str),
+        "n_train": st.integers(1, 8).map(str),
+        "n_meta": st.integers(1, 8).map(str),
+        "n_test": st.integers(1, 8).map(str),
+        "separation": st.sampled_from(["3.0", "1e-300", "1e300"]),
+        "cluster_std": st.sampled_from(["1.0", "1e-300", "1e300"]),
+    },
+    "noise": {
+        "kinds": _list_of([k.value for k in NoiseKind] + ["FLIP"]),
+        "rates": _list_of(["0.0", "0.4", "0.9", "-0.0", "0.1234561", "0.1234562"]),
+    },
+    "train": {
+        "train_batch": st.integers(1, 8).map(str),
+        "meta_batch": st.integers(1, 8).map(str),
+        "classifier_lr": st.sampled_from(["0.05", "1e5", "1e300"]),
+        "meta_lr": st.sampled_from(["0.001", "1e200"]),
+        "momentum": st.sampled_from(["0.9", "0"]),
+        "weight_decay": st.sampled_from(["0.0005", "1e300"]),
+        "epochs": st.just("1"),
+        "lr_milestones": st.sampled_from(["", "0", "0, 1", "1, 0"]),
+    },
+    "experiment": {
+        "variants": _list_of([v.value for v in Variant]),
+        "num_seeds": st.just("1"),
+        "seed": st.integers(0, 2**64 - 1).map(str),
+        "output_dir": st.sampled_from(["out", "o#x"]),
+        "workers": st.just("1"),
+    },
+}
+_REQUIRED = {"classes", "dim", "n_train", "n_meta", "n_test", "train_batch", "meta_batch",
+             "epochs", "num_seeds", "workers"}
+_HUGE_KEYS = ("classes", "dim", "n_train", "n_meta", "n_test", "meta_batch", "seed")
+_STRAY_LINES = ["[nonsense]", "[BLOB]", "[train", "garbage", "= 3", "bogus = 1", "# note",
+                "epochs = 1", "dim = 2"]
+
+
+@st.composite
+def fuzzed_config_texts(draw):
+    lines = []
+    for section, keys in _FUZZ_KEYS.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {draw(values)}" for key, values in keys.items()
+                  if key in _REQUIRED or draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 2))):
+        mutation = draw(st.sampled_from(["junk", "huge", "insert", "repeat", "move"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines)))
+        key = lines[i].split(" = ")[0]
+        if mutation == "junk" and key != lines[i]:
+            lines[i] = f"{key} = {draw(st.sampled_from(_JUNK))}"
+        elif mutation == "huge" and key in _HUGE_KEYS:
+            lines[i] = f"{key} = {_HUGE}"
+        elif mutation == "insert":
+            lines.insert(j, draw(st.sampled_from(_STRAY_LINES)))
+        elif mutation == "repeat":
+            lines.insert(j, lines[i])
+        elif mutation == "move":
+            lines.insert(j, lines.pop(i))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_config_texts())
+def test_fuzzed_run_configs_end_in_a_documented_exit(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "o"
+        cfg_path.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        lines = [line for line in err.getvalue().splitlines()
+                 if not line.startswith("warning: ")]
+        prefix = {0: None, 1: ("config error: ", "error: "), 3: ("runtime failure: ",)}[code]
+        if prefix is None:
+            assert lines == []
+            cfg = parse_config(cfg_path)
+            cells = len(cfg.variants) * len(cfg.noise_kinds) * len(cfg.noise_rates)
+            assert len((out / "results.csv").read_text().splitlines()) == 1 + cells
+        else:
+            assert len(lines) == 1 and lines[0].startswith(prefix), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert not (out / "results.csv").exists()

@@ -117,6 +117,15 @@ class TestStandardize:
             with pytest.raises(ValueError, match="overflow float64"):
                 standardize(bundle)
 
+    def test_overflowing_standardized_features_rejected_without_warning(self):
+        # one train row has standard deviation 0, floored to STD_FLOOR: the
+        # other classes' rows, 1e305 away, overflow when divided by it
+        bundle = make_blobs(BlobSpec(separation=1e305, n_train=1, n_meta=4, n_test=4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow float64 when standardized"):
+                standardize(bundle)
+
     def test_train_moments(self):
         bundle = standardize(make_blobs(BlobSpec(seed=4)))
         mu = bundle.train.features.mean(axis=0)
