@@ -246,21 +246,30 @@ _STEP_VECTORS = 4
 
 
 def check_group_memory(blob: BlobSpec, cfg: TrainConfig, runs: int) -> None:
-    """FieldError, on the largest size, when a group of ``runs`` runs on
-    ``blob``'s splits would hold more than the machine's physical memory.
-    The estimate is a lower bound: the float64 features of the three splits
-    and of one train and one meta batch, and the parameter-sized arrays of
-    one stacked step."""
+    """FieldError when a group of ``runs`` runs on ``blob``'s splits would
+    hold more than the machine's physical memory.  The estimate is a lower
+    bound, the larger of two phases: drawing the class means, which holds
+    the (K, K, d) pairwise differences and their squares (more than the two
+    (K, K) matrices of ``noise.majority_feasibility``), and a step, which
+    holds the float64 features of the three splits and of one train and
+    one meta batch, and the parameter-sized arrays of one stacked step.
+    The error names the larger factor of the larger phase: K^2 or d for the
+    means, the largest size for a step."""
     rows = (blob.n_train + blob.n_meta + blob.n_test
             + min(cfg.train_batch, blob.n_train) + cfg.meta_batch)
     num_params = ClassifierNet([blob.dim, *HIDDEN_SIZES, blob.num_classes]).num_params
-    need = 8 * (rows * blob.dim + _STEP_VECTORS * runs * num_params)
+    means = 8 * 2 * blob.num_classes ** 2 * blob.dim
+    step = 8 * (rows * blob.dim + _STEP_VECTORS * runs * num_params)
+    need = max(means, step)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        sizes = {name: getattr(blob, name)
-                 for name in ("num_classes", "dim", "n_train", "n_meta", "n_test")}
-        sizes["meta_batch"] = cfg.meta_batch
-        name = max(sizes, key=sizes.get)
+        if means > step:
+            name = "num_classes" if blob.num_classes ** 2 >= blob.dim else "dim"
+        else:
+            sizes = {name: getattr(blob, name)
+                     for name in ("num_classes", "dim", "n_train", "n_meta", "n_test")}
+            sizes["meta_batch"] = cfg.meta_batch
+            name = max(sizes, key=sizes.get)
         raise FieldError(name, f"{name} is too large: one seed group would hold at least "
                          f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
                          "of physical memory")

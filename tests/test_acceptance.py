@@ -5,6 +5,7 @@ Each test prints a single PASS line with its measured numbers (run with
 test with the same numbers in the assertion message.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -31,14 +32,26 @@ def cell_row(table, variant, kind, rate):
     return row
 
 
+# sha256 over the default grid's *.csv files in sorted relative-path order,
+# each file's relative POSIX path then its bytes.  Recorded with numpy 2.4.6
+# and scipy-openblas 0.3.31 on the SkylakeX core: another BLAS kernel may
+# round the last digit of a printed value differently.
+GRID_CSV_DIGEST = "cfa40ef9f611b323ea80204f9e00d92286d99b69c5b7594c7b5d58aa9530daf3"
+
+
 @pytest.fixture(scope="module")
-def ordering_grid(tmp_path_factory):
+def grid_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("grid")
+
+
+@pytest.fixture(scope="module")
+def ordering_grid(grid_dir):
     """Full desk-scale grid: uniform noise at rates 0.0/0.4, all three
     variants, five seeds each, default data and training configuration."""
     cfg = ExperimentConfig()
     assert cfg.noise_rates == (0.0, 0.4) and cfg.num_seeds == 5
     start = time.monotonic()
-    table = run_experiment(cfg, out_dir=tmp_path_factory.mktemp("grid"))
+    table = run_experiment(cfg, out_dir=grid_dir)
     return table, time.monotonic() - start
 
 
@@ -266,6 +279,19 @@ class TestDeterminism:
         assert not mismatches, f"non-identical outputs: {mismatches}"
         report("experiment determinism",
                "repeated run produced byte-identical CSV outputs")
+
+    def test_grid_files_match_their_recorded_digest(self, ordering_grid, grid_dir):
+        # pins every byte the grid writes, e.g. a meta draw that reaches only
+        # part of the meta split moves it
+        digest = hashlib.sha256()
+        paths = sorted(grid_dir.rglob("*.csv"))
+        for path in paths:
+            digest.update(path.relative_to(grid_dir).as_posix().encode())
+            digest.update(path.read_bytes())
+        assert len(paths) == 31  # results.csv and one file per run
+        assert digest.hexdigest() == GRID_CSV_DIGEST, (
+            f"grid files moved: sha256 {digest.hexdigest()} (numpy {np.__version__})")
+        report("grid file digest", f"{len(paths)} files, sha256 {GRID_CSV_DIGEST[:16]}...")
 
     def test_repeated_verification_byte_identical(self, tmp_path):
         from metareweight.cli import main

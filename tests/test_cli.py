@@ -7,6 +7,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -688,3 +689,159 @@ def test_fuzzed_run_configs_end_in_a_documented_exit(text):
             assert len(lines) == 1 and lines[0].startswith(prefix), err.getvalue()
             assert "Traceback" not in err.getvalue()
             assert not (out / "results.csv").exists()
+
+
+# What the other subcommands' fuzzed options may take: tiny sizes and the
+# junk of the `run` fuzz above, never a size beyond a few rows, so no case
+# allocates much.  "{out}" stands for a fresh directory, in which "f" is a
+# file, so "{out}/f/o" cannot be created.
+_SIZES = ["1", "2", "3", "8"]
+_SEED_VALUES = st.one_of(st.integers(0, 2**64 - 1).map(str), st.sampled_from(_JUNK))
+_KINDS = [k.value for k in NoiseKind] + ["FLIP", "none"]
+_RATES = ["0.0", "0.3", "0.6", "0.99", "-0.0", "1.0"]
+_ARGV_OPTIONS = {
+    "noise-matrix": {
+        "--kind": st.sampled_from(_KINDS),
+        "--rate": st.sampled_from(_RATES),
+        "--classes": st.sampled_from(["2", "3", "5"]),
+        "--seed": _SEED_VALUES,
+        "--out": st.sampled_from(["{out}/m.csv", "{out}/missing/m.csv", "{out}/f/m.csv"]),
+    },
+    "gen-data": {
+        "--out": st.sampled_from(["{out}/o", "{out}/f/o"]),
+        "--classes": st.sampled_from(["2", "3", "5"]),
+        "--dim": st.sampled_from(_SIZES),
+        "--n-train": st.sampled_from(_SIZES),
+        "--n-meta": st.sampled_from(_SIZES),
+        "--n-test": st.sampled_from(_SIZES),
+        "--separation": st.sampled_from(["3.0", "1e-300", "1e300"]),
+        "--cluster-std": st.sampled_from(["1.0", "1e-300", "1e300"]),
+        "--seed": _SEED_VALUES,
+        "--standardize": None,
+        "--noise-kind": st.sampled_from(_KINDS),
+        "--noise-rate": st.sampled_from(_RATES),
+    },
+}
+# Options every case sets: those whose absence is a usage error, and the
+# sizes, whose defaults are thousands of rows.  A mutation may still drop
+# or break them.
+_KEPT = {"--kind", "--rate", "--classes", "--out", "--dim", "--n-train", "--n-meta",
+         "--n-test"}
+_STRAY_ARGS = ["--bogus=1", "extra", "-x", "--", "--seed", "--standardize=1", "--rate"]
+
+
+@st.composite
+def fuzzed_argvs(draw, command):
+    """argv of ``command``: each option as ``--name=value`` (a flag bare),
+    those in ``_KEPT`` always and the others when drawn, then up to two
+    mutations that break a value, drop, insert, repeat or move an
+    argument.  An ``--out`` value is never broken: a junk path would name a
+    file in the working directory."""
+    args = [name if values is None else f"{name}={draw(values)}"
+            for name, values in _ARGV_OPTIONS[command].items()
+            if name in _KEPT or draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 2))):
+        mutation = draw(st.sampled_from(["junk", "drop", "insert", "repeat", "move"]))
+        if mutation == "insert" or not args:
+            args.insert(draw(st.integers(0, len(args))), draw(st.sampled_from(_STRAY_ARGS)))
+            continue
+        i = draw(st.integers(0, len(args) - 1))
+        if mutation == "junk" and not args[i].startswith("--out="):  # junk paths are relative
+            args[i] = f"{args[i].split('=')[0]}={draw(st.sampled_from(_JUNK))}"
+        elif mutation == "drop":
+            del args[i]
+        elif mutation == "repeat":
+            args.insert(draw(st.integers(0, len(args))), args[i])
+        else:
+            args.insert(draw(st.integers(0, len(args) - 1)), args.pop(i))
+    return [command, *args]
+
+
+def run_fuzzed(argv):
+    """(exit code, stdout) of ``main``, after asserting that it raised no
+    warning and printed no traceback, and that a failure ends in one error
+    line, after argparse's usage lines when the parser rejected the argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(out):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert caught == [], [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue()
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning: ")]
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        # argparse names the subcommand, or only the program for an
+        # argument that no parser takes
+        parser_error = (f"metareweight {argv[0]}: error: ", "metareweight: error: ")
+        *usage, last = lines
+        assert last.startswith(("error: ", *parser_error)), err.getvalue()
+        assert all(line.startswith(("usage: ", " ")) for line in usage), err.getvalue()
+        assert usage == [] or last.startswith(parser_error)
+    else:
+        assert lines == []
+    return code, out.getvalue()
+
+
+def _effective_out(argv, out):
+    """The file or directory ``--out`` names in a parsed ``argv``: argparse
+    keeps the last."""
+    given = [arg.split("=", 1)[1] for arg in argv if arg.startswith("--out=")]
+    return Path(given[-1].format(out=out)) if given else None
+
+
+def _with_fresh_out(argv, tmp):
+    (Path(tmp) / "f").write_text("")
+    return [arg.format(out=tmp) if arg.startswith("--out=") else arg for arg in argv]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_argvs("noise-matrix"))
+def test_fuzzed_noise_matrix_argv_ends_in_a_documented_exit(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout = run_fuzzed(_with_fresh_out(argv, tmp))
+        target = _effective_out(argv, tmp)
+        if code == 1:
+            assert stdout == ""
+            assert target is None or not target.exists()
+            return
+        text = target.read_text() if target is not None else stdout
+        rows = [[float(v) for v in line.split(",")] for line in text.splitlines()]
+        k = int(rows[0][0])
+        assert len(rows) == 1 + k and all(len(row) == k for row in rows[1:])
+        assert np.allclose(np.sum(rows[1:], axis=1), 1.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_argvs("gen-data"))
+def test_fuzzed_gen_data_argv_ends_in_a_documented_exit(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, stdout = run_fuzzed(_with_fresh_out(argv, tmp))
+        target = _effective_out(argv, tmp)
+        if code == 1:
+            assert stdout == ""
+            assert target is None or not target.exists()
+            return
+        assert stdout == f"wrote datasets to {target}\n"
+        assert {"train.csv", "meta.csv", "test.csv"} <= {p.name for p in target.iterdir()}
+
+
+def _is_seed(text):
+    try:
+        return 0 <= int(text) < 2**64
+    except ValueError:
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)).map(str)
+       | st.text(max_size=12).filter(lambda text: not _is_seed(text)))
+def test_malformed_verify_seed_exits_one_before_the_suite(seed):
+    import metareweight.cli as cli_mod
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli_mod.verify, "run_all", side_effect=AssertionError("ran")):
+        csv_path = Path(tmp) / "verify.csv"
+        code, stdout = run_fuzzed(["verify", f"--seed={seed}", "--csv", str(csv_path)])
+        assert code == 1 and stdout == ""
+        assert not csv_path.exists()

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from metareweight import bilevel
 from metareweight.bilevel import TrainConfig, Variant
 from metareweight.config import (_SCHEMA, ConfigError, ExperimentConfig, parse_config,
                                  parse_config_text, serialize_config)
-from metareweight.data import BlobSpec
+from metareweight.data import BlobSpec, make_blobs
 from metareweight.noise import NoiseKind
 
 
@@ -355,6 +356,63 @@ class TestMemoryBound:
         with pytest.raises(ConfigError, match=f"^<config>: {field} is too large") as info:
             parse_config_text(f"[{section}]\n{key} = {10**15}\n")
         assert info.value.location == f"<config>:2: {key} = {10**15}"
+
+
+class TestPairwiseMemoryBound:
+    """Drawing the class means holds (K, K, d) arrays, so a many-class
+    config is rejected even when every split is tiny."""
+
+    TINY = "n_train = 8\nn_meta = 8\nn_test = 8\n\n[train]\ntrain_batch = 8\nmeta_batch = 8\n"
+
+    @pytest.fixture(autouse=True)
+    def eight_gib_host(self, monkeypatch):
+        # the bound compares with physical memory: pin it, so the sizes
+        # below fail alike on every host
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
+        monkeypatch.setattr(bilevel.os, "sysconf", pages.__getitem__)
+
+    @pytest.mark.parametrize("classes, dim, field, line", [
+        (30000, 1, "num_classes", "2: classes = 30000"),
+        (100, 10**12, "dim", f"3: dim = {10**12}")])
+    def test_many_classes_rejected_before_allocating(self, classes, dim, field, line):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^<config>: {field} is too large: one seed "
+                                                  "group would hold at least .* GiB, more "
+                                                  "than the 8 GiB of physical memory$") as info:
+                parse_config_text(f"[blob]\nclasses = {classes}\ndim = {dim}\n{self.TINY}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.location == f"<config>:{line}"
+        assert peak < 10**6
+
+    def test_default_and_a_thousand_classes_pass(self):
+        assert parse_config_text("") == ExperimentConfig()
+        parse_config_text(f"[blob]\nclasses = 1000\ndim = 1\n{self.TINY}")
+
+    def test_bound_is_below_what_drawing_the_means_allocates(self, monkeypatch):
+        # a host with the memory that make_blobs peaks at passes the check;
+        # one byte less than 16 K^2 d, the (K, K, d) differences and their
+        # squares, fails it
+        blob = BlobSpec(num_classes=300, dim=2, n_train=8, n_meta=8, n_test=8)
+        tracemalloc.start()
+        try:
+            make_blobs(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        train = TrainConfig(train_batch=8, meta_batch=8)
+
+        def host_with(nbytes):
+            monkeypatch.setattr(bilevel.os, "sysconf",
+                                {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}.__getitem__)
+
+        host_with(peak)
+        bilevel.check_group_memory(blob, train, runs=1)
+        host_with(16 * 300 ** 2 * 2 - 1)
+        with pytest.raises(ValueError, match="^num_classes is too large"):
+            bilevel.check_group_memory(blob, train, runs=1)
 
 
 class TestOutputDir:

@@ -5,7 +5,7 @@ from metareweight import bilevel, verify
 from metareweight.bilevel import Batch
 from metareweight.data import LabeledDataset
 from metareweight.losses import LossKind
-from metareweight.noise import NoiseKind, NoiseSpec, build_transition
+from metareweight.noise import NoiseKind, NoiseSpec, TransitionMatrix, build_transition
 from metareweight.numkit import Rng
 
 
@@ -220,6 +220,99 @@ class TestMcConvergence:
     def test_slope_is_half_order(self):
         slope = verify.mc_convergence_slope(Rng(15))
         assert -0.65 <= slope <= -0.35
+
+
+def corrupted_gradient(seed=verify.DEFAULT_VERIFY_SEED):
+    return verify.corrupted_gradient_check(Rng(seed).spawn(107))
+
+
+class TestCorruptedGradient:
+    """``sampled-corruption-mean-gradient``: the MAE gradient averaged over
+    batches that ``corrupt`` labels, against the exact expectation."""
+
+    def test_sampled_mean_equals_the_gathered_mean(self, monkeypatch):
+        # one corrupt call per noise kind, each over every copy of the
+        # batch; each sampled mean is the gathered g_all[rows, observed] mean
+        corrupt_sizes, checked = [], []
+        corrupt, sampled = verify.corrupt, verify.sampled_mean_gradient
+
+        def recorded_corrupt(dataset, t, rng):
+            corrupt_sizes.append(len(dataset))
+            return corrupt(dataset, t, rng)
+
+        def gathered(g_all, observed):
+            got = sampled(g_all, observed)
+            want = g_all[np.arange(g_all.shape[0])[None, :], observed].mean(axis=(0, 1))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            checked.append(observed.shape)
+            return got
+
+        monkeypatch.setattr(verify, "corrupt", recorded_corrupt)
+        monkeypatch.setattr(verify, "sampled_mean_gradient", gathered)
+        assert corrupted_gradient().passed
+        assert corrupt_sizes == [60_000] * 3
+        assert checked == [(10_000, 6)] * 3
+
+    def test_no_false_alarm_over_seeds(self):
+        for seed in [verify.DEFAULT_VERIFY_SEED, *range(1, 41)]:
+            result = corrupted_gradient(seed)
+            assert result.passed, f"seed {seed}: {result.detail}"
+            assert "limit 5.0" in result.detail
+
+    def test_expected_gradient_reading_the_transposed_transition_fails(self, monkeypatch):
+        # the flip kind's T is not symmetric
+        original = verify.expected_gradient
+        monkeypatch.setattr(verify, "expected_gradient",
+                            lambda g_all, labels, t: original(g_all, labels, t.T))
+        for seed in (verify.DEFAULT_VERIFY_SEED, 1, 2):
+            assert not corrupted_gradient(seed).passed
+
+    @pytest.mark.parametrize("rate", [0.38, 0.42])
+    def test_corrupt_two_points_off_the_rate_fails(self, monkeypatch, rate):
+        # corrupt draws from T moved from rate 0.4 to rate: I + (rate/0.4)(T - I)
+        original = verify.corrupt
+
+        def mutant(dataset, t, rng):
+            k = t.num_classes
+            moved = np.eye(k) + rate / 0.4 * (t.probs - np.eye(k))
+            return original(dataset, TransitionMatrix(k, moved), rng)
+
+        monkeypatch.setattr(verify, "corrupt", mutant)
+        for seed in [verify.DEFAULT_VERIFY_SEED, *range(1, 11)]:
+            result = corrupted_gradient(seed)
+            assert not result.passed, f"seed {seed}: {result.detail}"
+
+    def test_labels_rolled_by_one_fail(self, monkeypatch):
+        original = verify.corrupt
+
+        def rolled(dataset, t, rng):
+            out = original(dataset, t, rng)
+            return LabeledDataset(out.features, np.roll(out.labels, 1), out.num_classes,
+                                  out.true_labels)
+
+        monkeypatch.setattr(verify, "corrupt", rolled)
+        for seed in (verify.DEFAULT_VERIFY_SEED, 1, 2):
+            assert not corrupted_gradient(seed).passed
+
+    def test_a_zero_variance_coordinate_must_match_exactly(self, monkeypatch):
+        # a coordinate whose gradient is the same for every label has zero
+        # standard error; any gap beyond rounding there fails
+        per_label = verify.per_label_gradients
+
+        def with_constant_coordinate(*args):
+            g_all = per_label(*args)
+            g_all[:, :, 0] = 1.0
+            return g_all
+
+        monkeypatch.setattr(verify, "per_label_gradients", with_constant_coordinate)
+        result = corrupted_gradient(1)  # seed 1 has no zero-variance coordinate of its own
+        assert result.passed, result.detail
+        assert "largest gap on the 3 zero-variance coordinates " in result.detail
+        sampled = verify.sampled_mean_gradient
+        monkeypatch.setattr(verify, "sampled_mean_gradient",
+                            lambda g_all, observed: sampled(g_all, observed) + 1e-9 * (
+                                np.arange(g_all.shape[2]) == 0))
+        assert not corrupted_gradient(1).passed
 
 
 class TestCorruptionFrequencies:
