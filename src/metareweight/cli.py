@@ -24,13 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .bilevel import RunReport, Variant, train
+from .bilevel import RunReport, Variant, check_means_memory, train
 from .config import (ConfigError, ExperimentConfig, parse_config, rate_label,
                      serialize_config)
 from .data import (BlobSpec, csv_text, dataclass_csv, make_blobs, save_dataset,
                    standardize)
 from .noise import NoiseKind, NoiseSpec, build_transition, corrupt, majority_feasibility
-from .numkit import Rng
+from .numkit import FieldError, Rng
 
 # Purposes for deriving per-run random streams from the experiment seed.
 # Chained spawns (purpose -> seed index -> cell index) cannot collide the
@@ -249,6 +249,11 @@ def _cmd_gen_data(args) -> int:
                     n_meta=args.n_meta, n_test=args.n_test,
                     separation=args.separation, cluster_std=args.cluster_std,
                     seed=args.seed)
+    try:
+        check_means_memory(spec)
+    except FieldError as exc:
+        option = {"num_classes": "--classes", "dim": "--dim"}[exc.field]
+        raise ValueError(f"{option}: {exc}") from None
     bundle = standardize(make_blobs(spec)) if args.standardize else make_blobs(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,10 +25,11 @@ def rate_label(rate: float) -> str:
 
 
 def _owned(field: str, rule, *args) -> None:
-    """``rule(*args)``, its ValueError raised as a FieldError on ``field``."""
+    """``rule(*args)``, its ValueError or TypeError raised as a FieldError on
+    ``field``."""
     try:
         rule(*args)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FieldError(field, str(exc)) from exc
 
 

@@ -22,11 +22,16 @@ def accuracy(predictions, labels) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="stable")
+    """1-based ranks with ties sharing their average rank.
+
+    Every member of a run of equal values gets the run's average rank, so
+    the order within a run cannot change the ranks, and the default
+    (unstable) argsort gives those of the stable one.  NaN equals nothing,
+    so each NaN is a run of its own and the order of the NaNs does matter:
+    with a NaN present the stable argsort is taken."""
+    order = np.argsort(x, kind="stable" if np.isnan(x).any() else None)
     sorted_x = x[order]
-    # Runs of equal values in sorted order; NaN equals nothing, so each NaN
-    # is a run of its own.
+    # Runs of equal values in sorted order.
     starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
     counts = np.diff(np.r_[starts, x.size])
     ranks = np.empty(x.size, dtype=np.float64)

@@ -26,8 +26,10 @@ only in how the input is read and in the output-layer delta.  The forward
 loop rectifies in place; the backward loop masks with ``max(z, 0) > 0``.
 Every layer product goes through ``_matmul``: a product whose contraction
 length is 1 (the weighting net's fan-in-1 layer, the delta back from its
-1-wide output) is an outer product, with the bits of the ``np.matmul``
-it replaces and without BLAS's slow path for that shape.
+1-wide output) is an outer product, taken by ``np.einsum``: the bits of
+``np.matmul`` without BLAS's slow path for that shape.  (A broadcast
+``a * b`` differs from both in the sign of zero: it keeps a -0.0 product
+that they return as +0.0.)
 
 Leading parameter axis: every method, and ``set_flat``, also takes a
 ``(T, num_params)`` stack of parameter vectors and returns ``(T, n, ...)``
@@ -55,9 +57,13 @@ from .numkit import Rng, as_vec
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for stacks of matrices.  With a contraction length of 1 it
-    is the broadcast outer product ``a * b``: that rounds each entry once,
-    as BLAS does, and is faster."""
-    return a * b if a.shape[-1] == 1 else np.matmul(a, b)
+    is an outer product, and ``np.einsum`` takes it faster than BLAS or the
+    broadcast ``a * b``.  Each entry is one rounded product, and like
+    ``np.matmul`` it gives +0.0 where that product is -0.0, as ``a * b``
+    does not: the bits of ``np.matmul``."""
+    if a.shape[-1] == 1:
+        return np.einsum("...ik,...kj->...ij", a, b)
+    return np.matmul(a, b)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:

@@ -142,7 +142,7 @@ def corrupt(dataset: LabeledDataset, t: TransitionMatrix, rng: Rng) -> LabeledDa
     labels = dataset.labels
     u = rng.uniforms(labels.size)
     observed = np.empty(labels.size, dtype=np.int64)
-    for y in np.unique(labels):
+    for y in np.flatnonzero(np.bincount(labels)):  # the classes present
         idx = np.nonzero(labels == y)[0]
         observed[idx] = np.searchsorted(t._cum[y], u[idx], side="right")
     return LabeledDataset(dataset.features, observed, dataset.num_classes,

@@ -14,6 +14,8 @@ are not shared between concurrent tasks; derive one per task with
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -33,17 +35,23 @@ _GAUSSIAN_CHUNK = 1 << 14  # normals per chunk, from 2**15 uniforms
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array (multiplication wraps mod 2^64)."""
-    z = z ^ (z >> _S30)
-    z = z * _MUL1_U64
-    z = z ^ (z >> _S27)
-    z = z * _MUL2_U64
-    return z ^ (z >> _S31)
+    """SplitMix64 finalizer on a uint64 array (multiplication wraps mod
+    2^64), in place: returns ``z``, mixed."""
+    z ^= z >> _S30
+    z *= _MUL1_U64
+    z ^= z >> _S27
+    z *= _MUL2_U64
+    z ^= z >> _S31
+    return z
 
 
 def _u64(value: int, name: str) -> np.ndarray:
-    """``value`` as a one-element uint64 array; it must lie in [0, 2**64)."""
-    v = int(value)
+    """``value``, a Python or numpy integer, as a one-element uint64 array;
+    it must lie in [0, 2**64)."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if not 0 <= v <= _MASK:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     return np.array([v], dtype=np.uint64)
@@ -112,8 +120,18 @@ class Rng:
         return (self.next_u64s(size) % np.uint64(n)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Permutation of range(n) by stable argsort of n uniform keys."""
-        return np.argsort(self.uniforms(n), kind="stable")
+        """Permutation of range(n): the stable argsort of n uniform keys.
+
+        The default (unstable) argsort gives it whenever no two keys are
+        equal, because then only one order sorts them; if two sorted keys
+        are equal, the order within their tie decides, and the stable sort
+        is taken."""
+        keys = self.uniforms(n)
+        order = np.argsort(keys)
+        ranked = keys[order]
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.argsort(keys, kind="stable")
+        return order
 
 
 # -- array validation ---------------------------------------------------------

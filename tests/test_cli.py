@@ -489,6 +489,28 @@ class TestCliCommands:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes, option", [
+        (["--classes", "30000", "--dim", "1"], "--classes"),
+        (["--classes", "3", "--dim", str(10**12)], "--dim")])
+    def test_gen_data_beyond_memory_fails_before_drawing(self, tmp_path, monkeypatch, capsys,
+                                                          sizes, option):
+        import metareweight.bilevel as bilevel_mod
+        import metareweight.cli as cli_mod
+
+        def never(spec):
+            raise AssertionError("make_blobs was called")
+
+        # an 8 GiB host, so the sizes fail alike everywhere
+        monkeypatch.setattr(bilevel_mod.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}.__getitem__)
+        monkeypatch.setattr(cli_mod, "make_blobs", never)
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), *sizes]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {option}: ") and "GiB of physical memory" in err[0]
+        assert not out.exists()
+
     def test_verify_failure_exit_two(self, monkeypatch, capsys):
         import metareweight.cli as cli_mod
         from metareweight.verify import PropertyResult

@@ -13,6 +13,7 @@ from metareweight.config import (_SCHEMA, ConfigError, ExperimentConfig, parse_c
                                  parse_config_text, serialize_config)
 from metareweight.data import BlobSpec, make_blobs
 from metareweight.noise import NoiseKind
+from metareweight.numkit import FieldError
 
 
 class TestParse:
@@ -161,6 +162,12 @@ class TestHyperparameterRanges:
     @pytest.mark.parametrize("value", [0, 2**64 - 1])
     def test_seed_bounds_accepted(self, value):
         assert parse_config_text(f"[experiment]\nseed = {value}\n").seed == value
+
+    @pytest.mark.parametrize("value", [1.5, "12"])
+    def test_programmatic_non_integer_seed_is_a_field_error(self, value):
+        with pytest.raises(FieldError, match="^seed must be an integer, got ") as info:
+            ExperimentConfig(seed=value)
+        assert info.value.field == "seed"
 
     def test_zero_weight_decay_and_large_finite_values_accepted(self):
         cfg = parse_config_text("[train]\nweight_decay = 0\nclassifier_lr = 1e308\n"

@@ -108,6 +108,15 @@ class TestAverageRanks:
     def test_empty(self):
         assert _average_ranks(np.empty(0)).size == 0
 
+    @pytest.mark.parametrize("nans", [0, 1, 40])
+    def test_equals_loop_on_many_tied_keys(self, nans):
+        # 20,000 keys in 64 values, as many as an epoch's train AUC ranks:
+        # the default argsort without a NaN, the stable one with NaNs
+        x = np.floor(64.0 * Rng(9).uniforms(20_000)) - 32.0
+        x[np.flatnonzero(x == 0.0)[::2]] = -0.0  # zeros of both signs tie
+        x[Rng(10).randints(nans, x.size)] = np.nan
+        assert np.array_equal(_average_ranks(x), loop_average_ranks(x))
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -3.0, np.inf, np.nan])
                     | st.floats(), max_size=60))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metareweight.losses import LossKind, grad_logits_batch, loss_values_batch
-from metareweight.nets import ClassifierNet, SampleGrads, WeightNet, _softmax_rows
+from metareweight.nets import ClassifierNet, SampleGrads, WeightNet, _matmul, _softmax_rows
 from metareweight.numkit import Rng
 
 
@@ -713,3 +713,25 @@ class TestOuterProducts:
         self.check_grads(grads, want, rng.gaussians(n), rng.gaussians(net.num_params))
         if t is None:
             assert np.array_equal(net.hidden_preactivations(theta, v), zs[0].ravel())
+
+
+class TestOuterProductKernel:
+    """``_matmul`` with a contraction length of 1 against ``np.matmul``, bit
+    for bit, signs of zeros included, on the stacked and broadcast shapes
+    the nets pass and on the wide ones of the weighting net."""
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((7, 1), (1, 5)), ((3, 7, 1), (3, 1, 5)), ((3, 7, 1), (1, 5)),
+        ((7, 1), (3, 1, 5)), ((1, 7, 1), (4, 1, 5)), ((2, 1, 7, 1), (3, 1, 5)),
+        ((1000, 1), (1, 100)), ((5, 100, 1), (5, 1, 100)), ((1, 1000, 1), (1, 1, 100))])
+    def test_equals_matmul_bits(self, a_shape, b_shape):
+        rng = Rng(sum(a_shape) + sum(b_shape))
+        a = rng.gaussians(int(np.prod(a_shape))).reshape(a_shape)
+        b = rng.gaussians(int(np.prod(b_shape))).reshape(b_shape)
+        # zeros of both signs, met by factors of both signs
+        a.flat[::3], a.flat[1::7], b.flat[::4], b.flat[2::5] = 0.0, -0.0, -0.0, 0.0
+        got, want = _matmul(a, b), np.matmul(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        product = a * b  # the broadcast outer product keeps some -0.0 that matmul does not
+        assert (np.signbit(product) & (product == 0.0)).any()

@@ -230,6 +230,19 @@ class TestCorrupt:
                                                  f"dataset has {data_classes}"):
                 corrupt(ds, t, Rng(seed))
 
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_split_missing_classes_equals_the_unique_loop(self, kind):
+        # labels in {1, 3, 4} of K = 6: classes 0, 2 and 5 are absent
+        labels = np.array([1, 3, 4])[Rng(3).randints(2000, 3)]
+        ds = LabeledDataset(np.zeros((labels.size, 2)), labels, 6)
+        t = build_transition(NoiseSpec(kind, 0.4, 6, seed=5))
+        u = Rng(4).uniforms(labels.size)
+        want = np.empty(labels.size, dtype=np.int64)
+        for y in np.unique(labels):
+            idx = np.nonzero(labels == y)[0]
+            want[idx] = np.searchsorted(t._cum[y], u[idx], side="right")
+        assert np.array_equal(corrupt(ds, t, Rng(4)).labels, want)
+
 
 class TestMajorityFeasibility:
     def test_flip_thresholds(self):

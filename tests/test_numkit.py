@@ -132,3 +132,38 @@ class TestRng:
         xs = Rng(42).spawn(1).uniforms(1000)
         ys = Rng(42).spawn(2).uniforms(1000)
         assert abs(np.corrcoef(xs, ys)[0, 1]) < 0.1
+
+
+class TestPermutationFastPath:
+    """The default-kind argsort against the stable one it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000, 20_000])
+    def test_permutation_equals_stable_argsort(self, n):
+        keys = Rng(6).uniforms(n)
+        assert np.array_equal(Rng(6).permutation(n), np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("tied", ["one pair", "many"])
+    def test_permutation_with_tied_keys_takes_the_stable_order(self, monkeypatch, tied):
+        keys = Rng(2).uniforms(5000)
+        if tied == "one pair":
+            keys[4000] = keys[17]
+        else:
+            keys = np.floor(8.0 * keys)
+        monkeypatch.setattr(Rng, "uniforms", lambda self, size: keys[:size].copy())
+        assert np.array_equal(Rng(0).permutation(keys.size), np.argsort(keys, kind="stable"))
+
+
+class TestIntegerSeeds:
+    @pytest.mark.parametrize("value", [1.5, 2.0, "12", np.float64(3.0), None])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(TypeError, match="^seed must be an integer, got "):
+            Rng(value)
+        with pytest.raises(TypeError, match="^stream id must be an integer, got "):
+            Rng(3).spawn(value)
+
+    def test_numpy_integers_accepted(self):
+        assert Rng(np.uint64(2**64 - 1)).seed == 2**64 - 1
+        assert type(Rng(np.int64(7)).seed) is int
+        assert Rng(np.int32(7)).spawn(np.int64(1)).seed == Rng(7).spawn(1).seed
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            Rng(np.int64(-1))
