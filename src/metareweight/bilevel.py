@@ -269,6 +269,14 @@ def check_means_memory(blob: BlobSpec) -> None:
     _check_fits(*_means_bound(blob), "drawing the class means")
 
 
+def check_matrix_memory(num_classes: int) -> None:
+    """FieldError on ``num_classes`` when writing a K x K transition matrix
+    as CSV would hold more than the machine's physical memory: at least the
+    float64 array and, per entry, a 24-byte float object of its ``tolist()``
+    rows and the row's 8-byte pointer to it."""
+    _check_fits(40 * num_classes ** 2, "num_classes", "the transition matrix as CSV")
+
+
 def check_group_memory(blob: BlobSpec, cfg: TrainConfig, runs: int) -> None:
     """FieldError when a group of ``runs`` runs on ``blob``'s splits would
     hold more than the machine's physical memory.  The estimate is a lower

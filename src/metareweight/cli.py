@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import verify
-from .bilevel import RunReport, Variant, check_means_memory, train
+from .bilevel import (RunReport, Variant, check_matrix_memory, check_means_memory,
+                      train)
 from .config import (ConfigError, ExperimentConfig, parse_config, rate_label,
                      serialize_config)
 from .data import (BlobSpec, csv_text, dataclass_csv, make_blobs, save_dataset,
@@ -115,17 +116,15 @@ def run_single(cfg: ExperimentConfig, variant: Variant, kind: NoiseKind,
 def _run_seed(args):
     """Every run of one seed index, trained in lockstep: ``(reports, None)``
     with one report per entry of ``runs``, or ``(None, (job key, error))``
-    for the first run of ``runs`` that fails.  The job key (run index, seed
-    index) orders the grid's jobs.
-
-    Runs with the same meta loss, train labels and meta labels are one
-    computation (at rate 0, noisy-ce is clean-ce and every noise kind is
-    the identity): the first of them in job order trains, and all of them
-    get its report.  A divergence (``ValueError``) or ``MemoryError`` stops
-    the whole stack, so the distinct runs then train alone, in job order,
-    up to the first that fails; when none fails alone (the stack alone
-    failed, e.g. out of memory), their reports are the result.  Any other
-    exception is a bug and propagates."""
+    for the first run that fails; the job key (run index, seed index)
+    orders the grid's jobs.  Runs with the same meta loss, train labels and
+    meta labels (at rate 0, noisy-ce is clean-ce) train once, as the first
+    of them in job order.  The stacked call gives the result.  If it raises
+    ``ValueError`` or ``MemoryError``, the distinct runs train alone, in job
+    order, only to name the first that fails.  If none fails, their reports
+    stand in for an out-of-memory stack, but a ``ValueError`` no run raises
+    alone is a bug (each row has its run's bits alone), raised as a
+    ``RuntimeError`` naming the seed group."""
     cfg, runs, seed_index = args
     test, splits = _splits(cfg, seed_index, runs)
     seed = _stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed
@@ -133,23 +132,24 @@ def _run_seed(args):
             for run, (train_split, meta_split) in zip(runs, splits)]
     firsts = [keys.index(key) for key in keys]
     distinct = sorted(set(firsts))
-    with suppress(ValueError, MemoryError):
+    try:
         reports = train([runs[i][0] for i in distinct], *zip(*(splits[i] for i in distinct)),
                         test, cfg.train, seed=seed)
-        return [reports[distinct.index(i)] for i in firsts], None
-    solo = {}
-    for i in distinct:
-        try:
-            [solo[i]] = train([runs[i][0]], [splits[i][0]], [splits[i][1]], test, cfg.train,
-                              seed=seed)
-        except (ValueError, MemoryError) as exc:
-            error, (variant, kind, rate, _) = exc, runs[i]
-            break
-    else:
-        return [solo[i] for i in firsts], None
-    return None, ((i, seed_index), RuntimeError(
-        f"run failed for variant={variant.value}, "
-        f"noise={kind.value}@{rate}, seed={seed_index}: {error}"))
+    except (ValueError, MemoryError) as stack_error:
+        reports = []
+        for i in distinct:
+            variant, kind, rate, _ = runs[i]
+            try:
+                reports += train([variant], [splits[i][0]], [splits[i][1]], test, cfg.train,
+                                 seed=seed)
+            except (ValueError, MemoryError) as exc:
+                return None, ((i, seed_index), RuntimeError(
+                    f"run failed for variant={variant.value}, "
+                    f"noise={kind.value}@{rate}, seed={seed_index}: {exc}"))
+        if isinstance(stack_error, ValueError):
+            raise RuntimeError(f"seed group {seed_index} failed as a stack although each "
+                               f"of its runs trains alone: {stack_error}") from stack_error
+    return [reports[distinct.index(i)] for i in firsts], None
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
@@ -228,6 +228,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_noise_matrix(args) -> int:
     spec = NoiseSpec(NoiseKind(args.kind), args.rate, args.classes, seed=args.seed)
+    try:
+        check_matrix_memory(spec.num_classes)
+    except FieldError as exc:
+        raise ValueError(f"--classes: {exc}") from None
     matrix = build_transition(spec)
     if majority_feasibility(spec) == "warning":
         print("warning: some corrupted class outweighs the true class at this rate",
@@ -261,11 +265,14 @@ def _cmd_gen_data(args) -> int:
     save_dataset(bundle.meta, out / "meta.csv")
     save_dataset(bundle.test, out / "test.csv")
     if noise_spec is not None:
+        # `run`'s corruption streams for seed group 0, cell 0: make_blobs
+        # draws the data from children of `--seed` itself
         matrix = build_transition(noise_spec)
-        rng = Rng(args.seed)
-        save_dataset(corrupt(bundle.train, matrix, rng.spawn(1)),
+        save_dataset(corrupt(bundle.train, matrix,
+                             _stream(args.seed, _PURPOSE_TRAIN_CORRUPT, 0, 0)),
                      out / "train_corrupted.csv")
-        save_dataset(corrupt(bundle.meta, matrix, rng.spawn(2)),
+        save_dataset(corrupt(bundle.meta, matrix,
+                             _stream(args.seed, _PURPOSE_META_CORRUPT, 0, 0)),
                      out / "meta_corrupted.csv")
     print(f"wrote datasets to {out}")
     return 0

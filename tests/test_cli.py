@@ -250,6 +250,40 @@ class TestDistinctRuns:
         assert sizes == [5]
         assert not (tmp_path / "results.csv").exists()
 
+    def test_a_value_error_of_the_stack_alone_is_a_runtime_failure(
+            self, tmp_path, monkeypatch, capsys):
+        # numpy reports a shape bug as ValueError; when every run alone
+        # trains, the solo search has only explained the stack's error, and
+        # its reports must not stand in for the stack
+        import metareweight.cli as cli_mod
+        real_train, sizes = cli_mod.train, []
+        message = "operands could not be broadcast together with shapes (5,3) (4,3)"
+
+        def stacked_shape_bug(variants, *args, **kwargs):
+            sizes.append(len(variants))
+            if len(variants) > 1:
+                raise ValueError(message)
+            return real_train(variants, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "train", stacked_shape_bug)
+        cfg = tiny_cfg(variants=tuple(Variant), num_seeds=1)
+        with pytest.raises(RuntimeError) as caught:
+            run_experiment(cfg, out_dir=tmp_path / "direct")
+        assert str(caught.value) == ("seed group 0 failed as a stack although each of its "
+                                     f"runs trains alone: {message}")
+        assert isinstance(caught.value.__cause__, ValueError)
+        assert sizes == [5, 1, 1, 1, 1, 1]
+        assert not (tmp_path / "direct" / "results.csv").exists()
+
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT.replace("clean-ce, noisy-mae", ", ".join(
+            v.value for v in Variant)).replace("num_seeds = 2", "num_seeds = 1"))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"runtime failure: seed group 0 failed as a stack although each of its "
+            f"runs trains alone: {message}"]
+        assert not (tmp_path / "cli" / "results.csv").exists()
+
 
 class TestResultCsv:
     def test_bytes_of_a_table(self):
@@ -450,6 +484,31 @@ class TestCliCommands:
         assert rows[0] == "3,20" and len(rows) == 1 + 30
         assert all(len(r.split(",")) == 20 + 3 for r in rows[1:])
 
+    def test_gen_data_corruption_streams_are_not_data_streams(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # make_blobs draws the class means and the three splits from
+        # Rng(seed).spawn(1..4); a corruption stream among them would make
+        # the corrupted labels a function of the features
+        import metareweight.cli as cli_mod
+        from metareweight.numkit import Rng
+        real_corrupt, streams = cli_mod.corrupt, []
+
+        def spy(dataset, matrix, rng):
+            streams.append(rng.seed)
+            return real_corrupt(dataset, matrix, rng)
+
+        monkeypatch.setattr(cli_mod, "corrupt", spy)
+        for seed in range(20):
+            streams.clear()
+            assert main(["gen-data", "--out", str(tmp_path / str(seed)), "--classes", "3",
+                         "--dim", "2", "--n-train", "8", "--n-meta", "4", "--n-test", "4",
+                         "--seed", str(seed), "--noise-kind", "uniform",
+                         "--noise-rate", "0.3"]) == 0
+            data_streams = {Rng(seed).spawn(k).seed for k in range(1, 5)}
+            assert len(streams) == 2 and len(set(streams)) == 2
+            assert data_streams.isdisjoint(streams)
+        capsys.readouterr()
+
     def test_unusable_run_output_fails_before_training(self, tmp_path, monkeypatch, capsys):
         import metareweight.cli as cli_mod
 
@@ -510,6 +569,51 @@ class TestCliCommands:
         assert len(err) == 1
         assert err[0].startswith(f"error: {option}: ") and "GiB of physical memory" in err[0]
         assert not out.exists()
+
+    def test_noise_matrix_beyond_memory_fails_before_building(self, tmp_path, monkeypatch,
+                                                              capsys):
+        import tracemalloc
+
+        import metareweight.bilevel as bilevel_mod
+
+        # an 8 GiB host, so the size fails alike everywhere
+        monkeypatch.setattr(bilevel_mod.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}.__getitem__)
+        out = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            code = main(["noise-matrix", "--kind", "uniform", "--rate", "0.4",
+                         "--classes", "30000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 2 ** 20
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: --classes: ") and "GiB of physical memory" in err[0]
+        assert not out.exists()
+
+    def test_noise_matrix_memory_bound_is_below_the_peak(self, tmp_path, monkeypatch):
+        # the check is a lower bound: a matrix it lets through may still not
+        # fit, but one it rejects could never have been written
+        import tracemalloc
+
+        import metareweight.bilevel as bilevel_mod
+        real_check, needs = bilevel_mod._check_fits, []
+
+        def spy(need, *args):
+            needs.append(need)
+            return real_check(need, *args)
+
+        monkeypatch.setattr(bilevel_mod, "_check_fits", spy)
+        tracemalloc.start()
+        try:
+            assert main(["noise-matrix", "--kind", "uniform", "--rate", "0.4",
+                         "--classes", "1000", "--out", str(tmp_path / "m.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(needs) == 1 and 0 < needs[0] < peak
 
     def test_verify_failure_exit_two(self, monkeypatch, capsys):
         import metareweight.cli as cli_mod

@@ -116,10 +116,10 @@ GEN_DATA_ARGS = ["--classes", "3", "--dim", "4", "--n-train", "40", "--n-meta", 
 
 GEN_DATA_DIGESTS = {
     "meta.csv": "54503c547bad1dab0d4e973ff7c09352d60a6b1a9496fa71a3c525beeb5ba546",
-    "meta_corrupted.csv": "3f41d4a2681a84d6426f4f56effc22dcf304a808f3acea34993c64a4f98e3827",
+    "meta_corrupted.csv": "8743ffcc10bbc5af0d663ebb7059521de7c4355d9f48a53a95a5ecf47f212ebd",
     "test.csv": "5259ec6a3a09f49fb007a8e21ffbf6bd29ff2d8c98303c30f759e5af897cc7cd",
     "train.csv": "2edc44670bfd09b64535a168eee3c686f08a5ff6e5cdcd787e850935449280a1",
-    "train_corrupted.csv": "ec95c289720457b66f6ebcc2067aa84a5bd7f3273c093bb0045a19648c42344b",
+    "train_corrupted.csv": "885adfc672789eaaa02e4142d706566193ff6f0f8840ea56e491e9f9e56ee8b1",
 }
 
 NOISE_MATRIX_ARGS = ["--kind", "flip2", "--rate", "0.3", "--classes", "5", "--seed", "7"]

@@ -660,13 +660,20 @@ class TestOuterProducts:
     products all go through ``np.matmul``, bit for bit: single vectors and
     ``(T, P)`` stacks, losses of exactly 0, the zero output layer."""
 
+    @staticmethod
+    def same_bits(got, want):
+        """One shape and the same float64 bits, signs of zeros included."""
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def check_grads(self, got, want, c, g):
         for got_arr, want_arr in zip(got.inputs + got.deltas, want.inputs + want.deltas):
-            assert np.array_equal(got_arr, want_arr)
+            self.same_bits(got_arr, want_arr)
         if got.deltas[0].ndim == 2:
-            assert np.array_equal(got.matrix(), matmul_matrix(want))
-        assert np.array_equal(c @ got, matmul_weighted_sum(c, want))
-        assert np.array_equal(got @ g, matmul_dots(want, g))
+            self.same_bits(got.matrix(), matmul_matrix(want))
+        self.same_bits(c @ got, matmul_weighted_sum(c, want))
+        self.same_bits(got @ g, matmul_dots(want, g))
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 3), max_size=2),
@@ -684,12 +691,12 @@ class TestOuterProducts:
         probs = _softmax_rows(zs[-1])
         want = stored_z_backward(net, layers, acts, zs, grad_logits_batch(kind, labels, probs))
         losses, grads = net.losses_and_grads_batch(params, x, labels, kind)
-        assert np.array_equal(net.forward_batch(params, x), probs)
-        assert np.array_equal(losses, loss_values_batch(kind, labels, probs))
+        self.same_bits(net.forward_batch(params, x), probs)
+        self.same_bits(losses, loss_values_batch(kind, labels, probs))
         self.check_grads(grads, want, rng.gaussians(n), rng.gaussians(net.num_params))
         if t is None and hidden:
             pre = np.concatenate([z.ravel() for z in zs[:-1]])
-            assert np.array_equal(net.hidden_preactivations(params, x), pre)
+            self.same_bits(net.hidden_preactivations(params, x), pre)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 120), n=st.integers(1, 30),
@@ -708,11 +715,11 @@ class TestOuterProducts:
         want = stored_z_backward(net, layers, acts, zs, out * (1.0 - out))
         weights = np.clip(out[..., 0], net._OUTPUT_CLIP, 1.0 - net._OUTPUT_CLIP)
         got_weights, grads = net.forward_and_grads_batch(theta, v)
-        assert np.array_equal(got_weights, weights)
-        assert np.array_equal(net.forward_batch(theta, v), weights)
+        self.same_bits(got_weights, weights)
+        self.same_bits(net.forward_batch(theta, v), weights)
         self.check_grads(grads, want, rng.gaussians(n), rng.gaussians(net.num_params))
         if t is None:
-            assert np.array_equal(net.hidden_preactivations(theta, v), zs[0].ravel())
+            self.same_bits(net.hidden_preactivations(theta, v), zs[0].ravel())
 
 
 class TestOuterProductKernel:
