@@ -16,7 +16,8 @@ Two networks drive the whole package:
   sample's importance weight and doubles as a "probably clean" score.
 
 The nets hold no parameters.  A net is its layer sizes; ``init_params``
-draws a fresh flat float64 vector, and every forward and backward method
+draws a fresh flat float64 vector (``params_from_normals`` builds it from
+normals drawn elsewhere), and every forward and backward method
 takes the vector to evaluate at as its first argument.  The training state
 (``bilevel.BilevelState``) owns the vectors it trains and passes each new
 one through ``set_flat``, which checks its size and finiteness;
@@ -162,14 +163,26 @@ class _Mlp:
         self.layer_sizes = [int(s) for s in layer_sizes]
         if len(self.layer_sizes) < 2 or any(s < 1 for s in self.layer_sizes):
             raise ValueError(f"bad layer sizes {layer_sizes}")
-        self.num_params = sum(fan_out * (fan_in + 1) for fan_in, fan_out
-                              in zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self.num_weights = sum(fan_out * fan_in for fan_in, fan_out in pairs)
+        self.num_params = self.num_weights + sum(fan_out for _, fan_out in pairs)
 
     def init_params(self, rng: Rng) -> np.ndarray:
-        """He-normal weights drawn layer by layer from the input, zero biases."""
-        params = np.zeros(self.num_params)
+        """Fresh parameters from one draw of ``num_weights`` normals."""
+        return self.params_from_normals(rng.gaussians(self.num_weights))
+
+    def params_from_normals(self, z: np.ndarray) -> np.ndarray:
+        """He-normal parameters from unit normals ``z``, ``(num_weights,)``
+        or a ``(T, num_weights)`` stack: the weights take them layer by
+        layer from the input, each layer's scaled by sqrt(2 / fan_in); the
+        biases are zero.  From ``z`` drawn at once, the parameters of
+        drawing each layer's scaled normals in turn, bit for bit."""
+        params = np.zeros(z.shape[:-1] + (self.num_params,))
+        off = 0
         for w, _ in self._layers(params):
-            w[:] = rng.gaussians(w.size, np.sqrt(2.0 / w.shape[1])).reshape(w.shape)
+            size = w.shape[-1] * w.shape[-2]
+            w[:] = np.sqrt(2.0 / w.shape[-1]) * z[..., off:off + size].reshape(w.shape)
+            off += size
         return params
 
     def set_flat(self, flat, name: str = "params") -> np.ndarray:
@@ -300,12 +313,13 @@ class WeightNet(_Mlp):
     def __init__(self, hidden: int = 100):
         super().__init__([1, hidden, 1])
 
-    def init_params(self, rng: Rng) -> np.ndarray:
+    def params_from_normals(self, z: np.ndarray) -> np.ndarray:
         # Neutral start: a zero output layer makes every weight exactly
         # logistic(0) = 0.5, so training begins as uniformly weighted SGD.
         # A random output layer can start deep in logistic saturation and
-        # wreck the classifier before the weighting net can recover.
-        theta = super().init_params(rng)
+        # wreck the classifier before the weighting net can recover.  Its
+        # normals are still taken, so the stream moves on as for [1, H, 1].
+        theta = super().params_from_normals(z)
         _, (w2, _) = self._layers(theta)
         w2[:] = 0.0
         return theta

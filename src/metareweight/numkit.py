@@ -10,10 +10,22 @@ platform default: the stream is a pure function of a 64-bit seed and a
 platform and any numpy version, and bulk draws vectorize.  Generators
 are not shared between concurrent tasks; derive one per task with
 ``Rng.spawn(stream_id)``.
+
+A draw is a read and a transform.  ``Rng.next_u64s`` reads the next
+stream words; ``to_uniforms``, ``to_normals`` (Box-Muller, one normal per
+pair of words) and ``to_ints`` turn words into values, each word or pair
+on its own.  ``Rng.uniforms``, ``gaussians`` and ``randints`` are a read
+followed by its transform.  Because a read of a + b words is the read of
+a words followed by the read of b, and a transform works word by word,
+one read cut into pieces and transformed piece by piece gives the values
+of the draws taken one by one, bit for bit.  A caller that needs many
+small draws (``verify``'s random instances) takes them as one read: the
+per-call cost of a read is far above its per-word cost.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -57,6 +69,38 @@ def _u64(value: int, name: str) -> np.ndarray:
     return np.array([v], dtype=np.uint64)
 
 
+def _size(size) -> int:
+    """``size`` as a count of draws: an integer >= 0."""
+    try:
+        n = operator.index(size)
+    except TypeError:
+        raise TypeError(f"size must be an integer, got {size!r}") from None
+    if n < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    return n
+
+
+def to_uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1): the top 53 bits of each uint64 word."""
+    return (words >> _S11).astype(np.float64) * _INV_2_53
+
+
+def to_normals(words: np.ndarray) -> np.ndarray:
+    """Box-Muller normals, one from each pair of words along the last axis
+    (its length must be even): the uniforms (u1, u2) of a pair give
+    sqrt(-2 log(1 - u1)) cos(2 pi u2)."""
+    u = to_uniforms(words)
+    return np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
+
+
+def to_ints(words: np.ndarray, n: int) -> np.ndarray:
+    """Integers in [0, n): each word modulo n.  The modulo bias is
+    < n/2^64, negligible here."""
+    if n <= 0:
+        raise ValueError(f"randint requires n >= 1, got {n}")
+    return (words % np.uint64(n)).astype(np.int64)
+
+
 class Rng:
     """Deterministic SplitMix64 stream.
 
@@ -87,37 +131,36 @@ class Rng:
     # -- draws ----------------------------------------------------------------
 
     def next_u64s(self, size: int) -> np.ndarray:
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
+        """The next ``size`` stream words, as uint64."""
+        size = _size(size)
         ks = np.arange(1, size + 1, dtype=np.uint64)
         out = _mix64(np.uint64(self._state) + _GAMMA_U64 * ks)
         self._state = (self._state + size * _GAMMA) & _MASK
         return out
 
     def uniforms(self, size: int) -> np.ndarray:
-        """Doubles in [0, 1): the top 53 bits of each output."""
-        return (self.next_u64s(size) >> _S11).astype(np.float64) * _INV_2_53
+        """Doubles in [0, 1), one per word (``to_uniforms``)."""
+        return to_uniforms(self.next_u64s(size))
 
     def gaussians(self, size: int, std: float = 1.0) -> np.ndarray:
-        """Zero-mean Box-Muller normals, drawn in chunks: the stream of one
-        draw."""
-        if std < 0:
-            raise ValueError(f"std must be >= 0, got {std}")
+        """Zero-mean normals, two words each (``to_normals``), read in
+        chunks: the stream of one read."""
+        size = _size(size)
+        if not (math.isfinite(std) and std >= 0):
+            raise ValueError(f"std must be finite and >= 0, got {std}")
         out = np.empty(size)
         for lo in range(0, size, _GAUSSIAN_CHUNK):
-            u = self.uniforms(2 * min(_GAUSSIAN_CHUNK, size - lo))
-            z = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
-            out[lo:lo + _GAUSSIAN_CHUNK] = std * z
+            words = self.next_u64s(2 * min(_GAUSSIAN_CHUNK, size - lo))
+            out[lo:lo + _GAUSSIAN_CHUNK] = std * to_normals(words)
         return out
 
     def randint(self, n: int) -> int:
-        """Integer in [0, n). Modulo bias is < n/2^64, negligible here."""
+        """Integer in [0, n)."""
         return int(self.randints(1, n)[0])
 
     def randints(self, size: int, n: int) -> np.ndarray:
-        if n <= 0:
-            raise ValueError(f"randint requires n >= 1, got {n}")
-        return (self.next_u64s(size) % np.uint64(n)).astype(np.int64)
+        """Integers in [0, n), one per word (``to_ints``)."""
+        return to_ints(self.next_u64s(size), n)
 
     def permutation(self, n: int) -> np.ndarray:
         """Permutation of range(n): the stable argsort of n uniform keys.

@@ -30,7 +30,13 @@ leading parameter axis), the uniform-expectation property checks each
 feature batch per parameter vector), and the variance bound enumerates
 every (sample, observed label) cell with its probability.  A stack's
 per-instance arithmetic after the backward passes runs row by row, so
-each residual has the bits of its instance checked alone.
+each residual has the bits of its instance checked alone.  The random
+instances come in batches that are each one read of the stream: the 17
+instances of a uniform-expectation cell (``random_classifier_instances``),
+the variance bound's 100 configurations, and each try of
+``random_hypergrad_instance``.  A read is cut into the parts that drawing
+instance by instance would take, in the same order, so the values are
+those of the one-by-one draws, bit for bit.
 
 Two properties sample, both through ``noise.corrupt`` with T from
 ``build_transition``, as training corrupts its splits: the observed label
@@ -53,7 +59,7 @@ from .losses import LossKind, symmetry_sum
 from .nets import ClassifierNet, WeightNet
 from .noise import (NoiseKind, NoiseSpec, build_transition, corrupt, flip_transition,
                     uniform_transition)
-from .numkit import Rng
+from .numkit import Rng, to_ints, to_normals
 from .data import LabeledDataset
 
 DEFAULT_VERIFY_SEED = 20240117
@@ -235,15 +241,38 @@ def finite_diff_theta_grad(state: BilevelState, train_batch: Batch,
 # -- random instance builders -------------------------------------------------
 
 
+def _cut(words: np.ndarray, sizes) -> list[np.ndarray]:
+    """``words`` cut along the last axis into consecutive pieces of
+    ``sizes`` words: the reads of those sizes, one after another."""
+    return np.split(words, np.cumsum(sizes)[:-1], axis=-1)
+
+
+def random_classifier_instances(rng: Rng, count: int, num_classes: int, dim: int = 4,
+                                hidden=(8,), batch: int = 6):
+    """``count`` random instances of one small net: the net, a ``(count, P)``
+    stack of random points of it, ``(count, batch, dim)`` features and
+    ``(count, batch)`` labels.
+
+    One read of the stream: instance after instance, each takes the
+    He-normal weights (``init_params``), then the features' normals, then
+    the labels, so the values are those of ``count`` instances drawn one
+    by one."""
+    classifier = ClassifierNet([dim, *hidden, num_classes])
+    n_w, n_x = classifier.num_weights, batch * dim
+    words = rng.next_u64s(count * (2 * (n_w + n_x) + batch)).reshape(count, -1)
+    w_words, x_words, y_words = _cut(words, [2 * n_w, 2 * n_x, batch])
+    params = classifier.params_from_normals(to_normals(w_words))
+    features = to_normals(x_words).reshape(count, batch, dim)
+    return classifier, params, features, to_ints(y_words, num_classes)
+
+
 def random_classifier_instance(rng: Rng, num_classes: int, dim: int = 4,
                                hidden=(8,), batch: int = 6):
     """Small random net, a random point ``params`` of it, and a
     feature/label batch."""
-    classifier = ClassifierNet([dim, *hidden, num_classes])
-    params = classifier.init_params(rng)
-    features = rng.gaussians(batch * dim).reshape(batch, dim)
-    labels = rng.randints(batch, num_classes)
-    return classifier, params, features, labels
+    classifier, params, features, labels = random_classifier_instances(
+        rng, 1, num_classes, dim, hidden, batch)
+    return classifier, params[0], features[0], labels[0]
 
 
 def random_hypergrad_instance(rng: Rng, dim: int = 3, num_classes: int = 3,
@@ -257,17 +286,24 @@ def random_hypergrad_instance(rng: Rng, dim: int = 3, num_classes: int = 3,
     Rejected when any rectifier pre-activation (weighting net on the
     training losses, classifier at the virtual point on the meta batch)
     sits within ``kink_margin`` of zero, or when the analytic gradient is
-    so small that relative comparison is meaningless.
+    so small that relative comparison is meaningless.  Each try is one
+    read of the stream, in the order of drawing its parts one by one: the
+    classifier's and the weighting net's ``init_params``, the training
+    features and labels, the meta features and labels.
     """
     classifier = ClassifierNet([dim, *hidden, num_classes])
     weightnet = WeightNet()
+    sizes = [2 * classifier.num_weights, 2 * weightnet.num_weights,
+             2 * n_train * dim, n_train, 2 * n_meta * dim, n_meta]
     while True:
-        state = BilevelState(classifier, weightnet, classifier.init_params(rng),
-                             weightnet.init_params(rng))
-        train_batch = Batch(rng.gaussians(n_train * dim).reshape(n_train, dim),
-                            rng.randints(n_train, num_classes))
-        meta_batch = Batch(rng.gaussians(n_meta * dim).reshape(n_meta, dim),
-                           rng.randints(n_meta, num_classes))
+        w, theta, x_train, y_train, x_meta, y_meta = _cut(rng.next_u64s(sum(sizes)), sizes)
+        state = BilevelState(classifier, weightnet,
+                             classifier.params_from_normals(to_normals(w)),
+                             weightnet.params_from_normals(to_normals(theta)))
+        train_batch = Batch(to_normals(x_train).reshape(n_train, dim),
+                            to_ints(y_train, num_classes))
+        meta_batch = Batch(to_normals(x_meta).reshape(n_meta, dim),
+                           to_ints(y_meta, num_classes))
 
         losses, _, w_hat, analytic = hypergradient(state, train_batch, meta_batch, alpha, kind)
         pre = (weightnet.hidden_preactivations(state.theta, losses),
@@ -325,10 +361,8 @@ def _prop_uniform_expectation(seed: int) -> list[PropertyResult]:
     mae, ce = [], []
     for k in classes:
         for eta in rates:
-            # The cell's instances, drawn one after another, checked as one stack.
-            drawn = [random_classifier_instance(rng, k) for _ in range(per_cell)]
-            classifier = drawn[0][0]
-            params, x, y = (np.stack(part) for part in list(zip(*drawn))[1:])
+            # The cell's instances, drawn as one read, checked as one stack.
+            classifier, params, x, y = random_classifier_instances(rng, per_cell, k)
             mae.append(equivalence_report(classifier, params, x, y, eta, LossKind.MAE))
             ce.append(equivalence_report(classifier, params, x, y, eta, LossKind.CE))
     mae, ce = np.concatenate(mae), np.concatenate(ce)
@@ -536,10 +570,10 @@ def _prop_variance_bound(seed: int) -> list[PropertyResult]:
     rng = Rng(seed).spawn(106)
     holds = 0
     configs, k = 100, 5
-    for _ in range(configs):
-        classifier, params, x, y = random_classifier_instance(rng, k, batch=40)
-        pool = LabeledDataset(x, y, k)
-        holds += variance_bound_check(classifier, params, pool, eta=0.4, m=20).holds
+    classifier, params, x, y = random_classifier_instances(rng, configs, k, batch=40)
+    for i in range(configs):
+        pool = LabeledDataset(x[i], y[i], k)
+        holds += variance_bound_check(classifier, params[i], pool, eta=0.4, m=20).holds
     return [PropertyResult(
         "variance-bound", holds == configs,
         f"bound held in {holds}/{configs} random configurations (need all)")]

@@ -6,13 +6,18 @@ and a noisy rate, all three variants and two seeds.  Every file the run
 writes is compared by sha256 with ``DIGESTS``; ``verify --seed 1 --csv``,
 a noisy ``gen-data`` and ``noise-matrix`` (flip2 to a file and stdout, flip
 and uniform to stdout) with the tables after it.  All were recorded on the numpy and
-BLAS build named in ``RECORDED_WITH``: BLAS kernels round differently from
-build to build, so a mismatch on another build is not by itself a defect.  A change that moves
-numbers on purpose re-records the table and says so.  The run must also
+BLAS build named in ``RECORDED_WITH``, on a host of the kind in
+``RECORDED_HOST``: the OpenBLAS core the library picked and whether numpy
+dispatches its ``X86_V4`` (AVX-512) loops.  BLAS kernels round differently
+from build to build and core to core, so a mismatch on another build or host
+is not by itself a defect; it still fails, and its message names both hosts.
+A change that moves numbers on purpose re-records the table and says so.  The run must also
 write the same files with one or two BLAS threads and with one or two
 workers.
 """
 
+import ctypes
+import ctypes.util
 import hashlib
 import os
 import subprocess
@@ -49,6 +54,7 @@ workers = {workers}
 """
 
 RECORDED_WITH = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+RECORDED_HOST = {"openblas_core": "SkylakeX", "x86_v4": True}
 
 DIGESTS = {
     "config_resolved.cfg":
@@ -147,6 +153,41 @@ def blas_build() -> str:
     return f"{blas['name']} {blas['version']}"
 
 
+def bundled_openblas() -> Path | None:
+    """numpy's bundled OpenBLAS library, or None where numpy has none."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    return libs[0] if libs else None
+
+
+def openblas_core(library: Path | None) -> str:
+    """The core OpenBLAS picked in this process (``OPENBLAS_CORETYPE``
+    overrides it), or ``unknown`` when the library or its
+    ``scipy_openblas_get_corename64_`` is absent."""
+    try:
+        corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+    except (OSError, AttributeError, TypeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def numpy_dispatches_x86_v4() -> bool:
+    from numpy._core import _multiarray_umath as umath
+    return bool(umath.__cpu_features__.get("X86_V4")) and "X86_V4" in (
+        umath.__cpu_dispatch__ + umath.__cpu_baseline__)
+
+
+def this_host() -> dict:
+    return {"openblas_core": openblas_core(bundled_openblas()),
+            "x86_v4": numpy_dispatches_x86_v4()}
+
+
+def describe(host: dict) -> str:
+    return (f"OpenBLAS core {host['openblas_core']}, numpy X86_V4 dispatch "
+            + ("on" if host["x86_v4"] else "off"))
+
+
 def files_under(out: Path) -> dict[str, bytes]:
     """Every file below ``out``, by its path relative to ``out``."""
     return {p.relative_to(out).as_posix(): p.read_bytes()
@@ -158,10 +199,16 @@ def check_digests(files: dict[str, bytes], table: dict[str, str]) -> None:
     moved = [f"{name}: {digest}" for name, digest in got.items()
              if table.get(name) != digest]
     missing = sorted(set(table) - set(got))
-    assert not moved and not missing, (
-        f"outputs differ from the digests recorded with {RECORDED_WITH} "
-        f"(this build: numpy {np.__version__}, {blas_build()}); new digests:\n"
-        + "\n".join(moved) + "".join(f"\nno longer written: {name}" for name in missing))
+    if moved or missing:
+        host = this_host()
+        where = ("this host is of the recorded kind"
+                 if host == RECORDED_HOST else
+                 f"this host differs: {describe(host)}, whose kernels may round otherwise")
+        raise AssertionError(
+            f"outputs differ from the digests recorded with {RECORDED_WITH} on "
+            f"{describe(RECORDED_HOST)}; {where} (this build: numpy {np.__version__}, "
+            f"{blas_build()}); new digests:\n"
+            + "\n".join(moved) + "".join(f"\nno longer written: {name}" for name in missing))
 
 
 def write_config(tmp_path, workers: int) -> Path:
@@ -246,3 +293,41 @@ def test_flip_noise_matrix_matches_its_recorded_digest(capsys):
 def test_uniform_noise_matrix_matches_its_recorded_digest(capsys):
     assert main(["noise-matrix", *UNIFORM_MATRIX_ARGS]) == 0
     check_digests({"stdout": capsys.readouterr().out.encode()}, UNIFORM_MATRIX_DIGESTS)
+
+
+class TestHostNames:
+    MISMATCH = ({"out.csv": b"moved"}, {"out.csv": "0" * 64})
+
+    def test_core_reads_unknown_without_the_library_or_its_symbol(self, tmp_path):
+        assert openblas_core(None) == "unknown"
+        assert openblas_core(tmp_path / "missing.so") == "unknown"
+        not_a_library = tmp_path / "libscipy_openblas64_.so"
+        not_a_library.write_bytes(b"not ELF")
+        assert openblas_core(not_a_library) == "unknown"
+        libc = ctypes.util.find_library("c")
+        if libc is not None:  # a library without the symbol
+            assert openblas_core(libc) == "unknown"
+
+    def test_mismatch_names_the_recorded_host_and_this_one(self):
+        with pytest.raises(AssertionError) as err:
+            check_digests(*self.MISMATCH)
+        message = str(err.value)
+        assert describe(RECORDED_HOST) in message and "out.csv: " in message
+        assert ("recorded kind" if this_host() == RECORDED_HOST
+                else f"this host differs: {describe(this_host())}") in message
+
+    @pytest.mark.skipif(bundled_openblas() is None or sys.platform != "linux"
+                        or os.uname().machine != "x86_64",
+                        reason="needs numpy's bundled OpenBLAS on x86-64 Linux")
+    def test_mismatch_under_another_core_names_it(self):
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(
+            [str(Path(metareweight.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import test_golden as g\n"
+                  "try:\n    g.check_digests(*g.TestHostNames.MISMATCH)\n"
+                  "except AssertionError as e:\n    print(e)\n")
+        out = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert (f"on {describe(RECORDED_HOST)}; this host differs: OpenBLAS core Haswell, "
+                f"numpy X86_V4 dispatch {'on' if numpy_dispatches_x86_v4() else 'off'}"
+                ) in out.stdout

@@ -247,7 +247,18 @@ class TestFlatParams:
             expect.append(rng.gaussians(fan_out * fan_in, np.sqrt(2.0 / fan_in)))
             expect.append(np.zeros(fan_out))
         net = ClassifierNet([4, 6, 3])
-        assert np.array_equal(net.init_params(Rng(21)), np.concatenate(expect))
+        got = net.init_params(Rng(21))
+        assert np.array_equal(got.view(np.uint64), np.concatenate(expect).view(np.uint64))
+
+    def test_params_from_normals_of_a_stack_equal_each_row(self):
+        z = Rng(4).gaussians(3 * 42).reshape(3, 42)
+        for net in (ClassifierNet([4, 6, 3]), WeightNet(hidden=21)):
+            assert net.num_weights == 42
+            stack = net.params_from_normals(z)
+            assert stack.shape == (3, net.num_params)
+            for row in range(3):
+                assert np.array_equal(stack[row].view(np.uint64),
+                                      net.params_from_normals(z[row]).view(np.uint64))
 
 
 class TestWeightNet:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from metareweight.numkit import _GAUSSIAN_CHUNK, Rng, as_vec
+from metareweight.numkit import _GAUSSIAN_CHUNK, Rng, as_vec, to_ints, to_normals, to_uniforms
 
 # Published SplitMix64 outputs (the reference generator's first draws).
 SPLITMIX64_VECTORS = {
@@ -11,6 +11,10 @@ SPLITMIX64_VECTORS = {
     1234567: [0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77],
 }
 OUT_OF_RANGE = [-1, 2**64, 99999999999999999999999]
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 def one_shot_gaussians(rng, size, std):
@@ -98,8 +102,46 @@ class TestRng:
         chunked, one_shot = Rng(17), Rng(17)
         assert np.array_equal(chunked.gaussians(size, 1.5),
                               one_shot_gaussians(one_shot, size, 1.5))
+        # the transform of one read has the bits of the chunked draw
+        assert np.array_equal(bits(to_normals(Rng(17).next_u64s(2 * size))),
+                              bits(Rng(17).gaussians(size)))
         # both leave the stream at the same position
         assert np.array_equal(chunked.gaussians(7), one_shot_gaussians(one_shot, 7, 1.0))
+
+    def test_transforms_of_one_read_equal_the_draws(self):
+        words = Rng(5).next_u64s(60)
+        drawn = Rng(5)
+        assert np.array_equal(bits(to_uniforms(words[:20])), bits(drawn.uniforms(20)))
+        assert np.array_equal(bits(to_normals(words[20:40])), bits(drawn.gaussians(10)))
+        assert np.array_equal(to_ints(words[40:], 7), drawn.randints(20, 7))
+        assert to_ints(words, 7).dtype == np.int64
+        # a 2-D read transforms row by row, in pairs along the last axis
+        rows = to_normals(words.reshape(3, 20))
+        assert np.array_equal(bits(rows.ravel()), bits(Rng(5).gaussians(30)))
+
+    @pytest.mark.parametrize("std", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_gaussians_reject_a_std_that_is_not_finite_and_nonnegative(self, std):
+        rng = Rng(2)
+        with pytest.raises(ValueError, match=f"^std must be finite and >= 0, got {std}$"):
+            rng.gaussians(3, std)
+        assert np.array_equal(rng.next_u64s(2), Rng(2).next_u64s(2))  # nothing read
+
+    @pytest.mark.parametrize("draw", ["next_u64s", "uniforms", "gaussians", "randints"])
+    def test_sizes_must_be_nonnegative_integers(self, draw):
+        rng = Rng(2)
+        call = getattr(rng, draw)
+        args = (3,) if draw == "randints" else ()
+        with pytest.raises(TypeError, match=r"^size must be an integer, got 2\.5$"):
+            call(2.5, *args)
+        with pytest.raises(ValueError, match="^size must be >= 0, got -1$"):
+            call(-1, *args)
+        assert call(np.int64(2), *args).shape == (2,)
+        assert call(0, *args).shape == (0,)
+
+    def test_randints_need_a_positive_bound(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=f"^randint requires n >= 1, got {n}$"):
+                Rng(2).randints(4, n)
 
     def test_gaussians_peak_memory(self):
         rng = Rng(3)

@@ -418,6 +418,77 @@ class TestStackedUniformExpectation:
         assert stacked.shape == (1,) and stacked[0] == residual
 
 
+# -- one read per batch of random instances ----------------------------------
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def per_layer_params(rng, layer_sizes):
+    """He-normal weights drawn as one ``gaussians`` call per layer, from
+    the input, and zero biases."""
+    parts = []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        parts += [rng.gaussians(fan_out * fan_in, np.sqrt(2.0 / fan_in)), np.zeros(fan_out)]
+    return np.concatenate(parts)
+
+
+def per_call_classifier_instance(rng, k, dim=4, hidden=(8,), batch=6):
+    """One instance from one draw per part: each layer's weights, the
+    features, the labels."""
+    params = per_layer_params(rng, [dim, *hidden, k])
+    return params, rng.gaussians(batch * dim).reshape(batch, dim), rng.randints(batch, k)
+
+
+class TestOneReadPerBatch:
+    """The instance builders read the stream once per batch; their values
+    and the stream position after them are those of drawing part by part."""
+
+    @pytest.mark.parametrize("count, k, batch", [(1, 3, 6), (17, 10, 6), (100, 5, 40)])
+    def test_instances_equal_per_call_draws(self, count, k, batch):
+        one_read, per_call = Rng(41), Rng(41)
+        c, params, x, y = verify.random_classifier_instances(one_read, count, k, batch=batch)
+        want = [per_call_classifier_instance(per_call, k, batch=batch) for _ in range(count)]
+        assert c.layer_sizes == [4, 8, k]
+        assert np.array_equal(bits(params), bits(np.stack([w[0] for w in want])))
+        assert np.array_equal(bits(x), bits(np.stack([w[1] for w in want])))
+        assert np.array_equal(y, np.stack([w[2] for w in want])) and y.dtype == np.int64
+        assert np.array_equal(one_read.next_u64s(3), per_call.next_u64s(3))
+
+    def test_hypergrad_first_try_equals_its_eight_draws(self):
+        # seed 2's first try passes the kink and size checks, so it is returned
+        one_read, per_call = Rng(2), Rng(2)
+        state, tb, mb, _ = verify.random_hypergrad_instance(one_read)
+        params = per_layer_params(per_call, [3, 5, 3])
+        theta = per_layer_params(per_call, [1, 100, 1])
+        theta[200:300] = 0.0  # the weighting net's zeroed output weights
+        x_train, y_train = per_call.gaussians(12).reshape(4, 3), per_call.randints(4, 3)
+        x_meta, y_meta = per_call.gaussians(12).reshape(4, 3), per_call.randints(4, 3)
+        assert np.array_equal(bits(state.params), bits(params))
+        assert np.array_equal(bits(state.theta), bits(theta))
+        assert np.array_equal(bits(tb.features), bits(x_train))
+        assert np.array_equal(bits(mb.features), bits(x_meta))
+        assert np.array_equal(tb.labels, y_train) and np.array_equal(mb.labels, y_meta)
+        assert np.array_equal(one_read.next_u64s(3), per_call.next_u64s(3))
+
+    def test_run_all_reads_the_stream_in_few_large_reads(self, monkeypatch):
+        # Deterministic: a return to per-instance draws multiplies the read
+        # count, and any change in what the properties consume moves the
+        # word count.
+        reads = []
+        read = Rng.next_u64s
+
+        def spy(self, size):
+            reads.append(size)
+            return read(self, size)
+
+        monkeypatch.setattr(Rng, "next_u64s", spy)
+        verify.run_all()
+        assert len(reads) <= 60
+        assert sum(reads) == 507_785
+
+
 # -- the oracles as loops: references for their batched forms ----------------
 
 
