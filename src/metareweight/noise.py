@@ -26,6 +26,7 @@ from .data import LabeledDataset, csv_text
 from .numkit import Rng
 
 _TARGET_STREAM = 0x7A17
+_LABEL_CHUNK = 1 << 14  # labels per search chunk
 
 
 class NoiseKind(Enum):
@@ -73,8 +74,12 @@ class TransitionMatrix:
         if np.any(np.abs(rowsums - 1.0) > 1e-12):
             raise ValueError(f"rows must sum to 1, got {rowsums}")
         self.probs = p
+        # Guard cumsum roundoff: from each row's last nonzero class on the
+        # sum is 1.0, so no uniform in [0, 1) reaches a class past it.
+        k = self.num_classes
+        last = k - 1 - np.argmax(p[:, ::-1] > 0, axis=1)
         cum = np.cumsum(p, axis=1)
-        cum[:, -1] = 1.0  # guard cumsum roundoff so sampling never overflows
+        cum[np.arange(k) >= last[:, None]] = 1.0
         self._cum = cum
 
     def to_csv(self) -> str:
@@ -127,24 +132,48 @@ def build_transition(spec: NoiseSpec) -> TransitionMatrix:
     return TransitionMatrix(k, flip_transition(_draw_targets(spec), eta))
 
 
+def _search_labels(cum: np.ndarray, labels: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each sample, how many entries of ``cum[labels[i]]`` are <= ``u[i]``
+    (``searchsorted(side="right")`` in its own row): the class drawn, when
+    every row rises to a last entry of 1.0 and ``u`` < 1.
+
+    A branchless binary search, floor(log2 K) + 1 gather-and-compare steps
+    for any K, over ``_LABEL_CHUNK`` labels at a time.  The first probe, at
+    entry m - 1 with m the largest power of two <= K, leaves m candidate
+    counts (from 0 or from K - m); halving steps narrow them to one."""
+    k = cum.shape[1]
+    flat = cum.ravel()
+    m = 1 << (k.bit_length() - 1)
+    out = np.empty(labels.size, dtype=np.int64)
+    for lo in range(0, labels.size, _LABEL_CHUNK):
+        before = labels[lo:lo + _LABEL_CHUNK] * k - 1  # flat index just before the row
+        uc = u[lo:lo + _LABEL_CHUNK]
+        at = before + (flat[before + m] <= uc) * (k - m)  # before + count so far
+        step = m >> 1
+        while step:
+            at += (flat[at + step] <= uc) * step
+            step >>= 1
+        np.subtract(at, before, out=out[lo:lo + _LABEL_CHUNK])
+    return out
+
+
 def corrupt(dataset: LabeledDataset, t: TransitionMatrix, rng: Rng) -> LabeledDataset:
     """A split whose labels are drawn, one per sample, from the transition
     row of ``dataset``'s label, which becomes its ``true_labels``.
 
-    Consumes exactly one uniform per sample, in dataset order.  The result
-    shares ``dataset``'s feature array; its ``is_corrupted`` marks the
-    *effective* mislabels, so a uniform-noise redraw that lands back on the
-    true class is indistinguishable from clean and is not flagged.
+    Consumes exactly one uniform per sample, in dataset order.  The
+    observed label is the first class whose cumulative row sum exceeds the
+    uniform, found for all samples by one binary search (``_search_labels``);
+    a class of probability 0 is never drawn.  The result shares
+    ``dataset``'s feature array; its ``is_corrupted`` marks the *effective*
+    mislabels, so a uniform-noise redraw that lands back on the true class
+    is indistinguishable from clean and is not flagged.
     """
     if t.num_classes != dataset.num_classes:
         raise ValueError(f"transition matrix has {t.num_classes} classes, "
                          f"dataset has {dataset.num_classes}")
     labels = dataset.labels
-    u = rng.uniforms(labels.size)
-    observed = np.empty(labels.size, dtype=np.int64)
-    for y in np.flatnonzero(np.bincount(labels)):  # the classes present
-        idx = np.nonzero(labels == y)[0]
-        observed[idx] = np.searchsorted(t._cum[y], u[idx], side="right")
+    observed = _search_labels(t._cum, labels, rng.uniforms(labels.size))
     return LabeledDataset(dataset.features, observed, dataset.num_classes,
                           true_labels=labels.copy())
 

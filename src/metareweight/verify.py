@@ -28,20 +28,20 @@ evaluates all its perturbed parameter vectors as one stack (the nets'
 leading parameter axis), the uniform-expectation property checks each
 (K, eta) cell's random instances as one stack (the classifier takes one
 feature batch per parameter vector), and the variance bound enumerates
-every (sample, observed label) cell with its probability.  A stack's
-per-instance arithmetic after the backward passes runs row by row, so
-each residual has the bits of its instance checked alone.  The random
-instances come in batches that are each one read of the stream: the 17
-instances of a uniform-expectation cell (``random_classifier_instances``),
-the variance bound's 100 configurations, and each try of
-``random_hypergrad_instance``.  A read is cut into the parts that drawing
-instance by instance would take, in the same order, so the values are
-those of the one-by-one draws, bit for bit.
+every (sample, observed label) cell with its probability, 10 random
+configurations per stack.  Each instance of a stack gets the bits its
+own call would give.  The random instances come in batches that are
+each one read of the stream: the 17 instances of a uniform-expectation
+cell (``random_classifier_instances``), the variance bound's 100
+configurations, and each try of ``random_hypergrad_instance``.  A read is
+cut into the parts that drawing instance by instance would take, in the
+same order, so the values are those of the one-by-one draws, bit for bit.
 
-Two properties sample, both through ``noise.corrupt`` with T from
-``build_transition``, as training corrupts its splits: the observed label
-frequencies, and the MAE gradient averaged over corrupted copies of one
-batch (a draw-count vector times the per-(sample, label) gradients),
+Two properties sample, both through ``noise.corrupt`` (one uniform per
+sample, one binary search over T's cumulative rows for all labels) with T
+from ``build_transition``, as training corrupts its splits: the observed
+label frequencies, and the MAE gradient averaged over corrupted copies of
+one batch (a draw-count vector times the per-(sample, label) gradients),
 whose gap from the exact expectation is measured in its exact standard
 error.  Both pass under a Bonferroni limit at ``CORRUPTION_FAMILY_ALPHA``.
 """
@@ -161,39 +161,49 @@ class VarianceCheckReport:
 
 
 def variance_bound_check(classifier: ClassifierNet, params: np.ndarray,
-                         pool: LabeledDataset, eta: float,
-                         m: int) -> VarianceCheckReport:
+                         features: np.ndarray, labels: np.ndarray, eta: float,
+                         m: int):
     """Exact check that corrupting meta minibatches inflates the MAE
     gradient variance by at most 2*eta*rho^2/m.
 
-    A minibatch is m draws with replacement.  A clean draw is a sample, so
-    the clean variance is the per-sample variance over m.  A corrupted draw
-    is a (sample, observed label) cell with probability T[y_i, c]/n under
-    uniform noise, T = (1 - eta) I + eta/K; its mean-squared deviation from
-    (1 - eta) * mu is the squared bias of the cell mean plus the cell
-    variance over m.  The loss is the symmetric one (MAE): only then is the
-    (1 - eta)-scaled mean the expectation.  The bound holds with equality
-    at eta = 0, so the comparison allows 1e-12 relative for rounding.
+    A minibatch is m draws with replacement from the pool of ``features``
+    and clean ``labels``.  A clean draw is a sample, so the clean variance
+    is the per-sample variance over m.  A corrupted draw is a (sample,
+    observed label) cell with probability T[y_i, c]/n under uniform noise,
+    T = (1 - eta) I + eta/K; its mean-squared deviation from (1 - eta) * mu
+    is the squared bias of the cell mean plus the cell variance over m.
+    The loss is the symmetric one (MAE): only then is the (1 - eta)-scaled
+    mean the expectation.  The bound holds with equality at eta = 0, so the
+    comparison allows 1e-12 relative for rounding.
+
+    A ``VarianceCheckReport`` for a (P,) vector; a list of T reports for a
+    (T, P) stack of pools with (T, n, d) features and (T, n) labels, from
+    one per-label pass, each report equal to its pool's own call.
     """
     if m < 1:
         raise ValueError(f"minibatch size must be >= 1, got {m}")
     transition = uniform_transition(classifier.num_classes, eta)
 
-    n, k = len(pool), classifier.num_classes
-    g_all = per_label_gradients(classifier, params, pool.features, LossKind.MAE)
-    g_clean = g_all[np.arange(n), pool.labels]
-    mu = g_clean.mean(axis=0)
-    rho = float(np.linalg.norm(g_all, axis=2).max())
-    sigma_sq = float(((g_clean - mu) ** 2).sum(axis=1).mean()) / m
+    g_all = per_label_gradients(classifier, params, features, LossKind.MAE)
+    n, k, p = g_all.shape[-3:]
+    g_all = g_all.reshape(-1, n, k, p)
+    labels = np.asarray(labels, dtype=np.int64).reshape(len(g_all), n)
+    g_clean = g_all[np.arange(len(g_all))[:, None], np.arange(n), labels]
+    mu = g_clean.mean(axis=1)
+    rho = np.linalg.norm(g_all, axis=3).max(axis=(1, 2))
+    sigma_sq = ((g_clean - mu[:, None]) ** 2).sum(axis=2).mean(axis=1) / m
 
-    g_bar = expected_gradient(g_all, pool.labels, transition)
-    p_cells = (transition[pool.labels] / n).ravel()
-    cells = g_all.reshape(n * k, -1)
-    spread = p_cells @ ((cells - g_bar) ** 2).sum(axis=1)
-    noisy = float(((g_bar - (1.0 - eta) * mu) ** 2).sum() + spread / m)
+    # every (sample, observed label) cell with its probability, per pool
+    p_cells = (transition[labels] / n).reshape(-1, 1, n * k)
+    cells = g_all.reshape(-1, n * k, p)
+    g_bar = p_cells @ cells
+    spread = p_cells @ ((cells - g_bar) ** 2).sum(axis=2)[..., None]
+    noisy = ((g_bar[:, 0] - (1.0 - eta) * mu) ** 2).sum(axis=1) + spread[:, 0, 0] / m
 
     bound = sigma_sq + 2.0 * eta * rho ** 2 / m
-    return VarianceCheckReport(noisy, bound, sigma_sq, noisy <= bound * (1.0 + 1e-12))
+    reports = [VarianceCheckReport(float(v), float(b), float(s), bool(v <= b * (1.0 + 1e-12)))
+               for v, b, s in zip(noisy, bound, sigma_sq)]
+    return reports[0] if np.ndim(params) == 1 else reports
 
 
 # -- finite-difference oracle for the weighting-parameter gradient -----------
@@ -569,11 +579,12 @@ def _prop_hypergradient(seed: int) -> list[PropertyResult]:
 def _prop_variance_bound(seed: int) -> list[PropertyResult]:
     rng = Rng(seed).spawn(106)
     holds = 0
-    configs, k = 100, 5
+    configs, k, stack = 100, 5, 10
     classifier, params, x, y = random_classifier_instances(rng, configs, k, batch=40)
-    for i in range(configs):
-        pool = LabeledDataset(x[i], y[i], k)
-        holds += variance_bound_check(classifier, params[i], pool, eta=0.4, m=20).holds
+    for lo in range(0, configs, stack):  # 10 pools per stack keeps its arrays small
+        part = slice(lo, lo + stack)
+        reports = variance_bound_check(classifier, params[part], x[part], y[part], eta=0.4, m=20)
+        holds += sum(r.holds for r in reports)
     return [PropertyResult(
         "variance-bound", holds == configs,
         f"bound held in {holds}/{configs} random configurations (need all)")]

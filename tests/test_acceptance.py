@@ -194,8 +194,7 @@ class TestVarianceBound:
         for _ in range(100):
             c, params, x, y = verify.random_classifier_instance(rng, 5, dim=4, hidden=(8,),
                                                                 batch=40)
-            pool = LabeledDataset(x, y, 5)
-            rep = verify.variance_bound_check(c, params, pool, eta=0.4, m=20)
+            rep = verify.variance_bound_check(c, params, x, y, eta=0.4, m=20)
             holds += rep.holds
         elapsed = time.monotonic() - start
         assert holds >= 95, f"bound held in only {holds}/100 configurations"

@@ -1,12 +1,13 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from metareweight.data import LabeledDataset
 from metareweight.noise import (NoiseKind, NoiseSpec, TransitionMatrix, _draw_targets,
-                                build_transition, corrupt, flip_transition,
+                                _search_labels, build_transition, corrupt, flip_transition,
                                 majority_feasibility, uniform_transition)
 from metareweight.numkit import Rng
 
@@ -230,18 +231,69 @@ class TestCorrupt:
                                                  f"dataset has {data_classes}"):
                 corrupt(ds, t, Rng(seed))
 
-    @pytest.mark.parametrize("kind", list(NoiseKind))
-    def test_split_missing_classes_equals_the_unique_loop(self, kind):
-        # labels in {1, 3, 4} of K = 6: classes 0, 2 and 5 are absent
-        labels = np.array([1, 3, 4])[Rng(3).randints(2000, 3)]
-        ds = LabeledDataset(np.zeros((labels.size, 2)), labels, 6)
-        t = build_transition(NoiseSpec(kind, 0.4, 6, seed=5))
-        u = Rng(4).uniforms(labels.size)
-        want = np.empty(labels.size, dtype=np.int64)
-        for y in np.unique(labels):
-            idx = np.nonzero(labels == y)[0]
-            want[idx] = np.searchsorted(t._cum[y], u[idx], side="right")
-        assert np.array_equal(corrupt(ds, t, Rng(4)).labels, want)
+    @pytest.mark.parametrize("kind, k", [(kind, k) for kind in NoiseKind
+                                         for k in (2, 3, 4, 7, 8, 9, 16, 17, 100, 1000)
+                                         if kind is not NoiseKind.FLIP2 or k >= 3])
+    def test_split_missing_classes_equals_the_unique_loop(self, kind, k):
+        # K crosses the powers of two where the search's steps change; every
+        # third class is absent; n crosses the search's chunk of 2**14 labels
+        t = build_transition(NoiseSpec(kind, 0.4, k, seed=5))
+        present = np.flatnonzero(np.arange(k) % 3 != 1)
+        for n in (0, 1, 2**14 - 1, 2**14, 2**14 + 1):
+            labels = present[Rng(3).randints(n, present.size)]
+            ds = LabeledDataset(np.zeros((n, 2)), labels, k)
+            u = Rng(4).uniforms(n)
+            rng = Rng(4)
+            got = corrupt(ds, t, rng).labels
+            assert np.array_equal(got, unique_loop_labels(t._cum, labels, u)), n
+            assert rng.next_u64s(1) == Rng(4).next_u64s(n + 1)[-1]  # one word per label
+            # uniforms exactly on a cumulative boundary (below 1) of their row
+            # go to the next class: a search with < for <= moves them
+            cols = Rng(5).randints(n, k)
+            on_edge = np.where(t._cum[labels, cols] < 1.0, t._cum[labels, cols], u)
+            assert np.array_equal(_search_labels(t._cum, labels, on_edge),
+                                  unique_loop_labels(t._cum, labels, on_edge)), n
+
+    def test_the_largest_uniform_never_reaches_a_zero_probability_class(self):
+        # a flip2 row can sum to 1 - 2**-53 at its last nonzero class, the
+        # largest uniform there is; every entry from that class on is 1.0
+        largest = 1.0 - 2.0**-53
+        t = build_transition(NoiseSpec(NoiseKind.FLIP2, 0.001, 4, seed=2))
+        assert t.probs[0].tolist() == [0.999, 0.0005, 0.0005, 0.0]
+        raw = np.cumsum(t.probs[0])
+        assert raw[2] == raw[3] == largest
+        assert t._cum[0].tolist() == [raw[0], raw[1], 1.0, 1.0]
+        assert _search_labels(t._cum, np.array([0]), np.array([largest])).tolist() == [2]
+        for k in (3, 4, 5, 7, 10):
+            for seed in range(6):
+                for rate in np.arange(0.001, 1.0, 0.013):
+                    for kind in (NoiseKind.FLIP, NoiseKind.FLIP2):
+                        t = build_transition(NoiseSpec(kind, float(rate), k, seed=seed))
+                        drawn = _search_labels(t._cum, np.arange(k), np.full(k, largest))
+                        assert np.all(t.probs[np.arange(k), drawn] > 0), (kind, k, seed, rate)
+
+    def test_a_large_corrupt_call_allocates_little_beyond_its_draw(self):
+        # the search runs in chunks: its temporaries stay far below the
+        # three label-sized arrays the draw and the result need
+        k, n = 100, 100_000
+        ds = _class_balanced_dataset(n, k)
+        t = build_transition(NoiseSpec(NoiseKind.FLIP2, 0.4, k, seed=7))
+        tracemalloc.start()
+        try:
+            corrupt(ds, t, Rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.44 * 2**20  # the per-class searchsorted loop's peak
+
+
+def unique_loop_labels(cum, labels, u):
+    """The observed labels as one ``searchsorted`` per class present."""
+    want = np.empty(labels.size, dtype=np.int64)
+    for y in np.unique(labels):
+        idx = np.nonzero(labels == y)[0]
+        want[idx] = np.searchsorted(cum[y], u[idx], side="right")
+    return want
 
 
 class TestMajorityFeasibility:

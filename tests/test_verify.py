@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,17 +144,15 @@ class TestExpectedFlipGradient:
 
 class TestVarianceBound:
     def _pool(self, rng, n=40, k=5):
-        c, params, x, y = verify.random_classifier_instance(rng, k, dim=4, hidden=(8,),
-                                                            batch=n)
-        return c, params, LabeledDataset(x, y, k)
+        return verify.random_classifier_instance(rng, k, dim=4, hidden=(8,), batch=n)
 
     def test_rate_zero_reduces_to_clean_variance(self):
         # the bound holds with equality at eta = 0; rounding alone separates
         # the two sides, which the 1e-12 allowance absorbs
         rng = Rng(8)
         for _ in range(20):
-            c, params, pool = self._pool(rng)
-            rep = verify.variance_bound_check(c, params, pool, 0.0, 20)
+            c, params, x, y = self._pool(rng)
+            rep = verify.variance_bound_check(c, params, x, y, 0.0, 20)
             assert rep.holds
             assert rep.noisy_variance == pytest.approx(rep.sigma_sq, rel=1e-12)
             assert rep.bound == pytest.approx(rep.sigma_sq, rel=1e-12)
@@ -161,18 +161,42 @@ class TestVarianceBound:
         rng = Rng(9)
         holds = 0
         for _ in range(20):
-            c, params, pool = self._pool(rng)
-            rep = verify.variance_bound_check(c, params, pool, 0.4, 20)
+            c, params, x, y = self._pool(rng)
+            rep = verify.variance_bound_check(c, params, x, y, 0.4, 20)
             holds += rep.holds
         assert holds == 20
 
     def test_doubling_batch_roughly_halves_variance(self):
         rng = Rng(10)
-        c, params, pool = self._pool(rng, n=60)
-        rep_m = verify.variance_bound_check(c, params, pool, 0.4, 10)
-        rep_2m = verify.variance_bound_check(c, params, pool, 0.4, 20)
+        c, params, x, y = self._pool(rng, n=60)
+        rep_m = verify.variance_bound_check(c, params, x, y, 0.4, 10)
+        rep_2m = verify.variance_bound_check(c, params, x, y, 0.4, 20)
         ratio = rep_2m.noisy_variance / rep_m.noisy_variance
         assert 0.4 <= ratio <= 0.6
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8])
+    def test_each_row_of_a_stack_is_its_single_call(self, eta):
+        for seed in range(3):
+            c, params, x, y = verify.random_classifier_instances(Rng(80 + seed), 13, 5, batch=40)
+            for size in (1, 7, 10, 13):
+                reports = verify.variance_bound_check(c, params[:size], x[:size], y[:size],
+                                                      eta, 20)
+                assert len(reports) == size
+                for i, rep in enumerate(reports):
+                    assert rep == verify.variance_bound_check(c, params[i], x[i], y[i], eta, 20)
+
+    def test_the_property_allocates_less_than_the_noise_property(self):
+        # 10 pools per stack: one stack of all 100 would peak near 29 MB
+        seed = verify.DEFAULT_VERIFY_SEED
+        verify._prop_variance_bound(seed)
+        tracemalloc.start()
+        try:
+            results = verify._prop_variance_bound(seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results[0].passed
+        assert peak < 5.5 * 2**20
 
 
 class TestFiniteDifferenceOracle:
@@ -624,15 +648,14 @@ class TestBatchedOraclesMatchLoops:
         for seed in range(5):
             c, params, x, y = verify.random_classifier_instance(
                 Rng(60 + seed), 5, dim=4, hidden=(8,), batch=40)
-            pool = LabeledDataset(x, y, 5)
-            got = verify.variance_bound_check(c, params, pool, eta, 20)
+            got = verify.variance_bound_check(c, params, x, y, eta, 20)
             g_net = loop_per_label_gradients(c, params, x, LossKind.MAE)
             self.assert_report_matches_loop(got, g_net, y, eta, 20)
             # MAE rows sum to zero over the labels, which zeroes the bias
             # term; random rows check that term too
             g_random = Rng(70 + seed).gaussians(g_net.size).reshape(g_net.shape)
             monkeypatch.setattr(verify, "per_label_gradients", lambda *args: g_random)
-            got = verify.variance_bound_check(c, params, pool, eta, 20)
+            got = verify.variance_bound_check(c, params, x, y, eta, 20)
             self.assert_report_matches_loop(got, g_random, y, eta, 20)
             monkeypatch.undo()
 
@@ -642,7 +665,7 @@ class TestBatchedOraclesMatchLoops:
             c, params, x, y = verify.random_classifier_instance(
                 Rng(60 + seed), 5, dim=4, hidden=(8,), batch=40)
             pool = LabeledDataset(x, y, 5)
-            got = verify.variance_bound_check(c, params, pool, eta, 20)
+            got = verify.variance_bound_check(c, params, x, y, eta, 20)
             noisy, sigma_sq = gather_variance_bound_check(c, params, pool, eta, 20,
                                                           20_000, Rng(seed))
             assert got.noisy_variance == pytest.approx(noisy, rel=0.05)
