@@ -56,7 +56,6 @@ cross-entropy, or noisy meta with mean absolute error (the robust one).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -66,7 +65,7 @@ from .data import BlobSpec, LabeledDataset, dataclass_csv
 from .losses import LossKind
 from .metrics import accuracy, auc_noisy_detection
 from .nets import ClassifierNet, SampleGrads, WeightNet
-from .numkit import FieldError, Rng, as_vec, check_fields
+from .numkit import FieldError, Rng, as_vec, check_fields, check_fits
 
 _INIT_CLASSIFIER_STREAM = 11
 _INIT_WEIGHTNET_STREAM = 12
@@ -245,60 +244,20 @@ def hypergradient(state: BilevelState, train_batch: Batch, meta_batch: Batch,
 _STEP_VECTORS = 4
 
 
-def _check_fits(need: int, name: str, holder: str) -> None:
-    """FieldError on ``name`` when ``need`` bytes, what ``holder`` would
-    hold, exceed the machine's physical memory."""
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise FieldError(name, f"{name} is too large: {holder} would hold at least "
-                         f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
-                         "of physical memory")
-
-
-def _means_bound(blob: BlobSpec) -> tuple[int, str]:
-    """Bytes that drawing ``blob``'s class means holds at least: the (K, K, d)
-    pairwise differences and their squares.  With them, the name of the
-    larger factor, K^2 or d."""
-    k2 = blob.num_classes ** 2
-    return 8 * 2 * k2 * blob.dim, "num_classes" if k2 >= blob.dim else "dim"
-
-
-def check_means_memory(blob: BlobSpec) -> None:
-    """FieldError on ``num_classes`` or ``dim`` when drawing ``blob``'s
-    class means would hold more than the machine's physical memory."""
-    _check_fits(*_means_bound(blob), "drawing the class means")
-
-
-def check_matrix_memory(num_classes: int) -> None:
-    """FieldError on ``num_classes`` when writing a K x K transition matrix
-    as CSV would hold more than the machine's physical memory: at least the
-    float64 array and, per entry, a 24-byte float object of its ``tolist()``
-    rows and the row's 8-byte pointer to it."""
-    _check_fits(40 * num_classes ** 2, "num_classes", "the transition matrix as CSV")
-
-
 def check_group_memory(blob: BlobSpec, cfg: TrainConfig, runs: int) -> None:
-    """FieldError when a group of ``runs`` runs on ``blob``'s splits would
-    hold more than the machine's physical memory.  The estimate is a lower
-    bound, the larger of two phases: drawing the class means
-    (``_means_bound``, more than the two (K, K) matrices of
-    ``noise.majority_feasibility``), and a step, which holds the float64
-    features of the three splits and of one train and one meta batch, and
-    the parameter-sized arrays of one stacked step.  The error names the
-    larger factor of the larger phase: K^2 or d for the means, the largest
-    size for a step."""
+    """FieldError when a step of a group of ``runs`` runs on ``blob``'s
+    splits would hold more than the machine's physical memory.  The
+    estimate is a lower bound: the float64 features of the three splits and
+    of one train and one meta batch, and the parameter-sized arrays of one
+    stacked step.  The error names the largest size.  What drawing the
+    splits holds is ``BlobSpec``'s rule."""
     rows = (blob.n_train + blob.n_meta + blob.n_test
             + min(cfg.train_batch, blob.n_train) + cfg.meta_batch)
     num_params = ClassifierNet([blob.dim, *HIDDEN_SIZES, blob.num_classes]).num_params
-    means, means_name = _means_bound(blob)
-    step = 8 * (rows * blob.dim + _STEP_VECTORS * runs * num_params)
-    if means > step:
-        _check_fits(means, means_name, "one seed group")
-    else:
-        sizes = {name: getattr(blob, name)
-                 for name in ("num_classes", "dim", "n_train", "n_meta", "n_test")}
-        sizes["meta_batch"] = cfg.meta_batch
-        _check_fits(step, max(sizes, key=sizes.get), "one seed group")
+    sizes = {"num_classes": blob.num_classes, "dim": blob.dim, "n_train": blob.n_train,
+             "n_meta": blob.n_meta, "n_test": blob.n_test, "meta_batch": cfg.meta_batch}
+    check_fits(8 * (rows * blob.dim + _STEP_VECTORS * runs * num_params),
+               max(sizes, key=sizes.get), "one seed group")
 
 
 def bilevel_step(state: BilevelState, train_batch: Batch, meta_batch: Batch,

@@ -24,14 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .bilevel import (RunReport, Variant, check_matrix_memory, check_means_memory,
-                      train)
+from .bilevel import RunReport, Variant, train
 from .config import (ConfigError, ExperimentConfig, parse_config, rate_label,
                      serialize_config)
 from .data import (BlobSpec, csv_text, dataclass_csv, make_blobs, save_dataset,
                    standardize)
 from .noise import NoiseKind, NoiseSpec, build_transition, corrupt, majority_feasibility
-from .numkit import FieldError, Rng
+from .numkit import FieldError, Rng, check_fits
 
 # Purposes for deriving per-run random streams from the experiment seed.
 # Chained spawns (purpose -> seed index -> cell index) cannot collide the
@@ -196,15 +195,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
 # -- subcommands --------------------------------------------------------------
 
 
+def _warn_if_infeasible(spec: NoiseSpec) -> None:
+    """The heavy-noise warning on stderr, if ``majority_feasibility`` flags ``spec``."""
+    if majority_feasibility(spec) == "warning":
+        print(f"warning: {spec.kind.value} noise at rate {spec.rate} "
+              "makes some corrupted class the majority; learning may be infeasible",
+              file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
     for kind in cfg.noise_kinds:
         for rate in cfg.noise_rates:
-            spec = NoiseSpec(kind, rate, cfg.blob.num_classes)
-            if majority_feasibility(spec) == "warning":
-                print(f"warning: {kind.value} noise at rate {rate} makes some "
-                      "corrupted class the majority; learning may be infeasible",
-                      file=sys.stderr)
+            _warn_if_infeasible(NoiseSpec(kind, rate, cfg.blob.num_classes))
     table = run_experiment(cfg, out_dir=args.out)
     out = Path(args.out if args.out is not None else cfg.output_dir)
     print(f"wrote {out / 'results.csv'} ({len(table.rows)} grid cells, "
@@ -228,14 +231,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_noise_matrix(args) -> int:
     spec = NoiseSpec(NoiseKind(args.kind), args.rate, args.classes, seed=args.seed)
-    try:
-        check_matrix_memory(spec.num_classes)
-    except FieldError as exc:
-        raise ValueError(f"--classes: {exc}") from None
+    # As CSV text the matrix holds at least its float64 array and, per entry,
+    # a 24-byte float of its tolist() rows and the row's 8-byte pointer to it.
+    check_fits(40 * spec.num_classes ** 2, "num_classes", "the transition matrix as CSV")
     matrix = build_transition(spec)
-    if majority_feasibility(spec) == "warning":
-        print("warning: some corrupted class outweighs the true class at this rate",
-              file=sys.stderr)
+    _warn_if_infeasible(spec)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(matrix.to_csv())
@@ -247,17 +247,12 @@ def _cmd_noise_matrix(args) -> int:
 def _cmd_gen_data(args) -> int:
     if args.noise_kind is None and args.noise_rate != 0.0:
         raise ValueError("--noise-rate needs --noise-kind")
-    noise_spec = (NoiseSpec(NoiseKind(args.noise_kind), args.noise_rate, args.classes,
-                            seed=args.seed) if args.noise_kind is not None else None)
     spec = BlobSpec(num_classes=args.classes, dim=args.dim, n_train=args.n_train,
                     n_meta=args.n_meta, n_test=args.n_test,
                     separation=args.separation, cluster_std=args.cluster_std,
                     seed=args.seed)
-    try:
-        check_means_memory(spec)
-    except FieldError as exc:
-        option = {"num_classes": "--classes", "dim": "--dim"}[exc.field]
-        raise ValueError(f"{option}: {exc}") from None
+    noise_spec = (NoiseSpec(NoiseKind(args.noise_kind), args.noise_rate, args.classes,
+                            seed=args.seed) if args.noise_kind is not None else None)
     bundle = standardize(make_blobs(spec)) if args.standardize else make_blobs(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -340,6 +335,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         where = f" (at {exc.location})" if exc.location else ""
         print(f"config error: {exc}{where}", file=sys.stderr)
+        return 1
+    except FieldError as exc:  # a value an option set; `run` raises ConfigError instead
+        option = "classes" if exc.field == "num_classes" else exc.field.replace("_", "-")
+        print(f"error: --{option}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

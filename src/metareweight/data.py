@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numkit import Rng, check_fields
+from .numkit import Rng, check_fields, check_fits
 
 _MEANS_STREAM = 1
 _SPLIT_STREAMS = {"train": 2, "meta": 3, "test": 4}
@@ -67,6 +67,12 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class BlobSpec:
+    """What ``make_blobs`` draws.  A draw that would hold more than the
+    machine's physical memory is a FieldError.  The bound is the larger of
+    two phases: the means' (K, K, d) differences and their squares, named by
+    K^2 or d, whichever is larger, then the splits' float64 features and
+    int64 labels, named by their largest size."""
+
     num_classes: int = 5
     dim: int = 20
     n_train: int = 2000
@@ -82,6 +88,11 @@ class BlobSpec:
                      "be >= 1")
         check_fields(self, ("separation", "cluster_std"), lambda v: 0 < v < math.inf,
                      "be finite and positive")
+        k2 = self.num_classes ** 2
+        means = (16 * k2 * self.dim, "num_classes" if k2 >= self.dim else "dim")
+        splits = (8 * (self.n_train + self.n_meta + self.n_test) * (self.dim + 1),
+                  max(("dim", "n_train", "n_meta", "n_test"), key=lambda n: getattr(self, n)))
+        check_fits(*max(means, splits, key=lambda phase: phase[0]), "drawing the data")
 
 
 @dataclass

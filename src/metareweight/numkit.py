@@ -1,4 +1,4 @@
-"""Vector validation and a portable counter-based PRNG.
+"""Field, memory and vector checks, and a portable counter-based PRNG.
 
 Vectors are float64 numpy arrays, 1-D or a 2-D stack of them (one per
 row).  ``as_vec`` validates shape and finiteness once at the boundary so
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 
 import numpy as np
 
@@ -195,6 +196,16 @@ def check_fields(obj, names, ok, rule: str) -> None:
         value = getattr(obj, name)
         if not ok(value):
             raise FieldError(name, f"{name} must {rule}, got {value}")
+
+
+def check_fits(need: int, name: str, holder: str) -> None:
+    """FieldError on ``name`` when ``need`` bytes, what ``holder`` would
+    hold, exceed the machine's physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise FieldError(name, f"{name} is too large: {holder} would hold at least "
+                         f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+                         "of physical memory")
 
 
 def as_vec(x, name: str = "vector") -> np.ndarray:

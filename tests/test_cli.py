@@ -47,6 +47,9 @@ num_seeds = 2
 seed = 4
 """
 
+HEAVY_FLIP_WARNING = ("warning: flip noise at rate 0.5 makes some corrupted class the "
+                      "majority; learning may be infeasible")
+
 def cell_row(table, variant, kind, rate):
     """The result row of one (variant, noise kind, noise rate) grid cell."""
     (row,) = [r for r in table.rows
@@ -548,36 +551,70 @@ class TestCliCommands:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("sizes, option", [
-        (["--classes", "30000", "--dim", "1"], "--classes"),
-        (["--classes", "3", "--dim", str(10**12)], "--dim")])
+    @pytest.mark.parametrize("sizes, option, field", [
+        (["--classes", "30000", "--dim", "1"], "--classes", "num_classes"),
+        (["--classes", "3", "--dim", str(10**12)], "--dim", "dim"),
+        (["--dim", str(10**9)], "--dim", "dim"),
+        (["--n-train", str(10**12)], "--n-train", "n_train"),
+        (["--n-meta", str(10**12)], "--n-meta", "n_meta"),
+        (["--n-test", str(10**12)], "--n-test", "n_test")])
     def test_gen_data_beyond_memory_fails_before_drawing(self, tmp_path, monkeypatch, capsys,
-                                                          sizes, option):
-        import metareweight.bilevel as bilevel_mod
+                                                          sizes, option, field):
         import metareweight.cli as cli_mod
+        import metareweight.numkit as numkit_mod
 
         def never(spec):
             raise AssertionError("make_blobs was called")
 
         # an 8 GiB host, so the sizes fail alike everywhere
-        monkeypatch.setattr(bilevel_mod.os, "sysconf",
+        monkeypatch.setattr(numkit_mod.os, "sysconf",
                             {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}.__getitem__)
         monkeypatch.setattr(cli_mod, "make_blobs", never)
         out = tmp_path / "data"
         assert main(["gen-data", "--out", str(out), *sizes]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error: {option}: ") and "GiB of physical memory" in err[0]
+        assert err[0].startswith(f"error: {option}: {field} is too large: drawing the data ")
+        assert err[0].endswith("GiB of physical memory")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--classes", "1"], ["--dim", "0"], ["--n-train", "0"], ["--n-meta", "0"],
+        ["--n-test", "0"], ["--separation", "0"], ["--cluster-std", "nan"],
+        ["--classes", "1", "--noise-kind", "uniform"]])
+    def test_gen_data_bad_size_names_its_option(self, tmp_path, capsys, args):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), *args]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {args[0]}: "), err
+        assert captured.out == "" and not out.exists()
+
+    def test_run_warns_once_per_heavy_noise_cell(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT.replace("kinds = uniform\nrates = 0.0, 0.3",
+                                                  "kinds = flip\nrates = 0.2, 0.5"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning:")] == [
+            HEAVY_FLIP_WARNING]
+        assert (out / "results.csv").is_file()
+
+    @pytest.mark.parametrize("kind, rate, expected", [
+        ("flip", "0.5", [HEAVY_FLIP_WARNING]), ("uniform", "0.9", [])])
+    def test_noise_matrix_warns_only_of_heavy_noise(self, capsys, kind, rate, expected):
+        assert main(["noise-matrix", "--kind", kind, "--rate", rate, "--classes", "3"]) == 0
+        assert capsys.readouterr().err.splitlines() == expected
 
     def test_noise_matrix_beyond_memory_fails_before_building(self, tmp_path, monkeypatch,
                                                               capsys):
         import tracemalloc
 
-        import metareweight.bilevel as bilevel_mod
+        import metareweight.numkit as numkit_mod
 
         # an 8 GiB host, so the size fails alike everywhere
-        monkeypatch.setattr(bilevel_mod.os, "sysconf",
+        monkeypatch.setattr(numkit_mod.os, "sysconf",
                             {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}.__getitem__)
         out = tmp_path / "m.csv"
         tracemalloc.start()
@@ -598,14 +635,14 @@ class TestCliCommands:
         # fit, but one it rejects could never have been written
         import tracemalloc
 
-        import metareweight.bilevel as bilevel_mod
-        real_check, needs = bilevel_mod._check_fits, []
+        import metareweight.cli as cli_mod
+        real_check, needs = cli_mod.check_fits, []
 
         def spy(need, *args):
             needs.append(need)
             return real_check(need, *args)
 
-        monkeypatch.setattr(bilevel_mod, "_check_fits", spy)
+        monkeypatch.setattr(cli_mod, "check_fits", spy)
         tracemalloc.start()
         try:
             assert main(["noise-matrix", "--kind", "uniform", "--rate", "0.4",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metareweight import bilevel
+from metareweight import numkit
 from metareweight.bilevel import TrainConfig, Variant
 from metareweight.config import (_SCHEMA, ConfigError, ExperimentConfig, parse_config,
                                  parse_config_text, serialize_config)
@@ -336,6 +336,8 @@ class TestOneOwnerPerRule:
         ("noise rate must lie in [0, 1)", "noise.py"),
         ("flip2 needs at least 3 classes", "noise.py"),
         ("must lie in [0, 2**64)", "numkit.py"),
+        ("of physical memory", "numkit.py"),
+        ("makes some corrupted class the majority; learning may be infeasible", "cli.py"),
     ])
     def test_rule_is_worded_only_by_its_owner(self, message, owner):
         assert [p.name for p in sorted(self.SRC.glob("*.py"))
@@ -346,8 +348,8 @@ class TestMemoryBound:
     def test_size_far_beyond_memory_rejected_before_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match=r"^<config>: dim is too large: one seed "
-                                                  r"group would hold at least .* GiB, more "
+            with pytest.raises(ConfigError, match=r"^<config>: dim is too large: drawing the "
+                                                  r"data would hold at least .* GiB, more "
                                                   r"than the .* GiB of physical memory$") as info:
                 parse_config_text(f"[blob]\nn_train = 8\ndim = {10**9}\n")
             peak = tracemalloc.get_traced_memory()[1]
@@ -376,7 +378,7 @@ class TestPairwiseMemoryBound:
         # the bound compares with physical memory: pin it, so the sizes
         # below fail alike on every host
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
-        monkeypatch.setattr(bilevel.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(numkit.os, "sysconf", pages.__getitem__)
 
     @pytest.mark.parametrize("classes, dim, field, line", [
         (30000, 1, "num_classes", "2: classes = 30000"),
@@ -384,8 +386,8 @@ class TestPairwiseMemoryBound:
     def test_many_classes_rejected_before_allocating(self, classes, dim, field, line):
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match=f"^<config>: {field} is too large: one seed "
-                                                  "group would hold at least .* GiB, more "
+            with pytest.raises(ConfigError, match=f"^<config>: {field} is too large: drawing "
+                                                  "the data would hold at least .* GiB, more "
                                                   "than the 8 GiB of physical memory$") as info:
                 parse_config_text(f"[blob]\nclasses = {classes}\ndim = {dim}\n{self.TINY}")
             peak = tracemalloc.get_traced_memory()[1]
@@ -399,27 +401,33 @@ class TestPairwiseMemoryBound:
         parse_config_text(f"[blob]\nclasses = 1000\ndim = 1\n{self.TINY}")
 
     def test_bound_is_below_what_drawing_the_means_allocates(self, monkeypatch):
-        # a host with the memory that make_blobs peaks at passes the check;
-        # one byte less than 16 K^2 d, the (K, K, d) differences and their
-        # squares, fails it
-        blob = BlobSpec(num_classes=300, dim=2, n_train=8, n_meta=8, n_test=8)
-        tracemalloc.start()
-        try:
-            make_blobs(blob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        train = TrainConfig(train_batch=8, meta_batch=8)
+        # a host with the memory that make_blobs peaks at accepts the spec;
+        # one byte less than the bound rejects it: 16 K^2 d, the (K, K, d)
+        # differences and their squares, where the means dominate, and
+        # 8 (n_train + n_meta + n_test)(d + 1), the splits' features and
+        # labels, where the splits do
+        cases = [(dict(num_classes=300, dim=2, n_train=8, n_meta=8, n_test=8),
+                  16 * 300 ** 2 * 2, "num_classes"),
+                 (dict(num_classes=3, dim=2, n_train=20000, n_meta=2000, n_test=20000),
+                  8 * 42000 * 3, "n_train")]
 
         def host_with(nbytes):
-            monkeypatch.setattr(bilevel.os, "sysconf",
+            monkeypatch.setattr(numkit.os, "sysconf",
                                 {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}.__getitem__)
 
-        host_with(peak)
-        bilevel.check_group_memory(blob, train, runs=1)
-        host_with(16 * 300 ** 2 * 2 - 1)
-        with pytest.raises(ValueError, match="^num_classes is too large"):
-            bilevel.check_group_memory(blob, train, runs=1)
+        for sizes, bound, field in cases:
+            blob = BlobSpec(**sizes)
+            tracemalloc.start()
+            try:
+                make_blobs(blob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            host_with(peak)
+            BlobSpec(**sizes)
+            host_with(bound - 1)
+            with pytest.raises(FieldError, match=f"^{field} is too large"):
+                BlobSpec(**sizes)
 
 
 class TestOutputDir:

@@ -1,7 +1,8 @@
-"""Every function, class and method of the package has a caller outside the
-tests: a name defined in ``src/metareweight`` must be used somewhere in
-``src/`` or in the benchmark's non-test files, so that no code lives on
-for the tests alone.  A string names a definition only in the benchmark,
+"""Every function, class, method and module-level constant of the package
+has a reader outside the tests: a name defined in ``src/metareweight`` must
+be read somewhere in ``src/`` or in the benchmark's non-test files, so that
+no code lives on for the tests alone; the assignment that binds a constant
+is no read.  A string names a definition only in the benchmark,
 whose tracer targets are dotted strings; in ``src/`` a name listed in
 ``__all__``, or any other string, is no use.  Likewise every name a module
 of the package imports must be read in that module (``__init__.py``, which
@@ -25,12 +26,20 @@ def definitions(tree) -> list[str]:
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
+def constants(tree) -> list[str]:
+    """Names that the module-level assignments of ``tree`` bind, dunders
+    such as ``__all__`` aside."""
+    return [target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and not target.id.startswith("__")]
+
+
 def used_names(tree, strings: bool) -> set[str]:
     """Names ``tree`` reads; with ``strings``, also the parts of each dotted
     string constant."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -42,9 +51,11 @@ def used_names(tree, strings: bool) -> set[str]:
 
 def test_every_definition_in_the_package_is_used_outside_the_tests():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in PACKAGE + BENCHMARK}
-    defined = [(path.name, name) for path in PACKAGE for name in definitions(trees[path])]
+    defined = [(path.name, name) for path in PACKAGE
+               for name in definitions(trees[path]) + constants(trees[path])]
     used = set().union(*(used_names(tree, path in BENCHMARK) for path, tree in trees.items()))
     assert len(defined) > 100  # the parse found the package
+    assert ("numkit.py", "_GAUSSIAN_CHUNK") in defined  # the walk found the constants
     assert [f"{file}: {name}" for file, name in defined if name not in used] == []
 
 
