@@ -25,7 +25,7 @@ import numpy as np
 
 from . import verify
 from .bilevel import RunReport, Variant, train
-from .config import (ConfigError, ExperimentConfig, parse_config, rate_label,
+from .config import (_SCHEMA, ConfigError, ExperimentConfig, parse_config, rate_label,
                      serialize_config)
 from .data import (BlobSpec, csv_text, dataclass_csv, make_blobs, save_dataset,
                    standardize)
@@ -230,7 +230,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_noise_matrix(args) -> int:
-    spec = NoiseSpec(NoiseKind(args.kind), args.rate, args.classes, seed=args.seed)
+    spec = NoiseSpec(NoiseKind(args.kind), args.rate, args.num_classes, seed=args.seed)
     # As CSV text the matrix holds at least its float64 array and, per entry,
     # a 24-byte float of its tolist() rows and the row's 8-byte pointer to it.
     check_fits(40 * spec.num_classes ** 2, "num_classes", "the transition matrix as CSV")
@@ -245,14 +245,12 @@ def _cmd_noise_matrix(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.noise_kind is None and args.noise_rate != 0.0:
+    if args.kind is None and args.rate != 0.0:
         raise ValueError("--noise-rate needs --noise-kind")
-    spec = BlobSpec(num_classes=args.classes, dim=args.dim, n_train=args.n_train,
-                    n_meta=args.n_meta, n_test=args.n_test,
-                    separation=args.separation, cluster_std=args.cluster_std,
+    spec = BlobSpec(**{name: getattr(args, name) for name, _ in _SCHEMA["blob"].values()},
                     seed=args.seed)
-    noise_spec = (NoiseSpec(NoiseKind(args.noise_kind), args.noise_rate, args.classes,
-                            seed=args.seed) if args.noise_kind is not None else None)
+    noise_spec = (NoiseSpec(NoiseKind(args.kind), args.rate, spec.num_classes, seed=args.seed)
+                  if args.kind is not None else None)
     bundle = standardize(make_blobs(spec)) if args.standardize else make_blobs(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,36 +289,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the experiment grid from a config file")
     p_run.add_argument("--config", help="config file (omit for documented defaults)")
     p_run.add_argument("--out", help="output directory (overrides the config)")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_verify = sub.add_parser("verify", help="run the theory verification suite")
     p_verify.add_argument("--seed", type=_seed, default=verify.DEFAULT_VERIFY_SEED)
     p_verify.add_argument("--csv", help="also write property results to this CSV")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, parser=p_verify)
 
     p_noise = sub.add_parser("noise-matrix", help="emit a transition matrix as CSV")
     p_noise.add_argument("--kind", required=True,
                          choices=[k.value for k in NoiseKind])
     p_noise.add_argument("--rate", type=float, required=True)
-    p_noise.add_argument("--classes", type=int, required=True)
+    p_noise.add_argument("--classes", dest="num_classes", type=int, required=True)
     p_noise.add_argument("--seed", type=_seed, default=0)
     p_noise.add_argument("--out", help="output file (default: stdout)")
-    p_noise.set_defaults(func=_cmd_noise_matrix)
+    p_noise.set_defaults(func=_cmd_noise_matrix, parser=p_noise)
 
     p_gen = sub.add_parser("gen-data", help="emit synthetic dataset splits as CSV")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--classes", type=int, default=BlobSpec.num_classes)
-    p_gen.add_argument("--dim", type=int, default=BlobSpec.dim)
-    p_gen.add_argument("--n-train", type=int, default=BlobSpec.n_train)
-    p_gen.add_argument("--n-meta", type=int, default=BlobSpec.n_meta)
-    p_gen.add_argument("--n-test", type=int, default=BlobSpec.n_test)
-    p_gen.add_argument("--separation", type=float, default=BlobSpec.separation)
-    p_gen.add_argument("--cluster-std", type=float, default=BlobSpec.cluster_std)
+    for key, (name, parse) in _SCHEMA["blob"].items():  # the [blob] keys as flags
+        p_gen.add_argument(f"--{key.replace('_', '-')}", dest=name, type=parse,
+                           default=getattr(BlobSpec, name))
     p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--standardize", action="store_true")
-    p_gen.add_argument("--noise-kind", choices=[k.value for k in NoiseKind])
-    p_gen.add_argument("--noise-rate", type=float, default=0.0)
-    p_gen.set_defaults(func=_cmd_gen_data)
+    p_gen.add_argument("--noise-kind", dest="kind", choices=[k.value for k in NoiseKind])
+    p_gen.add_argument("--noise-rate", dest="rate", type=float, default=0.0)
+    p_gen.set_defaults(func=_cmd_gen_data, parser=p_gen)
     return parser
 
 
@@ -337,8 +331,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}{where}", file=sys.stderr)
         return 1
     except FieldError as exc:  # a value an option set; `run` raises ConfigError instead
-        option = "classes" if exc.field == "num_classes" else exc.field.replace("_", "-")
-        print(f"error: --{option}: {exc}", file=sys.stderr)
+        flag = next((action.option_strings[0] for action in args.parser._actions
+                     if action.dest == exc.field), exc.field)
+        print(f"error: {flag}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .data import LabeledDataset, csv_text
-from .numkit import Rng
+from .numkit import FieldError, Rng, check_fields
 
 _TARGET_STREAM = 0x7A17
 _LABEL_CHUNK = 1 << 14  # labels per search chunk
@@ -37,23 +37,27 @@ class NoiseKind(Enum):
 
 def _check_rate(eta: float) -> None:
     if not 0.0 <= eta < 1.0:
-        raise ValueError(f"noise rate must lie in [0, 1), got {eta}")
+        raise FieldError("rate", f"noise rate must lie in [0, 1), got {eta}")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
+    """``kind`` noise at ``rate`` over ``num_classes`` classes, its flip
+    targets drawn from ``seed``.  A value it rejects is a FieldError on its
+    field: fewer than 2 classes on ``num_classes``, a rate outside [0, 1) on
+    ``rate``, and flip2 over fewer than 3 classes on ``kind``."""
+
     kind: NoiseKind
     rate: float
     num_classes: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.num_classes}")
+        check_fields(self, ("num_classes",), lambda v: v >= 2, "be >= 2")
         _check_rate(self.rate)
         if self.kind is NoiseKind.FLIP2 and self.num_classes < 3:
-            raise ValueError("flip2 needs at least 3 classes for two distinct targets, "
-                             f"got {self.num_classes}")
+            raise FieldError("kind", "flip2 needs at least 3 classes for two distinct "
+                             f"targets, got {self.num_classes}")
 
 
 @dataclass

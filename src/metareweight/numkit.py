@@ -25,7 +25,6 @@ per-call cost of a read is far above its per-word cost.
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 
@@ -143,16 +142,14 @@ class Rng:
         """Doubles in [0, 1), one per word (``to_uniforms``)."""
         return to_uniforms(self.next_u64s(size))
 
-    def gaussians(self, size: int, std: float = 1.0) -> np.ndarray:
-        """Zero-mean normals, two words each (``to_normals``), read in
+    def gaussians(self, size: int) -> np.ndarray:
+        """Standard normals, two words each (``to_normals``), read in
         chunks: the stream of one read."""
         size = _size(size)
-        if not (math.isfinite(std) and std >= 0):
-            raise ValueError(f"std must be finite and >= 0, got {std}")
         out = np.empty(size)
         for lo in range(0, size, _GAUSSIAN_CHUNK):
             words = self.next_u64s(2 * min(_GAUSSIAN_CHUNK, size - lo))
-            out[lo:lo + _GAUSSIAN_CHUNK] = std * to_normals(words)
+            out[lo:lo + _GAUSSIAN_CHUNK] = to_normals(words)
         return out
 
     def randint(self, n: int) -> int:

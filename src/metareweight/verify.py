@@ -65,6 +65,9 @@ from .data import LabeledDataset
 DEFAULT_VERIFY_SEED = 20240117
 FD_STEP = 1e-6
 KINK_MARGIN = 10 * FD_STEP
+# The virtual step's learning rate alpha at which the hypergradient
+# properties take both the analytic and the finite-difference gradient.
+VIRTUAL_LR = 0.1
 # Chance that correct label sampling fails the corruption-frequency check.
 CORRUPTION_FAMILY_ALPHA = 1e-4
 
@@ -276,18 +279,9 @@ def random_classifier_instances(rng: Rng, count: int, num_classes: int, dim: int
     return classifier, params, features, to_ints(y_words, num_classes)
 
 
-def random_classifier_instance(rng: Rng, num_classes: int, dim: int = 4,
-                               hidden=(8,), batch: int = 6):
-    """Small random net, a random point ``params`` of it, and a
-    feature/label batch."""
-    classifier, params, features, labels = random_classifier_instances(
-        rng, 1, num_classes, dim, hidden, batch)
-    return classifier, params[0], features[0], labels[0]
-
-
 def random_hypergrad_instance(rng: Rng, dim: int = 3, num_classes: int = 3,
                               n_train: int = 4, n_meta: int = 4,
-                              hidden=(5,), alpha: float = 0.1,
+                              hidden=(5,), alpha: float = VIRTUAL_LR,
                               kind: LossKind = LossKind.MAE,
                               kink_margin: float = KINK_MARGIN):
     """Random tiny bilevel instance, resampled until the finite-difference
@@ -335,8 +329,8 @@ def mc_convergence_slope(rng: Rng, eta: float = 0.4, num_classes: int = 5,
 
     No property calls it: ``sampled-corruption-mean-gradient`` replaced it.
     It stays while the benchmark's ``verify.mc_slope`` tracer names it."""
-    classifier, params, features, labels = random_classifier_instance(
-        rng, num_classes, batch=batch)
+    classifier, (params,), (features,), (labels,) = random_classifier_instances(
+        rng, 1, num_classes, batch=batch)
     g_all = per_label_gradients(classifier, params, features, LossKind.MAE)
     expected = expected_gradient(g_all, labels, uniform_transition(num_classes, eta))
     log_errors = []
@@ -455,7 +449,7 @@ def corrupted_gradient_check(rng: Rng) -> PropertyResult:
     gradient is the same for every label has zero SE and must match to
     rounding."""
     k, eta, copies = 5, 0.4, 10_000
-    classifier, params, x, y = random_classifier_instance(rng, k)
+    classifier, (params,), (x,), (y,) = random_classifier_instances(rng, 1, k)
     g_all = per_label_gradients(classifier, params, x, LossKind.MAE)
     n = len(y)
     constant = np.all(g_all == g_all[:, :1], axis=(0, 1))
@@ -506,7 +500,7 @@ def _prop_flip(seed: int) -> list[PropertyResult]:
     k = 3
     witness = 0.0
     for _ in range(10):
-        classifier, params, x, y = random_classifier_instance(rng, k)
+        classifier, (params,), (x,), (y,) = random_classifier_instances(rng, 1, k)
         targets = (np.arange(k) + 1 + rng.randint(k - 1)) % k
         clean = clean_mean_gradient(classifier, params, x, y, LossKind.MAE)
         g_all = per_label_gradients(classifier, params, x, LossKind.MAE)
@@ -514,7 +508,7 @@ def _prop_flip(seed: int) -> list[PropertyResult]:
         witness = max(witness, proportionality_residual(g, clean))
         if witness > 1e-3:
             break
-    classifier, params, x, y = random_classifier_instance(rng, k)
+    classifier, (params,), (x,), (y,) = random_classifier_instances(rng, 1, k)
     clean = clean_mean_gradient(classifier, params, x, y, LossKind.MAE)
     g_all = per_label_gradients(classifier, params, x, LossKind.MAE)
     maps = list(all_flip_maps(k))
@@ -536,7 +530,7 @@ def _prop_flip2_enumeration(seed: int) -> list[PropertyResult]:
     rng = Rng(seed).spawn(108)
     k, eta = 5, 0.4
     targets = (np.arange(k)[:, None] + np.array([1, 2])) % k  # y -> y + 1, y + 2
-    classifier, params, x, y = random_classifier_instance(rng, k)
+    classifier, (params,), (x,), (y,) = random_classifier_instances(rng, 1, k)
     g_all = per_label_gradients(classifier, params, x, LossKind.MAE)
     got = expected_gradient(g_all, y, flip_transition(targets, eta))
     rows = np.arange(len(y))
@@ -555,7 +549,7 @@ def _prop_hypergradient(seed: int) -> list[PropertyResult]:
     for i in range(20):
         kind = LossKind.MAE if i % 2 == 0 else LossKind.CE
         state, tb, mb, analytic = random_hypergrad_instance(rng, kind=kind)
-        fd = finite_diff_theta_grad(state, tb, mb, 0.1, kind)
+        fd = finite_diff_theta_grad(state, tb, mb, VIRTUAL_LR, kind)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         worst = max(worst, rel)
     descent_ok = True
@@ -563,8 +557,8 @@ def _prop_hypergradient(seed: int) -> list[PropertyResult]:
     for i in range(5):
         kind = LossKind.MAE if i % 2 == 0 else LossKind.CE
         state, tb, mb, analytic = random_hypergrad_instance(rng, kind=kind)
-        before = composed_meta_objective(state, tb, mb, 0.1, kind, state.theta)
-        after = composed_meta_objective(state, tb, mb, 0.1, kind,
+        before = composed_meta_objective(state, tb, mb, VIRTUAL_LR, kind, state.theta)
+        after = composed_meta_objective(state, tb, mb, VIRTUAL_LR, kind,
                                         state.theta - 1e-6 * analytic)
         descent_ok &= after <= before + 1e-12 * max(1.0, abs(before))
         detail_drop = min(detail_drop, before - after)

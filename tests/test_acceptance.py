@@ -63,7 +63,7 @@ class TestExpectationEquivalence:
         for k in (3, 5, 10):
             for eta in (0.2, 0.4, 0.6, 0.8):
                 for _ in range(17):
-                    c, params, x, y = verify.random_classifier_instance(rng, k)
+                    c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, k)
                     rep = verify.equivalence_report(c, params, x, y, eta, LossKind.MAE)
                     worst_mae = max(worst_mae, rep)
                     rep_ce = verify.equivalence_report(c, params, x, y, eta, LossKind.CE)
@@ -89,7 +89,7 @@ class TestHypergradient:
             state, tb, mb, analytic = verify.random_hypergrad_instance(
                 rng, dim=3, num_classes=3, n_train=4, n_meta=4,
                 kink_margin=1e-5, kind=kind)
-            fd = verify.finite_diff_theta_grad(state, tb, mb, 0.1, kind)
+            fd = verify.finite_diff_theta_grad(state, tb, mb, verify.VIRTUAL_LR, kind)
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
             worst = max(worst, rel)
         elapsed = time.monotonic() - start
@@ -161,7 +161,7 @@ class TestFlipAnalysis:
         tries = 0
         for _ in range(10):
             tries += 1
-            c, params, x, y = verify.random_classifier_instance(rng, 3)
+            c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 3)
             clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
             shift = 1 + rng.randint(2)
             targets = (np.arange(3) + shift) % 3
@@ -172,7 +172,7 @@ class TestFlipAnalysis:
                 break
         assert witness > 1e-3, f"no witness in 10 instances (best {witness:.3e})"
 
-        c, params, x, y = verify.random_classifier_instance(rng, 3)
+        c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 3)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         maps = list(verify.all_flip_maps(3))
         avg = np.mean([verify.expected_gradient(
@@ -192,8 +192,8 @@ class TestVarianceBound:
         rng = Rng(verify.DEFAULT_VERIFY_SEED).spawn(6)
         holds = 0
         for _ in range(100):
-            c, params, x, y = verify.random_classifier_instance(rng, 5, dim=4, hidden=(8,),
-                                                                batch=40)
+            c, (params,), (x,), (y,) = verify.random_classifier_instances(
+                rng, 1, 5, dim=4, hidden=(8,), batch=40)
             rep = verify.variance_bound_check(c, params, x, y, eta=0.4, m=20)
             holds += rep.holds
         elapsed = time.monotonic() - start

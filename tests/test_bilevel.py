@@ -27,7 +27,7 @@ def tiny_state(seed=0, dim=3, k=3, hidden=(5,), wn_hidden=8, randomize_wn=True):
     params = classifier.init_params(rng)
     theta = weightnet.init_params(rng)
     if randomize_wn:
-        theta = rng.gaussians(weightnet.num_params, 0.4)
+        theta = 0.4 * rng.gaussians(weightnet.num_params)
     return BilevelState(classifier, weightnet, params, theta), rng
 
 
@@ -350,7 +350,7 @@ def step_instances(draw):
     classifier = ClassifierNet([dim, *hidden, k])
     weightnet = WeightNet(hidden=draw(st.integers(1, 10)))
     state = BilevelState(classifier, weightnet, classifier.init_params(rng),
-                         rng.gaussians(weightnet.num_params, 0.5))
+                         0.5 * rng.gaussians(weightnet.num_params))
     state.momentum_buffer = rng.gaussians(classifier.num_params)
     return state, tiny_batch(rng, n, dim, k), tiny_batch(rng, m, dim, k), kind, rng
 
@@ -589,9 +589,9 @@ def metric_splits(rng, n, dim=20, k=5):
     split of ``n`` rows, features off the training distribution."""
     labels = rng.randints(n, k)
     observed = np.where(rng.uniforms(n) < 0.3, (labels + 1) % k, labels)
-    train_split = LabeledDataset(rng.gaussians(n * dim, 3.0).reshape(n, dim),
+    train_split = LabeledDataset(3.0 * rng.gaussians(n * dim).reshape(n, dim),
                                  observed, k, true_labels=labels)
-    test = LabeledDataset(rng.gaussians(n * dim, 3.0).reshape(n, dim),
+    test = LabeledDataset(3.0 * rng.gaussians(n * dim).reshape(n, dim),
                           rng.randints(n, k), k)
     return train_split, test
 
@@ -606,7 +606,7 @@ class TestBlockedMetrics:
         import metareweight.bilevel as b
 
         state, rng = tiny_state(seed=n, dim=20, k=5, hidden=(32, 32), wn_hidden=100)
-        state.theta = rng.gaussians(state.weightnet.num_params, 0.5)
+        state.theta = 0.5 * rng.gaussians(state.weightnet.num_params)
         train_split, test = metric_splits(rng, n)
         want, want_weights = unblocked_metrics(state, 7, train_split, test)
         scores = []

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -544,11 +545,30 @@ class TestCliCommands:
     @pytest.mark.parametrize("noise, message", [
         (["--noise-rate", "0.4"], "--noise-rate needs --noise-kind"),
         (["--noise-kind", "uniform", "--noise-rate", "1.5"],
-         "noise rate must lie in [0, 1), got 1.5")])
+         "--noise-rate: noise rate must lie in [0, 1), got 1.5")])
     def test_gen_data_bad_noise_writes_nothing(self, tmp_path, capsys, noise, message):
         out = tmp_path / "data"
         assert main(["gen-data", "--out", str(out), *noise]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, line", [
+        (["noise-matrix", "--kind", "uniform", "--rate", "1.5", "--classes", "5"],
+         "error: --rate: noise rate must lie in [0, 1), got 1.5"),
+        (["noise-matrix", "--kind", "uniform", "--rate", "0.4", "--classes", "1"],
+         "error: --classes: num_classes must be >= 2, got 1"),
+        (["noise-matrix", "--kind", "flip2", "--rate", "0.4", "--classes", "2"],
+         "error: --kind: flip2 needs at least 3 classes for two distinct targets, got 2"),
+        (["gen-data", "--noise-kind", "uniform", "--noise-rate", "1.5"],
+         "error: --noise-rate: noise rate must lie in [0, 1), got 1.5"),
+        (["gen-data", "--classes", "2", "--noise-kind", "flip2", "--noise-rate", "0.2"],
+         "error: --noise-kind: flip2 needs at least 3 classes for two distinct targets, got 2")])
+    def test_a_rejected_noise_spec_names_the_option(self, tmp_path, capsys, argv, line):
+        # the option that set the field, as the command spells it
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line] and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("sizes, option, field", [
@@ -577,6 +597,27 @@ class TestCliCommands:
         assert err[0].startswith(f"error: {option}: {field} is too large: drawing the data ")
         assert err[0].endswith("GiB of physical memory")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, spec", [
+        ([], BlobSpec()),
+        (["--classes", "3", "--dim", "2", "--n-train", "8", "--n-meta", "4", "--n-test", "5",
+          "--separation", "2.5", "--cluster-std", "0.5", "--seed", "7"],
+         BlobSpec(3, 2, 8, 4, 5, 2.5, 0.5, seed=7))])
+    def test_gen_data_options_set_the_blob_spec(self, tmp_path, monkeypatch, capsys, args,
+                                                spec):
+        # each [blob] key is an option that sets its field, and the rest keep
+        # the spec's defaults
+        import metareweight.cli as cli_mod
+        drawn = []
+
+        def stop(blob):
+            drawn.append(blob)
+            raise RuntimeError("stop before drawing")
+
+        monkeypatch.setattr(cli_mod, "make_blobs", stop)
+        assert main(["gen-data", "--out", str(tmp_path / "data"), *args]) == 3
+        assert drawn == [spec]
+        capsys.readouterr()
 
     @pytest.mark.parametrize("args", [
         ["--classes", "1"], ["--dim", "0"], ["--n-train", "0"], ["--n-meta", "0"],
@@ -923,7 +964,8 @@ def fuzzed_argvs(draw, command):
 def run_fuzzed(argv):
     """(exit code, stdout) of ``main``, after asserting that it raised no
     warning and printed no traceback, and that a failure ends in one error
-    line, after argparse's usage lines when the parser rejected the argv."""
+    line, after argparse's usage lines when the parser rejected the argv.
+    An error line that names an option names one the argv gives."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
             redirect_stdout(out):
@@ -941,6 +983,8 @@ def run_fuzzed(argv):
         assert last.startswith(("error: ", *parser_error)), err.getvalue()
         assert all(line.startswith(("usage: ", " ")) for line in usage), err.getvalue()
         assert usage == [] or last.startswith(parser_error)
+        named = re.match(r"error: (\S+): ", last)
+        assert not named or any(arg.split("=")[0] == named[1] for arg in argv), err.getvalue()
     else:
         assert lines == []
     return code, out.getvalue()

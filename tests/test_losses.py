@@ -151,7 +151,7 @@ class TestLossGradLogits:
     def test_gradient_sums_to_zero(self, kind):
         rng = Rng(4)
         for _ in range(50):
-            z = rng.gaussians(6, 2.0)
+            z = 2.0 * rng.gaussians(6)
             g = grad_logits(kind, rng.randint(6), z)
             assert abs(g.sum()) < 1e-10
 
@@ -161,7 +161,7 @@ class TestLossGradLogits:
         rng = Rng(10 * k)
         step = 1e-6
         for _ in range(34):  # ~100 (z, label) pairs across the K grid
-            z = rng.gaussians(k, 2.0)
+            z = 2.0 * rng.gaussians(k)
             label = rng.randint(k)
             g = grad_logits(kind, label, z)
             fd = np.empty(k)

@@ -102,7 +102,7 @@ class TestSoftmaxRows:
         # it, since a NaN probability fails the loss check.
         rng = Rng(seed)
         special = np.array([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, -np.nan])
-        z = rng.gaussians(int(np.prod(lead, dtype=int)) * k, 100.0).reshape(*lead, k)
+        z = 100.0 * rng.gaussians(int(np.prod(lead, dtype=int)) * k).reshape(*lead, k)
         picked = rng.uniforms(z.size).reshape(z.shape) < share
         z[picked] = special[rng.randints(int(picked.sum()), len(special))]
         with np.errstate(all="ignore"):
@@ -244,7 +244,7 @@ class TestFlatParams:
         rng = Rng(21)
         expect = []
         for fan_in, fan_out in ((4, 6), (6, 3)):
-            expect.append(rng.gaussians(fan_out * fan_in, np.sqrt(2.0 / fan_in)))
+            expect.append(np.sqrt(2.0 / fan_in) * rng.gaussians(fan_out * fan_in))
             expect.append(np.zeros(fan_out))
         net = ClassifierNet([4, 6, 3])
         got = net.init_params(Rng(21))
@@ -310,7 +310,7 @@ class TestWeightNet:
         rng = Rng(6)
         for _ in range(50):
             net = WeightNet(hidden=8)
-            theta = rng.gaussians(net.num_params, 0.5)
+            theta = 0.5 * rng.gaussians(net.num_params)
             val = 5.0 * rng.uniforms(1)[0]
             g = weight_grad_one(net, theta, val)
             fd = fd_grad(lambda p, net=net, val=val: weight_one(net, p, val), theta)
@@ -388,7 +388,7 @@ class TestWeightNetOracle:
         for _ in range(200):
             net = WeightNet(hidden=1 + rng.randint(120))
             n = 1 + rng.randint(200)
-            self.check(net, rng.gaussians(net.num_params, 2.0),
+            self.check(net, 2.0 * rng.gaussians(net.num_params),
                        8.0 * rng.uniforms(n))
 
     def test_dead_units_and_zero_output_layer(self):
@@ -432,7 +432,7 @@ class TestParameterStack:
     def test_weightnet_rows_equal_single_vector_calls(self, seed, hidden, n, t):
         rng = Rng(seed)
         net = WeightNet(hidden=hidden)
-        stack = rng.gaussians(t * net.num_params, 2.0).reshape(t, net.num_params)
+        stack = 2.0 * rng.gaussians(t * net.num_params).reshape(t, net.num_params)
         v = 8.0 * rng.uniforms(n)
         weights = net.forward_batch(stack, v)
         pre = net.hidden_preactivations(stack, v)
@@ -454,7 +454,7 @@ class TestParameterStack:
         rng = Rng(seed)
         net, wn = ClassifierNet([dim, *hidden, classes]), WeightNet(hidden=wn_hidden)
         stack = rng.gaussians(t * net.num_params).reshape(t, net.num_params)
-        theta = rng.gaussians(t * wn.num_params, 2.0).reshape(t, wn.num_params)
+        theta = 2.0 * rng.gaussians(t * wn.num_params).reshape(t, wn.num_params)
         x = rng.gaussians(n * dim).reshape(n, dim)
         labels = rng.randints(t * n, classes).reshape(t, n)
         kinds = [list(LossKind)[i] for i in rng.randints(t, 2)]

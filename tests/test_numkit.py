@@ -88,19 +88,12 @@ class TestRng:
         assert abs(g.mean()) < 0.02
         assert abs(g.std() - 1.0) < 0.02
 
-    def test_gaussian_zero_std_is_mean(self):
-        assert np.all(Rng(2).gaussians(3, 0.0) == 0.0)
-
-    def test_gaussian_negative_std_error(self):
-        with pytest.raises(ValueError):
-            Rng(2).gaussians(3, -1.0)
-
     @pytest.mark.parametrize("size", [0, 1, _GAUSSIAN_CHUNK - 1, _GAUSSIAN_CHUNK,
                                       _GAUSSIAN_CHUNK + 1, 2 * _GAUSSIAN_CHUNK + 3,
                                       5 * _GAUSSIAN_CHUNK])
     def test_chunked_gaussians_equal_one_draw(self, size):
         chunked, one_shot = Rng(17), Rng(17)
-        assert np.array_equal(chunked.gaussians(size, 1.5),
+        assert np.array_equal(1.5 * chunked.gaussians(size),
                               one_shot_gaussians(one_shot, size, 1.5))
         # the transform of one read has the bits of the chunked draw
         assert np.array_equal(bits(to_normals(Rng(17).next_u64s(2 * size))),
@@ -118,13 +111,6 @@ class TestRng:
         # a 2-D read transforms row by row, in pairs along the last axis
         rows = to_normals(words.reshape(3, 20))
         assert np.array_equal(bits(rows.ravel()), bits(Rng(5).gaussians(30)))
-
-    @pytest.mark.parametrize("std", [float("nan"), float("inf"), -float("inf"), -1.0])
-    def test_gaussians_reject_a_std_that_is_not_finite_and_nonnegative(self, std):
-        rng = Rng(2)
-        with pytest.raises(ValueError, match=f"^std must be finite and >= 0, got {std}$"):
-            rng.gaussians(3, std)
-        assert np.array_equal(rng.next_u64s(2), Rng(2).next_u64s(2))  # nothing read
 
     @pytest.mark.parametrize("draw", ["next_u64s", "uniforms", "gaussians", "randints"])
     def test_sizes_must_be_nonnegative_integers(self, draw):

@@ -24,7 +24,7 @@ class TestExpectedGradient:
         rng = Rng(30 + k)
         for rate in (0.0, 0.3, 0.6):
             transition = build_transition(NoiseSpec(kind, rate, k, seed=rng.randint(100))).probs
-            c, params, x, y = verify.random_classifier_instance(rng, k)
+            c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, k)
             g_all = verify.per_label_gradients(c, params, x, LossKind.MAE)
             cells = [(transition[y[i], j], g_all[i, j]) for i in range(len(y)) for j in range(k)]
             want = sum(t * g for t, g in cells) / len(y)
@@ -36,7 +36,7 @@ class TestExpectedGradient:
 class TestExpectedUniformGradient:
     def test_rate_zero_equals_clean_gradient(self):
         rng = Rng(1)
-        c, params, x, y = verify.random_classifier_instance(rng, 4)
+        c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 4)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         assert np.array_equal(verify.uniform_transition(4, 0.0), np.eye(4))
         expected = expected_of(c, params, x, y, verify.uniform_transition(4, 0.0))
@@ -47,20 +47,20 @@ class TestExpectedUniformGradient:
     def test_mae_scaled_clean_gradient(self, k, eta):
         rng = Rng(100 * k + int(10 * eta))
         for _ in range(5):
-            c, params, x, y = verify.random_classifier_instance(rng, k)
+            c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, k)
             assert verify.equivalence_report(c, params, x, y, eta, LossKind.MAE) <= 1e-10
 
     def test_ce_breaks_equivalence(self):
         rng = Rng(2)
         hits = 0
         for _ in range(10):
-            c, params, x, y = verify.random_classifier_instance(rng, 5)
+            c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 5)
             hits += verify.equivalence_report(c, params, x, y, 0.4, LossKind.CE) > 1e-3
         assert hits >= 9
 
     def test_matches_monte_carlo(self):
         rng = Rng(3)
-        c, params, x, y = verify.random_classifier_instance(rng, 4, batch=5)
+        c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 4, batch=5)
         eta = 0.3
         g_all = verify.per_label_gradients(c, params, x, LossKind.MAE)
         expected = verify.expected_gradient(g_all, y, verify.uniform_transition(4, eta))
@@ -75,14 +75,14 @@ class TestExpectedUniformGradient:
 class TestExpectedFlipGradient:
     def test_rate_zero_equals_clean(self):
         rng = Rng(4)
-        c, params, x, y = verify.random_classifier_instance(rng, 3)
+        c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 3)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         g = expected_of(c, params, x, y, verify.flip_transition(np.array([1, 2, 0]), 0.0))
         assert np.allclose(g, clean, atol=1e-15)
 
     def test_identity_target_rejected(self):
         rng = Rng(4)
-        c, params, x, y = verify.random_classifier_instance(rng, 3)
+        c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 3)
         with pytest.raises(ValueError, match="move every class"):
             verify.flip_transition(np.array([0, 2, 1]), 0.3)
 
@@ -90,7 +90,7 @@ class TestExpectedFlipGradient:
         rng = Rng(5)
         found = False
         for _ in range(10):
-            c, params, x, y = verify.random_classifier_instance(rng, 3)
+            c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 3)
             clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
             g = expected_of(c, params, x, y, verify.flip_transition(np.array([1, 2, 0]), 0.4))
             if verify.proportionality_residual(g, clean) > 1e-3:
@@ -100,7 +100,7 @@ class TestExpectedFlipGradient:
 
     def test_enumerating_all_maps_restores_proportionality(self):
         rng = Rng(6)
-        c, params, x, y = verify.random_classifier_instance(rng, 3)
+        c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 3)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         maps = list(verify.all_flip_maps(3))
         assert len(maps) == 8  # (K-1)^K admissible maps at K=3
@@ -112,7 +112,7 @@ class TestExpectedFlipGradient:
         # averaging over maps spreads the flipped mass evenly on the other
         # classes, so the result is (1 - eta*K/(K-1)) times the clean gradient
         rng = Rng(7)
-        c, params, x, y = verify.random_classifier_instance(rng, 3)
+        c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 3)
         clean = verify.clean_mean_gradient(c, params, x, y, LossKind.MAE)
         eta = 0.4
         avg = np.mean([expected_of(c, params, x, y, verify.flip_transition(t, eta))
@@ -144,7 +144,9 @@ class TestExpectedFlipGradient:
 
 class TestVarianceBound:
     def _pool(self, rng, n=40, k=5):
-        return verify.random_classifier_instance(rng, k, dim=4, hidden=(8,), batch=n)
+        c, (params,), (x,), (y,) = verify.random_classifier_instances(
+            rng, 1, k, dim=4, hidden=(8,), batch=n)
+        return c, params, x, y
 
     def test_rate_zero_reduces_to_clean_variance(self):
         # the bound holds with equality at eta = 0; rounding alone separates
@@ -214,7 +216,8 @@ class TestFiniteDifferenceOracle:
         state, tb, mb, analytic = verify.random_hypergrad_instance(rng)
         errs = []
         for step in (2e-4, 1e-4, 5e-5):
-            fd = verify.finite_diff_theta_grad(state, tb, mb, 0.1, LossKind.MAE, step=step)
+            fd = verify.finite_diff_theta_grad(state, tb, mb, verify.VIRTUAL_LR, LossKind.MAE,
+                                               step=step)
             errs.append(np.linalg.norm(fd - analytic))
         # error should shrink about 4x per halving away from kinks
         assert errs[1] <= errs[0] / 2.5
@@ -387,7 +390,7 @@ class TestRunAll:
         rng = Rng(16)
         worst = 0.0
         for _ in range(10):
-            c, params, x, y = verify.random_classifier_instance(rng, 5)
+            c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, 5)
             worst = max(worst, verify.equivalence_report(c, params, x, y, 0.4, LossKind.CE))
         assert worst > 1e-10  # would have passed at 1e-10 with MAE
 
@@ -401,7 +404,7 @@ def solo_uniform_expectation(seed):
     for k in (3, 5, 10):
         for eta in (0.2, 0.4, 0.6, 0.8):
             for _ in range(17):
-                c, params, x, y = verify.random_classifier_instance(rng, k)
+                c, (params,), (x,), (y,) = verify.random_classifier_instances(rng, 1, k)
                 mae.append(verify.equivalence_report(c, params, x, y, eta, LossKind.MAE))
                 ce.append(verify.equivalence_report(c, params, x, y, eta, LossKind.CE))
     return np.array(mae), np.array(ce)
@@ -434,7 +437,7 @@ class TestStackedUniformExpectation:
         assert mae_result.passed == (mae.max() <= 1e-10)
 
     def test_a_single_vector_gives_a_float(self):
-        c, params, x, y = verify.random_classifier_instance(Rng(5), 3)
+        c, (params,), (x,), (y,) = verify.random_classifier_instances(Rng(5), 1, 3)
         residual = verify.equivalence_report(c, params, x, y, 0.4, LossKind.MAE)
         assert isinstance(residual, float)
         stacked = verify.equivalence_report(c, params[None], x[None], y[None], 0.4,
@@ -454,7 +457,7 @@ def per_layer_params(rng, layer_sizes):
     the input, and zero biases."""
     parts = []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        parts += [rng.gaussians(fan_out * fan_in, np.sqrt(2.0 / fan_in)), np.zeros(fan_out)]
+        parts += [np.sqrt(2.0 / fan_in) * rng.gaussians(fan_out * fan_in), np.zeros(fan_out)]
     return np.concatenate(parts)
 
 
@@ -593,8 +596,8 @@ def gather_variance_bound_check(classifier, params, pool, eta, m, trials, rng):
 def gather_mc_convergence_slope(rng, eta=0.4, num_classes=5, batch=6,
                                 trial_counts=(100, 400, 1600, 6400), repeats=40):
     """``mc_convergence_slope`` with each sampled minibatch gathered."""
-    classifier, params, features, labels = verify.random_classifier_instance(
-        rng, num_classes, batch=batch)
+    classifier, (params,), (features,), (labels,) = verify.random_classifier_instances(
+        rng, 1, num_classes, batch=batch)
     g_all = loop_per_label_gradients(classifier, params, features, LossKind.MAE)
     expected = verify.expected_gradient(g_all, labels,
                                         verify.uniform_transition(num_classes, eta))
@@ -619,8 +622,8 @@ class TestBatchedOraclesMatchLoops:
         for k in (2, 3, 5, 10):
             for kind in LossKind:
                 for hidden in ((8,), (5, 4), ()):
-                    c, params, x, _ = verify.random_classifier_instance(
-                        rng, k, hidden=hidden, batch=1 + rng.randint(40))
+                    c, (params,), (x,), _ = verify.random_classifier_instances(
+                        rng, 1, k, hidden=hidden, batch=1 + rng.randint(40))
                     assert np.array_equal(verify.per_label_gradients(c, params, x, kind),
                                           loop_per_label_gradients(c, params, x, kind))
 
@@ -646,8 +649,8 @@ class TestBatchedOraclesMatchLoops:
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.8])
     def test_variance_report_matches_a_loop_over_cells(self, eta, monkeypatch):
         for seed in range(5):
-            c, params, x, y = verify.random_classifier_instance(
-                Rng(60 + seed), 5, dim=4, hidden=(8,), batch=40)
+            c, (params,), (x,), (y,) = verify.random_classifier_instances(
+                Rng(60 + seed), 1, 5, dim=4, hidden=(8,), batch=40)
             got = verify.variance_bound_check(c, params, x, y, eta, 20)
             g_net = loop_per_label_gradients(c, params, x, LossKind.MAE)
             self.assert_report_matches_loop(got, g_net, y, eta, 20)
@@ -662,8 +665,8 @@ class TestBatchedOraclesMatchLoops:
     @pytest.mark.parametrize("eta", [0.4, 0.8])
     def test_variances_match_sampled_minibatches(self, eta):
         for seed in range(5):
-            c, params, x, y = verify.random_classifier_instance(
-                Rng(60 + seed), 5, dim=4, hidden=(8,), batch=40)
+            c, (params,), (x,), (y,) = verify.random_classifier_instances(
+                Rng(60 + seed), 1, 5, dim=4, hidden=(8,), batch=40)
             pool = LabeledDataset(x, y, 5)
             got = verify.variance_bound_check(c, params, x, y, eta, 20)
             noisy, sigma_sq = gather_variance_bound_check(c, params, pool, eta, 20,
