@@ -181,7 +181,7 @@ def meta_gradient_at(classifier: ClassifierNet, params: np.ndarray,
     _, grads = classifier.losses_and_grads_batch(
         params, meta_batch.features, meta_batch.labels, kind)
     m = len(meta_batch)
-    return np.full(m, 1.0 / m) @ grads
+    return as_vec(np.full(m, 1.0 / m) @ grads, "meta-gradient at the virtual point")
 
 
 def theta_gradient(grads: Grads, g_meta: np.ndarray, theta_grads: Grads,
@@ -384,7 +384,7 @@ def train(variants, train_splits, meta_splits, test_data: LabeledDataset,
     reports = [RunReport() for _ in variants]
     # A diverging run overflows before anything is non-finite; numpy's
     # warnings about that are silenced so that the first check to fail
-    # (``set_flat`` on an update, ``as_vec`` on the losses) is the one report.
+    # (``set_flat`` on an update, ``as_vec`` on losses or meta-gradient) is the one report.
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
             alpha = _scheduled_lr(cfg, epoch)

@@ -176,12 +176,6 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_text(p.read_text(), source=str(p))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ", ".join(map(format_value, value))
-    return format_value(value)
-
-
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Every schema key, in schema order, in the format ``parse_config_text``
     reads back to an equal config."""
@@ -190,6 +184,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     for section, keys in _SCHEMA.items():
         owner = owners.get(section, cfg)
         blocks.append("\n".join(
-            [f"[{section}]"] + [f"{key} = {_format_value(getattr(owner, name))}"
+            [f"[{section}]"] + [f"{key} = {format_value(getattr(owner, name))}"
                                 for key, (name, _) in keys.items()]))
     return "\n\n".join(blocks) + "\n"

@@ -165,7 +165,9 @@ def standardize(bundle: SplitBundle) -> SplitBundle:
 
 
 def format_value(value) -> str:
-    """A scalar as CSV and config files write it (floats round-trip exactly)."""
+    """A value as CSV and config files write it; floats round-trip, tuples join with ", "."""
+    if isinstance(value, tuple):
+        return ", ".join(map(format_value, value))
     if isinstance(value, Enum):
         return value.value
     return repr(value) if isinstance(value, float) else str(value)

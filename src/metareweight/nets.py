@@ -44,7 +44,12 @@ paired inputs) bit for bit.
 
 Flat parameter layout (both networks): layers in input-to-output order,
 each layer contributing W.ravel() (row-major, shape out x in) followed by
-its bias (out,).  ``_Mlp._layers`` is the only code that knows this layout.
+its bias (out,).  ``_Mlp._layers`` holds this layout as views into a vector;
+``SampleGrads.__rmatmul__`` also encodes it, concatenating each layer's
+weight block, then its bias block, into a fresh vector, because writing the
+blocks through ``_layers`` views is slower: per contraction of the default
+classifier, 123 -> 125 us for 5 runs of 100 samples and 277 -> 283 us
+for 1 run of 1000 (medians, on one core of an Intel Xeon).
 Rectifier derivative at exactly 0 is defined as 0.
 """
 
@@ -305,6 +310,12 @@ class WeightNet(_Mlp):
     Architecture 1 -> hidden -> 1 with rectifier hidden units and a
     logistic output.  The logistic keeps weights bounded and orderable,
     so they serve directly as clean-vs-corrupt scores.
+
+    About half the hidden units are inert for good.  Losses are >= 0, and
+    training starts with zero hidden biases and a zero output layer, so a
+    unit drawn with an input weight w1 < 0 outputs 0 for every loss and gets
+    exactly zero gradient: its bias and output weight stay exactly 0, and
+    weight decay only shrinks its w1.
     """
 
     # Keeps saturated logits from rounding to exactly 0 or 1 in float64.

@@ -62,17 +62,17 @@ class NoiseSpec:
 
 @dataclass
 class TransitionMatrix:
-    """probs[y, c] = P(observed = c | true = y); rows sum to 1."""
+    """probs[y, c] = P(observed = c | true = y), K x K for K = num_classes; rows sum to 1."""
 
-    num_classes: int
     probs: np.ndarray
+    num_classes: int = field(init=False)
     _cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        if p.shape != (self.num_classes, self.num_classes):
-            raise ValueError(f"transition matrix must be {self.num_classes} square")
-        if np.any(p < 0):
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise ValueError(f"transition matrix must be square, got shape {p.shape}")
+        if not np.all(p >= 0):  # also false for a NaN
             raise ValueError("transition probabilities must be nonnegative")
         rowsums = p.sum(axis=1)
         if np.any(np.abs(rowsums - 1.0) > 1e-12):
@@ -80,7 +80,7 @@ class TransitionMatrix:
         self.probs = p
         # Guard cumsum roundoff: from each row's last nonzero class on the
         # sum is 1.0, so no uniform in [0, 1) reaches a class past it.
-        k = self.num_classes
+        k = self.num_classes = len(p)
         last = k - 1 - np.argmax(p[:, ::-1] > 0, axis=1)
         cum = np.cumsum(p, axis=1)
         cum[np.arange(k) >= last[:, None]] = 1.0
@@ -130,10 +130,9 @@ def flip_transition(targets: np.ndarray, eta: float) -> np.ndarray:
 
 
 def build_transition(spec: NoiseSpec) -> TransitionMatrix:
-    k, eta = spec.num_classes, spec.rate
     if spec.kind is NoiseKind.UNIFORM:
-        return TransitionMatrix(k, uniform_transition(k, eta))
-    return TransitionMatrix(k, flip_transition(_draw_targets(spec), eta))
+        return TransitionMatrix(uniform_transition(spec.num_classes, spec.rate))
+    return TransitionMatrix(flip_transition(_draw_targets(spec), spec.rate))
 
 
 def _search_labels(cum: np.ndarray, labels: np.ndarray, u: np.ndarray) -> np.ndarray:

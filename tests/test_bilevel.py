@@ -337,6 +337,41 @@ class TestFusedStep:
         assert rel_diff(state.momentum_buffer, v_new) <= 1e-12
         assert rel_diff(state.params, w - alpha * v_new) <= 1e-12
 
+    def test_an_overflowing_meta_pass_is_named_and_changes_nothing(self):
+        # a finite virtual point far enough out overflows the meta forward
+        # pass: the step stops at the meta-gradient, before either update
+        cfg = TrainConfig(train_batch=4, meta_batch=4, epochs=1, lr_milestones=())
+        state, rng = tiny_state(20)
+        batch, meta = tiny_batch(rng, 4, 3, 3), tiny_batch(rng, 4, 3, 3)
+        params, theta = state.params.copy(), state.theta.copy()
+        with np.errstate(all="ignore"):
+            w_hat = lookahead(state, batch, 1e300)[0]
+            assert np.isfinite(w_hat).all()
+            with pytest.raises(ValueError, match="^meta-gradient at the virtual point "
+                                                 "contains non-finite entries$"):
+                bilevel_step(state, batch, meta, cfg, 1e300, LossKind.CE)
+        assert np.array_equal(state.params, params) and np.array_equal(state.theta, theta)
+        assert not state.momentum_buffer.any()
+
+
+class TestInertWeightNetUnits:
+    def test_a_unit_drawn_with_a_negative_input_weight_stays_off(self):
+        # losses are >= 0, and a fresh weighting net has zero hidden biases
+        # and a zero output layer: a unit with w1 < 0 never fires
+        cfg = TrainConfig(train_batch=20, meta_batch=20, epochs=1, lr_milestones=())
+        state, rng = tiny_state(21, wn_hidden=100, randomize_wn=False)
+        [(w1, b1), (w2, _)] = state.weightnet._layers(state.theta)
+        inert = w1[:, 0] < 0
+        assert 20 < inert.sum() < 80 and not b1.any() and not w2.any()
+        for _ in range(5):
+            before = state.weightnet._layers(state.theta)[0][0][inert, 0].copy()
+            bilevel_step(state, tiny_batch(rng, 20, 3, 3), tiny_batch(rng, 20, 3, 3),
+                         cfg, 0.1, LossKind.MAE)
+            [(w1, b1), (w2, _)] = state.weightnet._layers(state.theta)
+            assert np.all(b1[inert] == 0.0) and np.all(w2[0, inert] == 0.0)
+            assert np.all(w1[inert, 0] < 0) and np.all(w1[inert, 0] >= before)
+        assert np.all(w1[~inert, 0] > 0) and np.all(w2[0, ~inert] != 0)
+
 
 @st.composite
 def step_instances(draw):

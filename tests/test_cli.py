@@ -702,8 +702,8 @@ class TestCliCommands:
         assert main(["verify"]) == 2
         assert "[FAIL] stub" in capsys.readouterr().out
 
-    # The weighting-parameter gradient scales with the classifier learning
-    # rate, so a huge classifier_lr also overflows the weighting net first.
+    # A huge classifier_lr moves the virtual point so far that the meta pass
+    # overflows there; a huge meta_lr overflows the weighting update.
     @pytest.mark.parametrize("setting", ["classifier_lr = 1e100", "meta_lr = 1e200"])
     def test_diverging_run_exit_three_names_epoch_and_step(self, tmp_path, capsys, setting):
         cfg_path = tmp_path / "exp.cfg"
@@ -711,8 +711,10 @@ class TestCliCommands:
         with np.errstate(all="ignore"):
             assert main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out")]) == 3
+        vector = {"classifier_lr = 1e100": "meta-gradient at the virtual point",
+                  "meta_lr = 1e200": "weighting-net parameter vector"}[setting]
         assert ("runtime failure: run failed for variant=clean-ce, noise=uniform@0.0, "
-                "seed=0: epoch 0, step 1: weighting-net parameter vector contains "
+                f"seed=0: epoch 0, step 1: {vector} contains "
                 "non-finite entries") in capsys.readouterr().err
 
     def test_diverging_classifier_is_named_by_its_losses(self, tmp_path, capsys):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from metareweight.data import (_MEANS_STREAM, _SPLIT_STREAMS, BlobSpec, LabeledDataset,
-                               SplitBundle, _draw_means, _draw_split, csv_text, make_blobs,
-                               save_dataset, standardize)
+                               SplitBundle, _draw_means, _draw_split, csv_text, format_value,
+                               make_blobs, save_dataset, standardize)
 from metareweight.noise import NoiseKind, NoiseSpec, build_transition, corrupt
 from metareweight.numkit import Rng
 
@@ -235,6 +235,11 @@ class TestCsvText:
     def test_cells_go_through_format_value(self):
         text = csv_text([["name", "rate", "kind"], ["a,b", 0.1, NoiseKind.FLIP2], [7, 1e-17, 2]])
         assert text == 'name,rate,kind\r\n"a,b",0.1,flip2\r\n7,1e-17,2\r\n'
+
+    def test_a_tuple_is_its_items_joined(self):
+        assert format_value((36, 48)) == "36, 48"
+        assert format_value((0.1, NoiseKind.FLIP)) == "0.1, flip"
+        assert format_value(()) == ""
 
     def test_floats_round_trip_exactly(self):
         values = Rng(4).gaussians(50).tolist()

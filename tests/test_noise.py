@@ -128,16 +128,20 @@ class TestBuildTransition:
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum"):
-            TransitionMatrix(2, np.array([[0.5, 0.4], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="nonnegative"):
-            TransitionMatrix(2, np.array([[1.5, -0.5], [0.0, 1.0]]))
+            TransitionMatrix(np.array([[0.5, 0.4], [0.0, 1.0]]))
+        for probs in [[[1.5, -0.5], [0.0, 1.0]], [[np.nan, np.nan], [0.0, 1.0]]]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                TransitionMatrix(np.array(probs))
+        for shape in [(2, 1), (3,), (), (1, 1, 1)]:
+            with pytest.raises(ValueError, match="must be square"):
+                TransitionMatrix(np.ones(shape))
 
     def test_csv_round_trip(self, tmp_path):
         t = build_transition(NoiseSpec(NoiseKind.FLIP2, 0.4, 5, seed=3))
         rows = list(csv.reader(io.StringIO(t.to_csv())))
         probs = [[float(x) for x in row] for row in rows[1:]]
-        loaded = TransitionMatrix(int(rows[0][0]), probs)
-        assert loaded.num_classes == 5 and len(rows) == 6
+        loaded = TransitionMatrix(probs)
+        assert loaded.num_classes == int(rows[0][0]) == 5 and len(rows) == 6
         assert np.array_equal(loaded.probs, t.probs)
 
 

@@ -302,7 +302,7 @@ class TestCorruptedGradient:
         def mutant(dataset, t, rng):
             k = t.num_classes
             moved = np.eye(k) + rate / 0.4 * (t.probs - np.eye(k))
-            return original(dataset, TransitionMatrix(k, moved), rng)
+            return original(dataset, TransitionMatrix(moved), rng)
 
         monkeypatch.setattr(verify, "corrupt", mutant)
         for seed in [verify.DEFAULT_VERIFY_SEED, *range(1, 11)]:
