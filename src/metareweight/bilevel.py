@@ -119,6 +119,8 @@ class TrainConfig:
         check_fields(self, ("momentum",), lambda v: 0 <= v < 1, "lie in [0, 1)")
         if list(self.lr_milestones) != sorted(set(self.lr_milestones)):
             raise FieldError("lr_milestones", "lr milestones must be strictly increasing")
+        check_fields(self, ("lr_milestones",), lambda v: min(v, default=0) >= 0,
+                     "have entries >= 0")
 
 
 @dataclass

@@ -16,9 +16,11 @@ output files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -71,29 +73,31 @@ class ResultTable:
         return dataclass_csv(ResultRow, self.rows)
 
 
+def _corrupted(bundle, matrix, experiment_seed: int, seed_index: int, cell_index: int):
+    """``bundle``'s train and meta splits corrupted through ``matrix`` by
+    the two streams ``run`` gives the noise cell ``cell_index`` of seed
+    group ``seed_index``."""
+    return (corrupt(bundle.train, matrix, _stream(experiment_seed, _PURPOSE_TRAIN_CORRUPT,
+                                                  seed_index, cell_index)),
+            corrupt(bundle.meta, matrix, _stream(experiment_seed, _PURPOSE_META_CORRUPT,
+                                                 seed_index, cell_index)))
+
+
 def _splits(cfg: ExperimentConfig, seed_index: int, runs):
     """The test split and each run's (train, meta) splits, for ``runs`` of
     one seed index given as ``(variant, kind, rate, cell_index)``: the data
-    is drawn and standardized once."""
-    blob = replace(cfg.blob,
-                   seed=_stream(cfg.seed, _PURPOSE_DATA, seed_index).seed)
+    is drawn and standardized once and corrupted once per noise cell, and
+    clean-ce keeps the clean meta split."""
+    blob = replace(cfg.blob, seed=_stream(cfg.seed, _PURPOSE_DATA, seed_index).seed)
     bundle = standardize(make_blobs(blob))
-    splits = []
-    for variant, kind, rate, cell_index in runs:
-        spec = NoiseSpec(kind, rate, blob.num_classes,
-                         seed=_stream(cfg.seed, _PURPOSE_NOISE_MODEL,
-                                      seed_index, cell_index).seed)
-        matrix = build_transition(spec)
-        train_split = corrupt(bundle.train, matrix,
-                              _stream(cfg.seed, _PURPOSE_TRAIN_CORRUPT,
-                                      seed_index, cell_index))
-        meta_split = bundle.meta
-        if variant.meta_is_noisy:
-            meta_split = corrupt(bundle.meta, matrix,
-                                 _stream(cfg.seed, _PURPOSE_META_CORRUPT,
-                                         seed_index, cell_index))
-        splits.append((train_split, meta_split))
-    return bundle.test, splits
+    corrupted = {}
+    for _, kind, rate, ci in runs:
+        if ci not in corrupted:
+            spec = NoiseSpec(kind, rate, blob.num_classes,
+                             seed=_stream(cfg.seed, _PURPOSE_NOISE_MODEL, seed_index, ci).seed)
+            corrupted[ci] = _corrupted(bundle, build_transition(spec), cfg.seed, seed_index, ci)
+    return bundle.test, [(corrupted[ci][0], corrupted[ci][1] if variant.meta_is_noisy
+                          else bundle.meta) for variant, _, _, ci in runs]
 
 
 def run_single(cfg: ExperimentConfig, variant: Variant, kind: NoiseKind,
@@ -112,19 +116,16 @@ def run_single(cfg: ExperimentConfig, variant: Variant, kind: NoiseKind,
                  seed=_stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed)[0]
 
 
-def _run_seed(args):
-    """Every run of one seed index, trained in lockstep: ``(reports, None)``
-    with one report per entry of ``runs``, or ``(None, (job key, error))``
-    for the first run that fails; the job key (run index, seed index)
-    orders the grid's jobs.  Runs with the same meta loss, train labels and
-    meta labels (at rate 0, noisy-ce is clean-ce) train once, as the first
-    of them in job order.  The stacked call gives the result.  If it raises
+def _run_seed(cfg: ExperimentConfig, runs, seed_index: int) -> list[RunReport]:
+    """Every run of one seed index, trained in lockstep: one report per
+    entry of ``runs``.  Runs with the same meta loss, train labels and meta
+    labels (at rate 0, noisy-ce is clean-ce) train once, as the first of
+    them in job order.  The stacked call gives the result.  If it raises
     ``ValueError`` or ``MemoryError``, the distinct runs train alone, in job
-    order, only to name the first that fails.  If none fails, their reports
-    stand in for an out-of-memory stack, but a ``ValueError`` no run raises
-    alone is a bug (each row has its run's bits alone), raised as a
-    ``RuntimeError`` naming the seed group."""
-    cfg, runs, seed_index = args
+    order, only to name the first that fails, in a ``RuntimeError``.  If
+    none fails, their reports stand in for an out-of-memory stack, but a
+    ``ValueError`` no run raises alone is a bug (each row has its run's
+    bits alone), raised as a ``RuntimeError`` naming the seed group."""
     test, splits = _splits(cfg, seed_index, runs)
     seed = _stream(cfg.seed, _PURPOSE_TRAIN_SEED, seed_index).seed
     keys = [(run[0].meta_loss, train_split.labels.tobytes(), meta_split.labels.tobytes())
@@ -142,40 +143,39 @@ def _run_seed(args):
                 reports += train([variant], [splits[i][0]], [splits[i][1]], test, cfg.train,
                                  seed=seed)
             except (ValueError, MemoryError) as exc:
-                return None, ((i, seed_index), RuntimeError(
-                    f"run failed for variant={variant.value}, "
-                    f"noise={kind.value}@{rate}, seed={seed_index}: {exc}"))
+                raise RuntimeError(f"run failed for variant={variant.value}, "
+                                   f"noise={kind.value}@{rate}, seed={seed_index}: "
+                                   f"{exc}") from exc
         if isinstance(stack_error, ValueError):
             raise RuntimeError(f"seed group {seed_index} failed as a stack although each "
                                f"of its runs trains alone: {stack_error}") from stack_error
-    return [reports[distinct.index(i)] for i in firsts], None
+    return [reports[distinct.index(i)] for i in firsts]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
     """Execute the full grid, aggregate over seeds, and write CSV reports.
     One job per seed index trains its distinct runs in lockstep; ``runs``
-    lists a seed index's runs variant by variant, then cell by cell."""
+    lists a seed index's runs variant by variant, then cell by cell.  The
+    jobs take at most one process per seed group and per usable CPU, and
+    the failure of the first failing seed group, in seed order, is raised."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)  # before training: a bad path fails fast
     cells = [(kind, rate) for kind in cfg.noise_kinds for rate in cfg.noise_rates]
     runs = [(variant, kind, rate, ci) for variant in cfg.variants
             for ci, (kind, rate) in enumerate(cells)]
-    jobs = [(cfg, runs, si) for si in range(cfg.num_seeds)]
-
-    if cfg.workers > 1:
+    jobs = (repeat(cfg), repeat(runs), range(cfg.num_seeds))
+    workers = min(cfg.workers, cfg.num_seeds, len(os.sched_getaffinity(0)))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # single-worker runs skip its import
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
-            outcomes = list(pool.map(_run_seed, jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_seed, *jobs))
     else:
-        outcomes = list(map(_run_seed, jobs))
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        outcomes = list(map(_run_seed, *jobs))
 
     table = ResultTable()
     for ri, (variant, kind, rate, _) in enumerate(runs):
-        reports = [seed_reports[ri] for seed_reports, _ in outcomes]
+        reports = [seed_reports[ri] for seed_reports in outcomes]
         for si, rep in enumerate(reports):
             rep.save_csv(runs_dir / f"{variant.value}_{kind.value}_{rate_label(rate)}_{si}.csv")
         accs = np.array([r.final_accuracy for r in reports])
@@ -258,15 +258,11 @@ def _cmd_gen_data(args) -> int:
     save_dataset(bundle.meta, out / "meta.csv")
     save_dataset(bundle.test, out / "test.csv")
     if noise_spec is not None:
-        # `run`'s corruption streams for seed group 0, cell 0: make_blobs
-        # draws the data from children of `--seed` itself
-        matrix = build_transition(noise_spec)
-        save_dataset(corrupt(bundle.train, matrix,
-                             _stream(args.seed, _PURPOSE_TRAIN_CORRUPT, 0, 0)),
-                     out / "train_corrupted.csv")
-        save_dataset(corrupt(bundle.meta, matrix,
-                             _stream(args.seed, _PURPOSE_META_CORRUPT, 0, 0)),
-                     out / "meta_corrupted.csv")
+        # `run`'s corruption for seed group 0, cell 0: make_blobs draws the
+        # data from children of `--seed` itself
+        train_split, meta_split = _corrupted(bundle, build_transition(noise_spec), args.seed, 0, 0)
+        save_dataset(train_split, out / "train_corrupted.csv")
+        save_dataset(meta_split, out / "meta_corrupted.csv")
     print(f"wrote datasets to {out}")
     return 0
 

@@ -141,30 +141,143 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"variant=clean-ce.*uniform@0\.0.*seed=0"):
             run_experiment(tiny_cfg(), out_dir=tmp_path)
 
-    def test_first_failing_job_in_job_order_is_reported(self, tmp_path, monkeypatch):
-        # Jobs run variant by variant, then cell by cell, then seed by seed.
-        # Seed 0 fails at (noisy-mae, rate 0.0) and seed 1 at (clean-ce,
-        # rate 0.3); the second comes first in that order, although its
-        # seed group comes second.
+    def test_the_first_failing_seed_group_names_its_first_failing_run(self, tmp_path,
+                                                                      monkeypatch):
+        # Seed groups run in seed order, and a group trains its runs alone
+        # variant by variant, then cell by cell, once its stack fails.  Seed
+        # group 0 fails at (noisy-mae, rate 0.0) and seed group 1 at
+        # (clean-ce, rate 0.3): group 0 is named, and with one worker group
+        # 1 never trains.  Two workers name the same run.
         import metareweight.cli as cli_mod
-        real_train = cli_mod.train
+        real_train, seeds_trained = cli_mod.train, []
         cfg = tiny_cfg()
         seeds = [cli_mod._stream(cfg.seed, cli_mod._PURPOSE_TRAIN_SEED, si).seed
                  for si in range(cfg.num_seeds)]
         planted = {(Variant.NOISY_MAE, False, seeds[0]), (Variant.CLEAN_CE, True, seeds[1])}
 
         def flaky(variants, train_splits, meta_splits, test, train_cfg, seed):
+            seeds_trained.append(seed)
             runs = zip(variants, train_splits)
             if any((v, bool(s.is_corrupted.any()), seed) in planted for v, s in runs):
                 raise ValueError("epoch 0, step 0: planted")
             return real_train(variants, train_splits, meta_splits, test, train_cfg, seed)
 
         monkeypatch.setattr(cli_mod, "train", flaky)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        expected = ("run failed for variant=noisy-mae, noise=uniform@0.0, seed=0: "
+                    "epoch 0, step 0: planted")
+        with pytest.raises(RuntimeError) as caught:
+            run_experiment(cfg, out_dir=tmp_path / "1")
+        assert str(caught.value) == expected
+        assert seeds_trained and set(seeds_trained) == {seeds[0]}
+        with pytest.raises(RuntimeError) as caught:  # trained in the pool's processes
+            run_experiment(replace(cfg, workers=2), out_dir=tmp_path / "2")
+        assert str(caught.value) == expected
+        assert not any((tmp_path / w / "results.csv").exists() for w in "12")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_failure_is_not_hidden_by_a_later_group_s_stack_error(
+            self, tmp_path, monkeypatch, workers):
+        # seed group 0 has a run that fails alone; seed group 1 a ValueError
+        # that only its stack raises, which is a later group's failure
+        import metareweight.cli as cli_mod
+        real_train = cli_mod.train
+        cfg = replace(tiny_cfg(), workers=workers)
+        seeds = [cli_mod._stream(cfg.seed, cli_mod._PURPOSE_TRAIN_SEED, si).seed
+                 for si in range(cfg.num_seeds)]
+
+        def flaky(variants, train_splits, meta_splits, test, train_cfg, seed):
+            if seed == seeds[0] and Variant.NOISY_MAE in variants:
+                raise ValueError("epoch 0, step 0: planted")
+            if seed == seeds[1] and len(variants) > 1:
+                raise ValueError("a shape bug of the stack")
+            return real_train(variants, train_splits, meta_splits, test, train_cfg, seed)
+
+        monkeypatch.setattr(cli_mod, "train", flaky)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(RuntimeError) as caught:
             run_experiment(cfg, out_dir=tmp_path)
-        assert str(caught.value) == ("run failed for variant=clean-ce, noise=uniform@0.3, "
-                                     "seed=1: epoch 0, step 0: planted")
-        assert not (tmp_path / "results.csv").exists()
+        assert str(caught.value) == ("run failed for variant=noisy-mae, noise=uniform@0.0, "
+                                     "seed=0: epoch 0, step 0: planted")
+
+    @pytest.mark.parametrize("workers, num_seeds, cpus, pools", [
+        (10**6, 3, 2, [2]),   # capped at the usable CPUs
+        (10**6, 3, 64, [3]),  # capped at the seed groups
+        (10**6, 1, 64, []),   # one seed group: no pool
+        (10**6, 3, 1, []),    # one usable CPU: no pool
+        (1, 3, 64, []),       # one worker: no pool
+    ])
+    def test_the_pool_has_at_most_one_process_per_seed_group_and_cpu(
+            self, tmp_path, monkeypatch, workers, num_seeds, cpus, pools):
+        # a stand-in executor records its size and runs the jobs serially,
+        # so no process starts, whatever the configured worker count
+        import concurrent.futures
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = tiny_cfg(variants=(Variant.NOISY_MAE,), noise_rates=(0.3,),
+                       num_seeds=num_seeds, workers=workers)
+        run_experiment(cfg, out_dir=tmp_path / "pool")
+        assert sizes == pools
+        run_experiment(replace(cfg, workers=1), out_dir=tmp_path / "serial")
+        assert (tmp_path / "pool/results.csv").read_bytes() == \
+               (tmp_path / "serial/results.csv").read_bytes()
+
+
+class TestCorruptionStreams:
+    @staticmethod
+    def spy_on(monkeypatch, name):
+        """Records the ``seed`` of the last argument of each ``cli.<name>``
+        call: a ``corrupt`` call's stream, a ``build_transition`` call's spec."""
+        import metareweight.cli as cli_mod
+        real, calls = getattr(cli_mod, name), []
+
+        def spy(*args):
+            calls.append(args[-1].seed)
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_gen_data_corrupts_with_run_s_streams_for_group_0_cell_0(
+            self, tmp_path, monkeypatch, capsys, seed):
+        import metareweight.cli as cli_mod
+        streams = self.spy_on(monkeypatch, "corrupt")
+        assert main(["gen-data", "--out", str(tmp_path), "--classes", "3", "--dim", "2",
+                     "--n-train", "8", "--n-meta", "4", "--n-test", "4", "--seed", str(seed),
+                     "--noise-kind", "uniform", "--noise-rate", "0.3"]) == 0
+        capsys.readouterr()
+        gen_data, streams[:] = streams[:], []
+        cli_mod._splits(tiny_cfg(seed=seed), 0, [(Variant.NOISY_MAE, NoiseKind.UNIFORM, 0.3, 0)])
+        assert len(gen_data) == 2 and gen_data == streams
+
+    def test_a_seed_group_builds_and_corrupts_each_noise_cell_once(self, tmp_path,
+                                                                   monkeypatch):
+        # the default grid's shape: three variants over two noise cells; one
+        # matrix and one train and one meta corruption per cell
+        default = ExperimentConfig()
+        cfg = tiny_cfg(variants=default.variants, noise_kinds=default.noise_kinds,
+                       noise_rates=default.noise_rates, num_seeds=1)
+        matrices = self.spy_on(monkeypatch, "build_transition")
+        streams = self.spy_on(monkeypatch, "corrupt")
+        run_experiment(cfg, out_dir=tmp_path)
+        assert len(matrices) == 2 and len(set(matrices)) == 2
+        assert len(streams) == 4 and len(set(streams)) == 4
 
 
 class TestDistinctRuns:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -158,6 +159,23 @@ class TestHyperparameterRanges:
     def test_counts_name_the_field_and_value(self, section, key, field, rule):
         with pytest.raises(ConfigError, match=f": {field} must be {rule}, got -3$"):
             parse_config_text(f"[{section}]\n{key} = -3\n")
+
+    @pytest.mark.parametrize("value, parsed", [("-5, 3", (-5, 3)), ("-1", (-1,)),
+                                               ("-2, 0, 36", (-2, 0, 36))])
+    def test_negative_lr_milestone_names_the_line(self, value, parsed):
+        # a negative milestone would divide classifier_lr from epoch 0 on
+        rule = re.escape(f"lr_milestones must have entries >= 0, got {parsed}")
+        with pytest.raises(ConfigError, match=f": {rule}$") as info:
+            parse_config_text(f"[train]\nepochs = 4\nlr_milestones = {value}\n")
+        assert info.value.location == f"<config>:3: lr_milestones = {value}"
+        with pytest.raises(FieldError, match=f"^{rule}$") as info:
+            TrainConfig(lr_milestones=parsed)
+        assert info.value.field == "lr_milestones"
+
+    @pytest.mark.parametrize("value", ["0", "0, 1", "36, 48"])
+    def test_zero_and_late_lr_milestones_accepted(self, value):
+        cfg = parse_config_text(f"[train]\nepochs = 5\nlr_milestones = {value}\n")
+        assert cfg.train.lr_milestones == tuple(int(m) for m in value.split(","))
 
     @pytest.mark.parametrize("value", [0, 2**64 - 1])
     def test_seed_bounds_accepted(self, value):
