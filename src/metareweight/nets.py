@@ -7,7 +7,8 @@ Two networks drive the whole package:
   batch as a ``SampleGrads``: the backward pass's layer inputs and deltas,
   kept factored.  The bilevel step needs those gradients only through a
   weighted sum (virtual and real updates) and through their inner products
-  with the meta-gradient, both backprop contractions on that form;
+  with the meta-gradient, both backprop contractions on that form, taken
+  as one ``_matmul`` product per layer block;
   ``SampleGrads.matrix()`` builds the ``(n, num_params)`` matrix, or the
   ``(T, n, num_params)`` matrices of a stack, for the verification oracles.
 
@@ -48,8 +49,9 @@ its bias (out,).  ``_Mlp._layers`` holds this layout as views into a vector;
 ``SampleGrads.__rmatmul__`` also encodes it, concatenating each layer's
 weight block, then its bias block, into a fresh vector, because writing the
 blocks through ``_layers`` views is slower: per contraction of the default
-classifier, 123 -> 125 us for 5 runs of 100 samples and 277 -> 283 us
-for 1 run of 1000 (medians, on one core of an Intel Xeon).
+classifier, 113 -> 117 us for 5 runs of 100 samples and 234 -> 239 us
+for 1 run of 1000 (medians of 60 alternated pairs, on one core of an Intel
+Xeon).
 Rectifier derivative at exactly 0 is defined as 0.
 """
 
@@ -96,15 +98,18 @@ class SampleGrads:
     weight block), then the delta itself (the bias block).  Both products
     the training step takes of that matrix are backprop contractions,
 
-    * ``c @ grads = sum_i c_i grad_i``, per layer ``(c * delta)^T a`` and
-      ``c @ delta``;
-    * ``grads @ g = (grad_i . g)_i``, per layer
-      ``rowsum((delta @ G) * a) + delta @ g_b`` with ``G, g_b`` the layer's
-      blocks of ``g``;
+    * ``c @ grads = sum_i c_i grad_i``, per layer the weight block
+      ``(c * delta)^T @ a``, or ``(c * a)^T @ delta`` for a fan-in-1 layer
+      (no ``(n, out)`` temporary), and the bias block ``c @ delta``, a
+      matrix-vector product;
+    * ``grads @ g = (grad_i . g)_i``, per layer the batched row products
+      ``(delta @ G)_i . a_i`` plus ``delta @ g_b``, with ``G, g_b`` the
+      layer's blocks of ``g``;
 
-    so the step never builds it.  Gradients of a ``(T, P)`` stack take
-    ``(T, n)`` coefficients and ``(T, P)`` vectors, one per row; a 1-D
-    ``c`` or ``g`` is shared by the rows.  ``matrix()`` builds the matrix,
+    each block one product through ``_matmul``, so the step never builds
+    the matrix.  Gradients of a ``(T, P)`` stack take ``(T, n)``
+    coefficients and ``(T, P)`` vectors, one per row; a 1-D ``c`` or ``g``
+    is shared by the rows.  ``matrix()`` builds the matrix,
     ``(T, n, num_params)`` for a stack, for the verification oracles,
     which keep their own arithmetic on the rows.
     """
@@ -145,15 +150,19 @@ class SampleGrads:
                              f"the {len(self)} per-sample gradients")
         parts = []
         for a, d in zip(self.inputs, self.deltas):
-            cd = (d * c[..., None]).swapaxes(-1, -2)  # (..., out, n)
-            parts += [_matmul(cd, a), cd.sum(axis=-1)]
-        lead = parts[-1].shape[:-1]
+            if a.shape[-1] == 1:  # fan-in 1: scale the (n, 1) inputs, not the deltas
+                weight = _matmul((a * c[..., None]).swapaxes(-1, -2), d)
+            else:
+                weight = _matmul((d * c[..., None]).swapaxes(-1, -2), a)
+            parts += [weight, _matmul(c[..., None, :], d)]
+        lead = parts[-1].shape[:-2]
         return np.concatenate([p.reshape(*lead, -1) for p in parts], axis=-1)
 
     def __matmul__(self, g) -> np.ndarray:
         dots = 0.0
         for a, d, (w, b) in zip(self.inputs, self.deltas, self.net._layers(g)):
-            dots = dots + (_matmul(d, w) * a).sum(axis=-1) + _matmul(d, b[..., None])[..., 0]
+            rows = _matmul(_matmul(d, w)[..., None, :], a[..., None])[..., 0, 0]
+            dots = dots + rows + _matmul(d, b[..., None])[..., 0]
         return dots
 
 

@@ -36,7 +36,7 @@ def cell_row(table, variant, kind, rate):
 # each file's relative POSIX path then its bytes.  Recorded with numpy 2.4.6
 # and scipy-openblas 0.3.31 on the SkylakeX core: another BLAS kernel may
 # round the last digit of a printed value differently.
-GRID_CSV_DIGEST = "cfa40ef9f611b323ea80204f9e00d92286d99b69c5b7594c7b5d58aa9530daf3"
+GRID_CSV_DIGEST = "d7838ff04fcab8b52bde651c73bf0d3b9fb694b86134ae814a4969710157a91e"
 
 
 @pytest.fixture(scope="module")

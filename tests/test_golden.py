@@ -72,7 +72,7 @@ DIGESTS = {
     "runs/clean-ce_uniform_0.4_0.csv":
         "b5535b0e692772fdb083455fce989a8468622296a4f7cce11e20a671b8966566",
     "runs/clean-ce_uniform_0.4_1.csv":
-        "29c4757e95bdf23eea71294d84467d730e0a36133fdee207a4f8d7a84a705f67",
+        "c0f080fa5920df536b77e23aa901c3e212e48cca2d0b2430a3263fda0c6e8386",
     "runs/clean-ce_uniform_0_0.csv":
         "d74301e04d067bbb00513103e90598b863ba041473dfee197c9fca7e3351e370",
     "runs/clean-ce_uniform_0_1.csv":

@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metareweight.losses import LossKind, grad_logits_batch, loss_values_batch
 from metareweight.nets import ClassifierNet, SampleGrads, WeightNet, _matmul, _softmax_rows
 from metareweight.numkit import Rng
+from test_bilevel import agree
 
 
 def fd_grad(fn, params, step=1e-6):
@@ -647,20 +648,27 @@ def matmul_matrix(grads):
 
 
 def matmul_weighted_sum(c, grads):
-    """``c @ grads`` with every product through ``np.matmul``."""
+    """``c @ grads`` with every product through ``np.matmul``: per layer
+    ``(c * a)^T @ delta`` for a fan-in-1 layer, else ``(c * delta)^T @ a``,
+    and ``c @ delta``."""
     parts = []
     for a, d in zip(grads.inputs, grads.deltas):
-        cd = (d * c[..., None]).swapaxes(-1, -2)
-        parts += [np.matmul(cd, a), cd.sum(axis=-1)]
-    lead = parts[-1].shape[:-1]
+        if a.shape[-1] == 1:
+            weight = np.matmul((a * c[..., None]).swapaxes(-1, -2), d)
+        else:
+            weight = np.matmul((d * c[..., None]).swapaxes(-1, -2), a)
+        parts += [weight, np.matmul(c[..., None, :], d)]
+    lead = parts[-1].shape[:-2]
     return np.concatenate([p.reshape(*lead, -1) for p in parts], axis=-1)
 
 
 def matmul_dots(grads, g):
-    """``grads @ g`` with every product through ``np.matmul``."""
+    """``grads @ g`` with every product through ``np.matmul``: per layer the
+    row products of ``delta @ G`` with ``a``, plus ``delta @ g_b``."""
     dots = 0.0
     for a, d, (w, b) in zip(grads.inputs, grads.deltas, grads.net._layers(g)):
-        dots = dots + (np.matmul(d, w) * a).sum(axis=-1) + np.matmul(d, b[..., None])[..., 0]
+        rows = np.matmul(np.matmul(d, w)[..., None, :], a[..., None])[..., 0, 0]
+        dots = dots + rows + np.matmul(d, b[..., None])[..., 0]
     return dots
 
 
@@ -731,6 +739,85 @@ class TestOuterProducts:
         self.check_grads(grads, want, rng.gaussians(n), rng.gaussians(net.num_params))
         if t is None:
             self.same_bits(net.hidden_preactivations(theta, v), zs[0].ravel())
+
+
+class TestContractionOracle:
+    """``c @ grads`` and ``grads @ g`` against the same contractions of
+    ``grads.matrix()``, row by row within 1e-12 of the norm of ``|c| @ |M|``
+    (``|M| @ |g|``), so a zero coefficient row must give exact zeros: the
+    classifier with shared ``(n, d)`` or per-row ``(T, n, d)`` features and
+    the fan-in-1 weighting net, single vectors and ``(T, P)`` stacks, 1-D
+    and per-row ``c`` and ``g``.  In a batch of one every product of
+    ``c @ grads`` has contraction length 1, and its signs, zeros included,
+    are ``np.matmul``'s.  Row t of a stack is the call at ``params[t]`` bit
+    for bit."""
+
+    @staticmethod
+    def check_products(grads, c, g):
+        m = grads.matrix()
+        got_c, want_c = c @ grads, np.matmul(c[..., None, :], m)[..., 0, :]
+        bound_c = np.matmul(np.abs(c)[..., None, :], np.abs(m))[..., 0, :]
+        got_g, want_g = grads @ g, np.matmul(m, g[..., None])[..., 0]
+        bound_g = np.matmul(np.abs(m), np.abs(g)[..., None])[..., 0]
+        assert got_c.shape == want_c.shape and got_g.shape == want_g.shape
+        for row in np.ndindex(m.shape[:-2]):
+            assert agree(got_c[row], want_c[row], bound_c[row])
+            assert agree(got_g[row], want_g[row], bound_g[row])
+        if len(grads) == 1:
+            assert np.array_equal(np.signbit(got_c), np.signbit(want_c))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), net_kind=st.sampled_from(
+               ["shared features", "per-row features", "weighting net"]),
+           hidden=st.lists(st.integers(1, 8), max_size=3), wn_hidden=st.integers(1, 120),
+           dim=st.integers(1, 5), classes=st.integers(2, 5), n=st.integers(1, 12),
+           t=st.sampled_from([None, 1, 3]), per_row_c=st.booleans(), per_row_g=st.booleans(),
+           zero_row=st.booleans())
+    @example(seed=5, net_kind="shared features", hidden=[3], wn_hidden=4, dim=2, classes=3,
+             n=1, t=3, per_row_c=True, per_row_g=True, zero_row=True)
+    @example(seed=6, net_kind="per-row features", hidden=[3], wn_hidden=4, dim=2, classes=3,
+             n=1, t=3, per_row_c=False, per_row_g=False, zero_row=False)
+    @example(seed=7, net_kind="weighting net", hidden=[], wn_hidden=100, dim=1, classes=2,
+             n=1, t=3, per_row_c=True, per_row_g=False, zero_row=True)
+    @example(seed=8, net_kind="weighting net", hidden=[], wn_hidden=100, dim=1, classes=2,
+             n=1, t=None, per_row_c=False, per_row_g=False, zero_row=False)
+    def test_products_agree_with_the_matrix(self, seed, net_kind, hidden, wn_hidden, dim,
+                                            classes, n, t, per_row_c, per_row_g, zero_row):
+        rng = Rng(seed)
+        rows = t or 1
+        if net_kind == "weighting net":
+            net = WeightNet(hidden=wn_hidden)
+            # the zero output layer of a fresh net zeroes the hidden deltas
+            params = np.stack([net.init_params(rng) if rng.randint(2)
+                               else rng.gaussians(net.num_params) for _ in range(rows)])
+            values = 8.0 * rng.uniforms(rows * n).reshape(rows, n)
+            values[:, rng.randints(1 + n // 3, n)] = 0.0  # losses of exactly 0
+            inputs = [(values[row],) for row in range(rows)]
+            stacked = (values if t else values[0],)
+            call = net.forward_and_grads_batch
+        else:
+            net = ClassifierNet([dim, *hidden, classes])
+            params = rng.gaussians(rows * net.num_params).reshape(rows, net.num_params)
+            x = rng.gaussians(rows * n * dim).reshape(rows, n, dim)
+            labels, kind = rng.randints(n, classes), list(LossKind)[rng.randint(2)]
+            per_row = net_kind == "per-row features" and t is not None
+            inputs = [(x[row] if per_row else x[0], labels, kind) for row in range(rows)]
+            stacked = (x if per_row else x[0], labels, kind)
+            call = net.losses_and_grads_batch
+        c = rng.gaussians(rows * n).reshape(rows, n)
+        g = rng.gaussians(rows * net.num_params).reshape(rows, net.num_params)
+        if zero_row:
+            c[0] = 0.0
+        c = c if per_row_c and t else c[0]
+        g = g if per_row_g and t else g[0]
+        grads = call(params if t else params[0], *stacked)[1]
+        self.check_products(grads, c, g)
+        if t is None:
+            return
+        for row in range(rows):
+            one = call(params[row], *inputs[row])[1]
+            TestOuterProducts.same_bits((c @ grads)[row], (c[row] if c.ndim == 2 else c) @ one)
+            TestOuterProducts.same_bits((grads @ g)[row], one @ (g[row] if g.ndim == 2 else g))
 
 
 class TestOuterProductKernel:
