@@ -348,19 +348,27 @@ def train(variants, train_splits, meta_splits, test_data: LabeledDataset,
     in ``variants``, ``train_splits`` and ``meta_splits``, and return one
     ``RunReport`` of per-epoch metrics per run.
 
-    The splits of the runs share their features.  A meta split may be clean
-    or corrupted: training reads only the ``features`` and ``labels`` of a
-    split, and the metrics read a train split's ``is_corrupted``.  The
-    caller decides from ``variant.meta_is_noisy`` whether to corrupt the
-    meta split; the meta loss is ``variant.meta_loss``.  ``seed``
-    fixes the network initialization and the minibatch order.  The runs
-    train in lockstep as one stack, each with the bits of its run alone (a
-    group of one).  A step that fails, e.g. because an update made a
-    parameter vector non-finite, raises a ``ValueError`` naming the epoch
-    and the step within it, and a failure in the per-epoch metrics names
-    the epoch; either stops every run and names none.
+    A group has at least one run; every split, the test split too, has at
+    least one sample and the test split's feature dimension and class count;
+    and the splits of the runs share their features.  A group that breaks
+    one of these rules raises a ``ValueError`` naming it before any step.  A
+    meta split may be clean or corrupted: training reads only the
+    ``features`` and ``labels`` of a split, and the metrics read a train
+    split's ``is_corrupted``.  The caller decides from
+    ``variant.meta_is_noisy`` whether to corrupt the meta split; the meta
+    loss is ``variant.meta_loss``.  ``seed`` fixes the network
+    initialization and the minibatch order.  The runs train in lockstep as
+    one stack, each with the bits of its run alone (a group of one).  A step
+    that fails, e.g. because an update made a parameter vector non-finite,
+    raises a ``ValueError`` naming the epoch and the step within it, and a
+    failure in the per-epoch metrics names the epoch; either stops every run
+    and names none.
     """
-    for split in (*train_splits, *meta_splits):
+    if not len(variants) == len(train_splits) == len(meta_splits) > 0:
+        raise ValueError("variants, train and meta splits must be equally many and nonempty")
+    for split in (*train_splits, *meta_splits, test_data):
+        if not len(split):
+            raise ValueError("every train, meta and test split needs at least one sample")
         if split.dim != test_data.dim:
             raise ValueError("feature dimensions differ across splits")
         if split.num_classes != test_data.num_classes:

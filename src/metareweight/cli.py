@@ -31,7 +31,7 @@ from .config import (_SCHEMA, ConfigError, ExperimentConfig, parse_config, rate_
                      serialize_config)
 from .data import (BlobSpec, csv_text, dataclass_csv, make_blobs, save_dataset,
                    standardize)
-from .noise import NoiseKind, NoiseSpec, build_transition, corrupt, majority_feasibility
+from .noise import NoiseKind, NoiseSpec, build_transition, corrupt, corrupted_majority
 from .numkit import FieldError, Rng, check_fits
 
 # Purposes for deriving per-run random streams from the experiment seed.
@@ -156,8 +156,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
     """Execute the full grid, aggregate over seeds, and write CSV reports.
     One job per seed index trains its distinct runs in lockstep; ``runs``
     lists a seed index's runs variant by variant, then cell by cell.  The
-    jobs take at most one process per seed group and per usable CPU, and
-    the failure of the first failing seed group, in seed order, is raised."""
+    jobs take at most one process per seed group and per usable CPU (of
+    ``os.sched_getaffinity``, or ``os.cpu_count()`` where that is missing),
+    and the failure of the first failing seed group, in seed order, is
+    raised."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)  # before training: a bad path fails fast
@@ -165,7 +167,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
     runs = [(variant, kind, rate, ci) for variant in cfg.variants
             for ci, (kind, rate) in enumerate(cells)]
     jobs = (repeat(cfg), repeat(runs), range(cfg.num_seeds))
-    workers = min(cfg.workers, cfg.num_seeds, len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.workers, cfg.num_seeds, cpus or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # single-worker runs skip its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -196,8 +199,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ResultTable:
 
 
 def _warn_if_infeasible(spec: NoiseSpec) -> None:
-    """The heavy-noise warning on stderr, if ``majority_feasibility`` flags ``spec``."""
-    if majority_feasibility(spec) == "warning":
+    """The heavy-noise warning on stderr, if ``corrupted_majority`` holds for ``spec``."""
+    if corrupted_majority(spec):
         print(f"warning: {spec.kind.value} noise at rate {spec.rate} "
               "makes some corrupted class the majority; learning may be infeasible",
               file=sys.stderr)

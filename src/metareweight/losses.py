@@ -9,6 +9,12 @@ MAE is a *symmetric* loss: summing it over all class labels at a fixed
 prediction gives the constant 2K - 2 regardless of input or parameters.
 Cross-entropy has no such constant, which is what makes the two behave
 differently under label noise on the meta set.
+
+Every call takes one path, for one kind or one per row of a stack, whether
+those agree or are mixed.  A loss is computed both ways and an ``np.where``
+picks each row's, which copies the bits of 2(1 - p_y) or -log max(p_y,
+1e-12).  The logit gradient p - onehot is scaled by 2 p_y for MAE and by
+1.0 for CE, and x * 1.0 is x.
 """
 
 from __future__ import annotations
@@ -59,14 +65,18 @@ def _label_index(labels, probs: np.ndarray) -> tuple:
     return index if probs.ndim == 2 else (np.arange(len(probs))[:, None], *index)
 
 
-def _is_mae(kind):
-    """Whether the loss is MAE: a bool for one ``LossKind`` or for a
-    sequence of them, one per row of a stack, that all agree, else a
-    ``(T, 1)`` column.  The bool takes the single-kind path."""
+def _is_mae(kind, probs: np.ndarray):
+    """Whether the loss is MAE, as the condition of an ``np.where`` over the
+    labels' probabilities: a bool for one ``LossKind``; for a sequence of
+    them, one per row of a ``(T, n, K)`` stack or one for all its rows, a
+    ``(T, 1)`` or ``(1, 1)`` column, whether the kinds agree or not.  A
+    sequence of another length, or with ``(n, K)`` probabilities, is a
+    ``ValueError``."""
     if isinstance(kind, LossKind):
         return kind is LossKind.MAE
-    mae = [k is LossKind.MAE for k in kind]
-    return mae[0] if len(set(mae)) == 1 else np.array(mae)[:, None]
+    if probs.ndim != 3 or len(kind) not in (1, len(probs)):
+        raise ValueError(f"need one loss kind or one per row of a stack, got {len(kind)}")
+    return np.array([k is LossKind.MAE for k in kind])[:, None]
 
 
 def loss_values_batch(kind, labels, probs: np.ndarray) -> np.ndarray:
@@ -80,11 +90,8 @@ def loss_values_batch(kind, labels, probs: np.ndarray) -> np.ndarray:
     if n and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
     picked = probs[_label_index(labels, probs)]
-    mae = _is_mae(kind)
-    if mae is True:
-        return 2.0 * (1.0 - picked)
-    ce = -np.log(np.maximum(picked, PROB_FLOOR))
-    return ce if mae is False else np.where(mae, 2.0 * (1.0 - picked), ce)
+    return np.where(_is_mae(kind, probs), 2.0 * (1.0 - picked),
+                    -np.log(np.maximum(picked, PROB_FLOOR)))
 
 
 def grad_logits_batch(kind, labels, probs: np.ndarray) -> np.ndarray:
@@ -93,7 +100,5 @@ def grad_logits_batch(kind, labels, probs: np.ndarray) -> np.ndarray:
     index = _label_index(labels, probs)
     g = probs.copy()
     g[index] -= 1.0
-    mae = _is_mae(kind)
-    if mae is not False:
-        g *= np.where(mae, 2.0 * probs[index], 1.0)[..., None]  # x * 1.0 is x
+    g *= np.where(_is_mae(kind, probs), 2.0 * probs[index], 1.0)[..., None]  # x * 1.0 is x
     return g

@@ -82,9 +82,7 @@ class TransitionMatrix:
         # sum is 1.0, so no uniform in [0, 1) reaches a class past it.
         k = self.num_classes = len(p)
         last = k - 1 - np.argmax(p[:, ::-1] > 0, axis=1)
-        cum = np.cumsum(p, axis=1)
-        cum[np.arange(k) >= last[:, None]] = 1.0
-        self._cum = cum
+        self._cum = np.where(np.arange(k) >= last[:, None], 1.0, np.cumsum(p, axis=1))
 
     def to_csv(self) -> str:
         """First row the class count, then the K x K probabilities."""
@@ -181,11 +179,11 @@ def corrupt(dataset: LabeledDataset, t: TransitionMatrix, rng: Rng) -> LabeledDa
                           true_labels=labels.copy())
 
 
-def majority_feasibility(spec: NoiseSpec) -> str:
-    """"warning" when, for some true class, one corrupted class is observed
-    at least as often as the true class itself: in some row of the
-    transition matrix the largest off-diagonal entry reaches the diagonal
-    (ties within rounding count).
+def corrupted_majority(spec: NoiseSpec) -> bool:
+    """Whether, for some true class, one corrupted class is observed at
+    least as often as the true class itself: in some row of the transition
+    matrix the largest off-diagonal entry reaches the diagonal (ties within
+    rounding count).
 
     Heavy-noise settings must still run, so this never raises; it only
     flags rates at which learning the true structure becomes infeasible
@@ -193,4 +191,4 @@ def majority_feasibility(spec: NoiseSpec) -> str:
     """
     p = build_transition(spec).probs
     corrupted = np.where(np.eye(spec.num_classes, dtype=bool), 0.0, p)
-    return "warning" if np.any(corrupted.max(axis=1) >= np.diag(p) - 1e-12) else "ok"
+    return bool(np.any(corrupted.max(axis=1) >= np.diag(p) - 1e-12))

@@ -601,6 +601,90 @@ class TestTrainLoop:
         assert len(lines) == 3
 
 
+def group_rule_splits():
+    """Two runs' splits on shared features and the test split."""
+    s1, m1, test = quick_splits(rate=0.3, seed=0)
+    s2, m2, _ = quick_splits(rate=0.3, seed=1)
+    s2 = LabeledDataset(s1.features, s2.labels, s1.num_classes, true_labels=s2.true_labels)
+    m2 = LabeledDataset(m1.features, m2.labels, m1.num_classes, true_labels=m2.true_labels)
+    return (s1, s2), (m1, m2), test
+
+
+class TestTrainGroupRules:
+    """``train`` checks the group it is given before any step: each
+    malformed group is a ``ValueError`` naming the rule it breaks."""
+
+    def rejects(self, monkeypatch, variants, train_splits, meta_splits, test, rule):
+        import metareweight.bilevel as b
+        calls = []
+        monkeypatch.setattr(b, "bilevel_step", lambda *args: calls.append(args))
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=1, lr_milestones=())
+        with pytest.raises(ValueError, match=rule):
+            train(variants, train_splits, meta_splits, test, cfg, seed=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("runs", [
+        (2, 1, 1),  # was two reports, the second without epochs
+        (2, 2, 1),  # was both rows trained against the one meta split
+        (1, 2, 2),  # was a misaligned theta gradient at epoch 0, step 0
+        (0, 0, 0),  # was numpy's "need at least one array to stack"
+        (1, 1, 0),  # no meta split
+    ])
+    def test_one_variant_train_split_and_meta_split_per_run(self, monkeypatch, runs):
+        (s1, s2), (m1, m2), test = group_rule_splits()
+        num_variants, num_train, num_meta = runs
+        self.rejects(monkeypatch, [Variant.NOISY_MAE, Variant.NOISY_CE][:num_variants],
+                     [s1, s2][:num_train], [m1, m2][:num_meta], test,
+                     "^variants, train and meta splits must be equally many and nonempty$")
+
+    def rejects_one_run(self, monkeypatch, which, change, rule):
+        """One run whose train (``which`` 0) or meta (1) split, or the test
+        split (2), is ``change``d is rejected for ``rule``."""
+        (s1, _), (m1, _), test = group_rule_splits()
+        splits = [s1, m1, test]
+        splits[which] = change(splits[which])
+        self.rejects(monkeypatch, [Variant.NOISY_MAE], [splits[0]], [splits[1]], splits[2],
+                     rule)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_every_split_has_a_sample(self, monkeypatch, which):
+        # an empty meta split was numpy's "randint requires n >= 1", raised
+        # outside the step's wrapper; an empty train split trained nothing
+        # and reported the untrained classifier; an empty test split failed
+        # in the metrics after a whole epoch of training
+        self.rejects_one_run(monkeypatch, which, lambda d: LabeledDataset(
+            d.features[:0], d.labels[:0], d.num_classes),
+            "^every train, meta and test split needs at least one sample$")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_every_split_has_the_test_data_s_feature_dimension(self, monkeypatch, which):
+        self.rejects_one_run(monkeypatch, which, lambda d: LabeledDataset(
+            d.features[:, :-1], d.labels, d.num_classes),
+            "^feature dimensions differ across splits$")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_every_split_has_the_test_data_s_class_count(self, monkeypatch, which):
+        self.rejects_one_run(monkeypatch, which, lambda d: LabeledDataset(
+            d.features, d.labels, d.num_classes + 1),
+            "^class counts differ across splits$")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_the_runs_share_their_features(self, monkeypatch, which):
+        train_splits, meta_splits, test = group_rule_splits()
+        splits = [list(train_splits), list(meta_splits)]
+        d = splits[which][1]
+        splits[which][1] = LabeledDataset(d.features + 1.0, d.labels, d.num_classes)
+        self.rejects(monkeypatch, [Variant.NOISY_MAE, Variant.NOISY_CE], *splits, test,
+                     "^the runs of a group must share their features$")
+
+    def test_a_well_formed_group_of_two_trains(self):
+        (s1, s2), (m1, m2), test = group_rule_splits()
+        cfg = TrainConfig(train_batch=40, meta_batch=30, epochs=1, lr_milestones=())
+        reports = train([Variant.NOISY_MAE, Variant.NOISY_CE], [s1, s2], [m1, m2], test,
+                        cfg, seed=1)
+        assert [len(r.epochs) for r in reports] == [1, 1]
+
+
 def unblocked_metrics(state, epoch, train_split, test):
     """The per-epoch metrics with each split evaluated in one call, and the
     weights of every train sample."""

@@ -88,6 +88,31 @@ def stack_sizes(cfg, out_dir, monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """A stand-in for ``ProcessPoolExecutor`` that records each pool's
+    size and runs the jobs serially, so no process starts, whatever the
+    configured worker count; returns the list of sizes."""
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
 class TestRunExperiment:
     def test_grid_completeness_and_aggregation(self, tmp_path):
         table = run_experiment(tiny_cfg(), out_dir=tmp_path)
@@ -208,34 +233,43 @@ class TestRunExperiment:
         (1, 3, 64, []),       # one worker: no pool
     ])
     def test_the_pool_has_at_most_one_process_per_seed_group_and_cpu(
-            self, tmp_path, monkeypatch, workers, num_seeds, cpus, pools):
-        # a stand-in executor records its size and runs the jobs serially,
-        # so no process starts, whatever the configured worker count
-        import concurrent.futures
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+            self, tmp_path, monkeypatch, pool_sizes, workers, num_seeds, cpus, pools):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         cfg = tiny_cfg(variants=(Variant.NOISY_MAE,), noise_rates=(0.3,),
                        num_seeds=num_seeds, workers=workers)
         run_experiment(cfg, out_dir=tmp_path / "pool")
-        assert sizes == pools
+        assert pool_sizes == pools
         run_experiment(replace(cfg, workers=1), out_dir=tmp_path / "serial")
         assert (tmp_path / "pool/results.csv").read_bytes() == \
                (tmp_path / "serial/results.csv").read_bytes()
+
+    def test_a_one_seed_run_without_sched_getaffinity_writes_its_files(
+            self, tmp_path, monkeypatch, pool_sizes):
+        # os.sched_getaffinity exists only on some Unix systems (not on
+        # macOS or Windows); without it the run counts os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY_CFG_TEXT.replace("num_seeds = 2", "num_seeds = 1"))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        assert pool_sizes == []
+        assert len((out_dir / "results.csv").read_text().splitlines()) == 1 + 4
+        assert len(list((out_dir / "runs").glob("*_0.csv"))) == 4
+
+    @pytest.mark.parametrize("cpus, pools", [
+        (2, [2]),      # capped at os.cpu_count()
+        (64, [3]),     # capped at the seed groups
+        (1, []),       # one CPU: no pool
+        (None, []),    # os.cpu_count() cannot tell: one CPU, no pool
+    ])
+    def test_without_sched_getaffinity_the_pool_is_capped_at_cpu_count(
+            self, tmp_path, monkeypatch, pool_sizes, cpus, pools):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = tiny_cfg(variants=(Variant.NOISY_MAE,), noise_rates=(0.3,),
+                       num_seeds=3, workers=10**6)
+        run_experiment(cfg, out_dir=tmp_path)
+        assert pool_sizes == pools
 
 
 class TestCorruptionStreams:

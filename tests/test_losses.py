@@ -193,3 +193,86 @@ class TestBatchedForms:
                 expect_grad = 2.0 * u[labels[i]] * (u - onehot)
             assert vals[i] == pytest.approx(expect_val, abs=1e-12)
             assert np.allclose(grads[i], expect_grad, atol=1e-12)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def single_kind_rows(kind, labels, probs):
+    """Losses and logit gradients of ``(n, K)`` probabilities by the
+    single-kind formulas, written out: 2(1 - p_y) and -log max(p_y, 1e-12);
+    p - onehot for CE and (p - onehot) 2 p_y for MAE."""
+    picked = probs[np.arange(len(labels)), labels]
+    g = probs - np.eye(probs.shape[1])[labels]
+    if kind is LossKind.MAE:
+        return 2.0 * (1.0 - picked), g * (2.0 * picked)[:, None]
+    return -np.log(np.maximum(picked, 1e-12)), g
+
+
+class TestOnePath:
+    """One loss path serves one ``LossKind``, a stack whose kinds agree and
+    a stack that mixes them, with the bits of the single-kind formulas."""
+
+    CE, MAE = LossKind.CE, LossKind.MAE
+    T, N, K = 3, 7, 4
+
+    def probs_and_labels(self, seed):
+        """A ``(T, n, K)`` stack and its paired ``(T, n)`` labels, with a
+        label of probability exactly 1 (sample 0) and exactly 0 (sample 1)."""
+        rng = Rng(seed)
+        raw = -np.log(rng.uniforms(self.T * self.N * self.K)).reshape(self.T, self.N, self.K)
+        probs = raw / raw.sum(axis=-1, keepdims=True)
+        probs[:, 0] = np.eye(self.K)[0]
+        probs[:, 1] = np.eye(self.K)[2]
+        labels = rng.randints(self.T * self.N, self.K).reshape(self.T, self.N)
+        labels[:, 0], labels[:, 1] = 0, 1
+        return probs, labels
+
+    def assert_rows(self, kinds, labels, probs):
+        values = loss_values_batch(kinds, labels, probs)
+        grads = grad_logits_batch(kinds, labels, probs)
+        assert values.shape == probs.shape[:-1] and grads.shape == probs.shape
+        for t in range(len(probs)):
+            kind = kinds if isinstance(kinds, LossKind) else kinds[t % len(kinds)]
+            want_values, want_grads = single_kind_rows(
+                kind, labels if labels.ndim == 1 else labels[t], probs[t])
+            assert np.array_equal(bits(values[t]), bits(want_values))
+            assert np.array_equal(bits(grads[t]), bits(want_grads))
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_one_kind_on_one_set_of_probabilities(self, kind):
+        probs, labels = self.probs_and_labels(1)
+        values = loss_values_batch(kind, labels[0], probs[0])
+        grads = grad_logits_batch(kind, labels[0], probs[0])
+        want_values, want_grads = single_kind_rows(kind, labels[0], probs[0])
+        assert np.array_equal(bits(values), bits(want_values))
+        assert np.array_equal(bits(grads), bits(want_grads))
+
+    @pytest.mark.parametrize("kinds", [
+        CE, MAE,                       # one kind for every row
+        (CE,), (MAE,),                 # a sequence of one, for every row
+        (CE,) * T, (MAE,) * T,         # one per row, agreeing
+        (MAE, CE, MAE), (CE, CE, MAE),  # one per row, mixed
+    ])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_a_stack(self, kinds, paired):
+        probs, labels = self.probs_and_labels(2 + paired)
+        self.assert_rows(kinds, labels if paired else labels[0], probs)
+
+    @pytest.mark.parametrize("kinds, rows", [
+        ((), T), ((CE, CE), T), ((CE, MAE), T), ((MAE,) * (T + 1), T),
+        ((), 1), ((MAE, MAE), 1), ((MAE, CE), 1),
+    ])
+    @pytest.mark.parametrize("loss_fn", [loss_values_batch, grad_logits_batch])
+    def test_a_sequence_needs_one_kind_or_one_per_row(self, kinds, rows, loss_fn):
+        probs, labels = self.probs_and_labels(4)
+        with pytest.raises(ValueError, match="one loss kind or one per row of a stack"):
+            loss_fn(kinds, labels[:rows], probs[:rows])
+
+    @pytest.mark.parametrize("kinds", [(CE,), (MAE,), (CE,) * N])  # N: one per sample
+    @pytest.mark.parametrize("loss_fn", [loss_values_batch, grad_logits_batch])
+    def test_a_sequence_needs_a_stack(self, kinds, loss_fn):
+        probs, labels = self.probs_and_labels(5)
+        with pytest.raises(ValueError, match="one loss kind or one per row of a stack"):
+            loss_fn(kinds, labels[0], probs[0])

@@ -7,8 +7,8 @@ import pytest
 
 from metareweight.data import LabeledDataset
 from metareweight.noise import (NoiseKind, NoiseSpec, TransitionMatrix, _draw_targets,
-                                _search_labels, build_transition, corrupt, flip_transition,
-                                majority_feasibility, uniform_transition)
+                                _search_labels, build_transition, corrupt, corrupted_majority,
+                                flip_transition, uniform_transition)
 from metareweight.numkit import Rng
 
 
@@ -302,18 +302,18 @@ def unique_loop_labels(cum, labels, u):
 
 class TestMajorityFeasibility:
     def test_flip_thresholds(self):
-        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP, 0.3, 5)) == "ok"
-        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP, 0.5, 5)) == "warning"
+        assert corrupted_majority(NoiseSpec(NoiseKind.FLIP, 0.3, 5)) is False
+        assert corrupted_majority(NoiseSpec(NoiseKind.FLIP, 0.5, 5)) is True
 
     def test_flip2_thresholds(self):
         # the two targets carry rate/2 each, so the cutover is 2/3
-        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 0.5, 5)) == "ok"
-        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 0.67, 5)) == "warning"
+        assert corrupted_majority(NoiseSpec(NoiseKind.FLIP2, 0.5, 5)) is False
+        assert corrupted_majority(NoiseSpec(NoiseKind.FLIP2, 0.67, 5)) is True
         # 0.667 leaves the true class 0.333 against 0.3335 for each target
-        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 0.667, 5)) == "warning"
-        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 2 / 3, 5)) == "warning"
-        assert majority_feasibility(NoiseSpec(NoiseKind.FLIP2, 0.666, 3)) == "ok"
+        assert corrupted_majority(NoiseSpec(NoiseKind.FLIP2, 0.667, 5)) is True
+        assert corrupted_majority(NoiseSpec(NoiseKind.FLIP2, 2 / 3, 5)) is True
+        assert corrupted_majority(NoiseSpec(NoiseKind.FLIP2, 0.666, 3)) is False
 
     def test_uniform_never_warns(self):
-        assert majority_feasibility(NoiseSpec(NoiseKind.UNIFORM, 0.7, 5)) == "ok"
-        assert majority_feasibility(NoiseSpec(NoiseKind.UNIFORM, 0.99, 5)) == "ok"
+        assert corrupted_majority(NoiseSpec(NoiseKind.UNIFORM, 0.7, 5)) is False
+        assert corrupted_majority(NoiseSpec(NoiseKind.UNIFORM, 0.99, 5)) is False
